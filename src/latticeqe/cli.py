@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run, threads_from_env
+from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run
 from .reporting import emit_report
 from .schrodinger import LcViolationError
 
@@ -88,7 +88,6 @@ def _build_config(experiment: str, args: argparse.Namespace) -> ExperimentConfig
         value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, value)
-    cfg.threads = threads_from_env()
     return cfg
 
 

@@ -116,13 +116,17 @@ def averaged_kernel(K: Observable) -> Observable:
 
 def sine_shift_overlaps(N: int, z: int) -> np.ndarray:
     """Overlaps <s_j, rho_z s_j> for every frequency j on [[1, N]]."""
-    S = sine_matrix(N, 1)[0]
     z = abs(int(z))
-    if z >= N:
-        return np.zeros(N)
-    if z == 0:
-        return np.ones(N)
-    return np.sum(S[: N - z] * S[z:], axis=0)
+    if z == 0 or z >= N:
+        return np.ones(N) if z == 0 else np.zeros(N)
+    return _shift_overlaps(sine_matrix(N, 1)[0], z)
+
+
+def _shift_overlaps(S1: np.ndarray, z: int) -> np.ndarray:
+    # Summed along x in order, so a scan reusing one factor per box size
+    # reproduces the per-call values bit for bit.
+    N = len(S1)
+    return np.sum(S1[: N - z] * S1[z:], axis=0)
 
 
 def wucha_error_scan(n_values, R: int) -> list[dict]:
@@ -140,9 +144,9 @@ def wucha_error_scan(n_values, R: int) -> list[dict]:
         raise ValueError(f"offset range {R} too large for smallest box {min(n_values)}")
     rows = []
     for N in n_values:
-        lam = 2.0 * np.cos(np.arange(1, N + 1) * np.pi / (N + 1))
+        S1, _, lam = sine_matrix(N, 1)
         for z in range(0, R + 1):
-            overlaps = sine_shift_overlaps(N, z)
+            overlaps = _shift_overlaps(S1, z) if z else np.ones(N)
             sph = np.array([spherical(l, z) for l in lam])
             err = float(np.max(np.abs(overlaps - sph)))
             rows.append({"N": N, "z": z, "max_err": err, "err_times_N": err * N})

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +57,6 @@ class ExperimentConfig:
     unchecked: bool = False
     exploratory: bool = False
     out: str = "."  # execution detail, not part of the config identity
-    threads: int = 1
 
     def canonical(self) -> dict:
         return {
@@ -103,13 +100,6 @@ class ExperimentConfig:
                 raise ConfigError(f"observable file not found: {spec}")
 
 
-def _map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _basis(cfg: ExperimentConfig, N: int):
     if cfg.mode == "periodic":
         return bloch_basis(N, cfg.d)
@@ -130,7 +120,7 @@ def _run_var_scan(cfg: ExperimentConfig):
         var = quantum_variance(_basis(cfg, N), centered(a))
         return {"N": N, "var": var, "var_times_N": var * N, "pass": var * N <= bound}
 
-    rows = _map(one, list(cfg.n_values), cfg.threads)
+    rows = [one(N) for N in cfg.n_values]
     return ["N", "var", "var_times_N", "pass"], rows
 
 
@@ -159,7 +149,7 @@ def _run_degeneracy(cfg: ExperimentConfig):
             "pass": ok,
         }
 
-    rows = _map(one, list(cfg.n_values), cfg.threads)
+    rows = [one(N) for N in cfg.n_values]
     return (
         ["N", "n_classes", "max_class_size", "sum_sq_sizes", "all_singletons", "perm_consistent", "pass"],
         rows,
@@ -209,7 +199,7 @@ def _run_correspond(cfg: ExperimentConfig):
             "pass": ok,
         }
 
-    rows = _map(one, list(cfg.n_values), cfg.threads)
+    rows = [one(N) for N in cfg.n_values]
     return ["N", "d", "max_residual", "gram_error", "spectral_inclusion_error", "pass"], rows
 
 
@@ -231,7 +221,7 @@ def _run_schrodinger(cfg: ExperimentConfig):
                 "pass": profile.bands_complete and profile.bound_holds,
             }
 
-        rows = _map(one, list(cfg.n_values), cfg.threads)
+        rows = [one(N) for N in cfg.n_values]
         return (
             [
                 "N",
@@ -335,12 +325,3 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     }
     return ExperimentReport(cfg.experiment, columns, rows, metadata, wall_time_s=wall)
 
-
-def threads_from_env() -> int:
-    raw = os.environ.get("QE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"QE_THREADS must be an integer, got {raw!r}")

@@ -166,6 +166,8 @@ class Observable:
             vals = vals.reshape(-1)
             if vals.size != self.box.volume:
                 raise ValueError(f"offset {z}: expected {self.box.volume} entries")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"offset {z}: entries must be finite")
             outside = ~shift_set(self.box, z).mask
             if np.any(vals[outside] != 0):
                 raise ValueError(f"offset {z}: nonzero entries at sites where x+z leaves the box")

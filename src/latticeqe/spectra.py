@@ -17,7 +17,8 @@ signed combination hits a prescribed frequency theta.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "periodic_eigenvalues",
     "sine_matrix",
     "bloch_matrix",
+    "ProductBasis",
     "SpectralData",
     "sine_basis",
     "bloch_basis",
@@ -91,8 +93,65 @@ def periodic_eigenpair(N: int, d: int, k):
     return lam, Wavefunction(cube(N, d), vec.reshape(-1))
 
 
-def _product_frequencies(rng: range, d: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(rng, repeat=d))
+def _product_eigenvalues(lam1: np.ndarray, d: int) -> np.ndarray:
+    """Eigenvalues ``sum_l lam1[k_l]`` of a d-fold Kronecker sum, row-major in k."""
+    eigs = lam1
+    for _ in range(d - 1):
+        eigs = np.add.outer(eigs, lam1).reshape(-1)
+    return eigs
+
+
+def _lam1(mode: str, N: int) -> np.ndarray:
+    if mode == "dirichlet":
+        return 2.0 * np.cos(np.arange(1, N + 1) * np.pi / (N + 1))
+    if mode == "periodic":
+        return 2.0 * np.cos(2.0 * np.pi * np.arange(0, N) / N)
+    raise ValueError(f"unknown boundary mode {mode!r}")
+
+
+@dataclass(eq=False)
+class ProductBasis:
+    """The eigenbasis of the cube ``[[1, N]]^d`` kept as a d-fold tensor power.
+
+    Mode ``dirichlet`` has the sine factor with frequencies 1..N, mode
+    ``periodic`` the Bloch factor with frequencies 0..N-1. ``eigs`` lists the
+    eigenvalues in row-major frequency order, ``order`` their stable
+    ascending sort. Nothing of size ``N^(2d)`` is held; :meth:`matrix`
+    builds the dense Kronecker power on request.
+    """
+
+    mode: str
+    N: int
+    d: int
+    lam1: np.ndarray = field(init=False)
+    eigs: np.ndarray = field(init=False)
+    order: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.lam1 = _lam1(self.mode, self.N)
+        self.eigs = _product_eigenvalues(self.lam1, self.d)
+        self.order = np.argsort(self.eigs, kind="stable")
+
+    def freqs(self) -> list[tuple[int, ...]]:
+        """Frequency multi-indices in row-major order."""
+        first = 1 if self.mode == "dirichlet" else 0
+        return list(itertools.product(range(first, first + self.N), repeat=self.d))
+
+    def factor(self) -> np.ndarray:
+        """The 1-D eigenvector matrix: column k is the factor for frequency k."""
+        N = self.N
+        x = np.arange(1, N + 1)
+        if self.mode == "dirichlet":
+            return np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(x, x) * np.pi / (N + 1))
+        return np.exp(2j * np.pi * np.outer(x, np.arange(0, N)) / N) / np.sqrt(N)
+
+    def matrix(self) -> np.ndarray:
+        """Dense ``N^d x N^d`` Kronecker power, columns in row-major frequency order."""
+        F1 = self.factor()
+        F = F1
+        for _ in range(self.d - 1):
+            F = np.kron(F, F1)
+        return F
 
 
 def sine_matrix(N: int, d: int):
@@ -102,93 +161,88 @@ def sine_matrix(N: int, d: int):
     ``freqs[j]`` and ``eigs[j]`` its eigenvalue. Frequencies are in row-major
     order (not sorted by eigenvalue).
     """
-    x = np.arange(1, N + 1)
-    S1 = np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(x, x) * np.pi / (N + 1))
-    S = S1
-    for _ in range(d - 1):
-        S = np.kron(S, S1)
-    lam1 = 2.0 * np.cos(x * np.pi / (N + 1))
-    eigs = lam1
-    for _ in range(d - 1):
-        eigs = np.add.outer(eigs, lam1).reshape(-1)
-    return S, _product_frequencies(range(1, N + 1), d), eigs
+    pb = ProductBasis("dirichlet", N, d)
+    return pb.matrix(), pb.freqs(), pb.eigs
 
 
 def bloch_matrix(N: int, d: int):
     """Bloch eigenvectors of the wraparound cube, in frequency order."""
-    x = np.arange(1, N + 1)
-    k = np.arange(0, N)
-    B1 = np.exp(2j * np.pi * np.outer(x, k) / N) / np.sqrt(N)
-    B = B1
-    for _ in range(d - 1):
-        B = np.kron(B, B1)
-    lam1 = 2.0 * np.cos(2.0 * np.pi * k / N)
-    eigs = lam1
-    for _ in range(d - 1):
-        eigs = np.add.outer(eigs, lam1).reshape(-1)
-    return B, _product_frequencies(range(0, N), d), eigs
+    pb = ProductBasis("periodic", N, d)
+    return pb.matrix(), pb.freqs(), pb.eigs
 
 
 def dirichlet_eigenvalues(N: int, d: int) -> np.ndarray:
     """All eigenvalues of the zero-boundary cube, ascending."""
-    lam1 = 2.0 * np.cos(np.arange(1, N + 1) * np.pi / (N + 1))
-    eigs = lam1
-    for _ in range(d - 1):
-        eigs = np.add.outer(eigs, lam1).reshape(-1)
-    return np.sort(eigs)
+    return np.sort(_product_eigenvalues(_lam1("dirichlet", N), d))
 
 
 def periodic_eigenvalues(N: int, d: int) -> np.ndarray:
     """All eigenvalues of the wraparound cube, ascending."""
-    lam1 = 2.0 * np.cos(2.0 * np.pi * np.arange(0, N) / N)
-    eigs = lam1
-    for _ in range(d - 1):
-        eigs = np.add.outer(eigs, lam1).reshape(-1)
-    return np.sort(eigs)
+    return np.sort(_product_eigenvalues(_lam1("periodic", N), d))
 
 
-@dataclass(eq=False)
 class SpectralData:
     """Eigenvalues (ascending), orthonormal eigenvectors, degeneracy classes.
 
     ``vectors[:, j]`` is the eigenvector for ``eigenvalues[j]``; ``classes``
-    partitions column indices into maximal groups whose eigenvalue spread
-    stays within the detection tolerance. ``freqs`` carries the analytic
-    frequency multi-indices when the basis has them.
+    partitions column indices into maximal groups of eigenvalues chained by
+    gaps within the detection tolerance ``tol``. ``freqs`` carries the
+    analytic frequency multi-indices when the basis has them, else None.
+
+    A basis built on a :class:`ProductBasis` (``product``) stores only the
+    factored form and the sorted eigenvalues. Its ``vectors``, ``classes``
+    and ``freqs`` are computed on first access and cached; ``n`` and
+    ``eigenvalues`` never build them.
     """
 
-    box: LatticeBox
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    classes: list[list[int]]
-    freqs: list[tuple[int, ...]] | None = None
+    def __init__(self, box: LatticeBox, eigenvalues, vectors=None, classes=None, freqs=None,
+                 *, product: ProductBasis | None = None, tol: float | None = None):
+        if product is None and (vectors is None or classes is None):
+            raise TypeError("a basis without a product form needs vectors and classes")
+        self.box = box
+        self.eigenvalues = eigenvalues
+        self.product = product
+        self.tol = tol
+        for name, value in (("vectors", vectors), ("classes", classes), ("freqs", freqs)):
+            if value is not None:
+                vars(self)[name] = value
 
     @property
     def n(self) -> int:
-        return self.vectors.shape[1]
+        return len(self.eigenvalues)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        pb = self.product
+        dense = sine_matrix if pb.mode == "dirichlet" else bloch_matrix
+        return dense(pb.N, pb.d)[0][:, pb.order]
+
+    @cached_property
+    def classes(self) -> list[list[int]]:
+        return degeneracy_classes(self.eigenvalues, self.tol)
+
+    @cached_property
+    def freqs(self) -> list[tuple[int, ...]] | None:
+        if self.product is None:
+            return None
+        freqs = self.product.freqs()
+        return [freqs[i] for i in self.product.order]
 
 
-def _sorted_spectral_data(box, eigs, vectors, freqs, tol) -> SpectralData:
-    order = np.argsort(eigs, kind="stable")
-    eigs = np.asarray(eigs)[order]
-    vectors = vectors[:, order]
-    freqs = [freqs[i] for i in order] if freqs is not None else None
-    classes = degeneracy_classes(eigs, tol)
-    return SpectralData(box, eigs, vectors, classes, freqs)
+def _product_spectral_data(mode: str, N: int, d: int, tol: float | None) -> SpectralData:
+    pb = ProductBasis(mode, N, d)
+    tol = default_deg_tol(d) if tol is None else tol
+    return SpectralData(cube(N, d), pb.eigs[pb.order], product=pb, tol=tol)
 
 
 def sine_basis(N: int, d: int, tol: float | None = None) -> SpectralData:
     """Full sine eigenbasis of the zero-boundary cube, eigenvalues ascending."""
-    S, freqs, eigs = sine_matrix(N, d)
-    tol = default_deg_tol(d) if tol is None else tol
-    return _sorted_spectral_data(cube(N, d), eigs, S, freqs, tol)
+    return _product_spectral_data("dirichlet", N, d, tol)
 
 
 def bloch_basis(N: int, d: int, tol: float | None = None) -> SpectralData:
     """Full Bloch eigenbasis of the wraparound cube, eigenvalues ascending."""
-    B, freqs, eigs = bloch_matrix(N, d)
-    tol = default_deg_tol(d) if tol is None else tol
-    return _sorted_spectral_data(cube(N, d), eigs, B, freqs, tol)
+    return _product_spectral_data("periodic", N, d, tol)
 
 
 def apply_adjacency(psi: Wavefunction, mode: str = "dirichlet") -> Wavefunction:
@@ -243,15 +297,12 @@ def degeneracy_classes(eigenvalues, tol: float) -> list[list[int]]:
     vals = np.asarray(eigenvalues, dtype=float)
     if vals.size == 0:
         return []
-    if np.any(np.diff(vals) < -1e-15):
+    gaps = np.diff(vals)
+    if np.any(gaps < -1e-15):
         raise ValueError("eigenvalues must be sorted ascending")
-    classes = [[0]]
-    for i in range(1, vals.size):
-        if vals[i] - vals[classes[-1][-1]] <= tol:
-            classes[-1].append(i)
-        else:
-            classes.append([i])
-    return classes
+    bounds = [0, *(np.flatnonzero(gaps > tol) + 1).tolist(), vals.size]
+    idx = list(range(vals.size))
+    return [idx[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _check_signs(eps, d: int):
@@ -309,9 +360,9 @@ def lemma_c1_counts(N: int, d: int, tol: float | None = None) -> dict:
     ``(t, eps, eps') -> count``; absent keys have count zero.
     """
     tol = default_deg_tol(d) if tol is None else tol
-    _, freqs, eigs = sine_matrix(N, d)
-    order = np.argsort(eigs, kind="stable")
-    classes = degeneracy_classes(eigs[order], tol)
+    pb = ProductBasis("dirichlet", N, d)
+    freqs, order = pb.freqs(), pb.order
+    classes = degeneracy_classes(pb.eigs[order], tol)
     sign_vectors = list(itertools.product((1, -1), repeat=d))
     counts: dict = {}
     for cls in classes:

@@ -44,6 +44,14 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_observable_is_usage_error(self, tmp_path, bad):
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps({"values": [0.5, bad, 0.0, 1.0]}))
+        code = main(["var-scan", "--d", "1", "--N", "4", "--obs", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert not (tmp_path / "var-scan.csv").exists()
+
     def test_unchecked_mode_runs_inadmissible_observable(self, tmp_path):
         code = main(
             ["schrodinger", "--task", "partial-qe", "--N", "4", "--obs", "parity",

@@ -209,6 +209,34 @@ class TestShiftOverlaps:
                 sine_shift_overlaps(N, 1), np.cos(j * np.pi / (N + 1)), atol=1e-12
             )
 
+    @pytest.mark.parametrize("N", [2, 7, 50, 301])
+    def test_matches_dense_oracle_and_closed_form(self, N):
+        # summing sin(ax) sin(a(x+z)) over [[1, N-z]], a = j pi/(N+1), gives
+        # ((N-z) cos(az) - sin((N-z)a) cos(a(N+1)) / sin a) / (N+1)
+        S = sine_matrix(N, 1)[0]
+        a = np.arange(1, N + 1) * np.pi / (N + 1)
+        for z in sorted({0, 1, 2, 3, N // 2, N - 1, N, N + 1}):
+            overlaps = sine_shift_overlaps(N, z)
+            if z == 0:
+                assert np.array_equal(overlaps, np.ones(N))
+            elif z >= N:
+                assert np.array_equal(overlaps, np.zeros(N))
+            else:
+                assert np.array_equal(overlaps, np.sum(S[: N - z] * S[z:], axis=0))
+                closed = ((N - z) * np.cos(a * z)
+                          - np.sin((N - z) * a) * np.cos(a * (N + 1)) / np.sin(a)) / (N + 1)
+                assert np.max(np.abs(overlaps - closed)) <= 1e-13
+            assert np.array_equal(sine_shift_overlaps(N, -z), overlaps)
+
+    def test_scan_rows_use_the_same_overlaps(self):
+        Ns, R = [20, 33], 4
+        rows = wucha_error_scan(Ns, R)
+        for row in rows:
+            N, z = row["N"], row["z"]
+            lam = 2.0 * np.cos(np.arange(1, N + 1) * np.pi / (N + 1))
+            sph = np.array([spherical(l, z) for l in lam])
+            assert row["max_err"] == float(np.max(np.abs(sine_shift_overlaps(N, z) - sph)))
+
     def test_matches_translate(self):
         N = 7
         S = sine_matrix(N, 1)[0]

@@ -167,6 +167,14 @@ class TestObservable:
         with pytest.raises(ValueError, match="leaves the box"):
             Observable.kernel(box, {(1,): [0.0, 0.0, 1.0]})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        box = cube(3, 1)
+        with pytest.raises(ValueError, match="finite"):
+            Observable.diagonal(box, np.array([1.0, bad, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Observable.kernel(box, {(1,): np.array([bad, 0.0, 0.0])})
+
     def test_to_matrix(self):
         box = cube(3, 1)
         kern = Observable.kernel(box, {(1,): [2.0, 3.0, 0.0], (-1,): [0.0, 5.0, 0.0]})

@@ -1,0 +1,149 @@
+"""Factored product eigenbasis: lazy fields, dense oracle, and scale."""
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latticeqe.lattice import Observable, cube
+from latticeqe.spectra import ProductBasis, SpectralData, bloch_basis, sine_basis
+from latticeqe.time_average import expectations, quantum_variance
+
+BASES = {"dirichlet": sine_basis, "periodic": bloch_basis}
+
+
+def dense_copy(basis: SpectralData) -> SpectralData:
+    """The same basis without its product form, so every contraction is dense."""
+    return SpectralData(basis.box, basis.eigenvalues, basis.vectors, basis.classes, basis.freqs)
+
+
+def random_diagonal(N, d, seed, complex_values):
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-1.0, 1.0, N**d)
+    if complex_values:
+        vals = vals + 1j * rng.uniform(-1.0, 1.0, N**d)
+    return Observable.diagonal(cube(N, d), vals)
+
+
+class TestFactoredContraction:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(sorted(BASES)),
+        dN=st.sampled_from([(1, n) for n in range(1, 40)] + [(2, n) for n in range(1, 13)]
+                           + [(3, n) for n in range(1, 7)]),
+        seed=st.integers(0, 2**32 - 1),
+        complex_values=st.booleans(),
+    )
+    def test_matches_dense_path(self, mode, dN, seed, complex_values):
+        d, N = dN
+        basis = BASES[mode](N, d)
+        a = random_diagonal(N, d, seed, complex_values)
+        fast = expectations(basis, a)
+        assert "vectors" not in vars(basis)
+        dense = expectations(dense_copy(basis), a)
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert quantum_variance(basis, a) == pytest.approx(quantum_variance(dense_copy(basis), a),
+                                                           rel=1e-12)
+
+    def test_kernel_observable_builds_vectors_on_demand(self):
+        box = cube(5, 2)
+        K = Observable.kernel(box, {(0, 0): np.ones(25), (1, 0): np.zeros(25)})
+        basis = sine_basis(5, 2)
+        assert "vectors" not in vars(basis)
+        assert np.allclose(expectations(basis, K), 1.0, atol=1e-12)
+        assert "vectors" in vars(basis)
+
+
+def old_sine_matrix(N, d):
+    # the dense construction the factored basis replaced, kept as the oracle
+    x = np.arange(1, N + 1)
+    S1 = np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(x, x) * np.pi / (N + 1))
+    S = S1
+    for _ in range(d - 1):
+        S = np.kron(S, S1)
+    lam1 = 2.0 * np.cos(x * np.pi / (N + 1))
+    eigs = lam1
+    for _ in range(d - 1):
+        eigs = np.add.outer(eigs, lam1).reshape(-1)
+    return S, eigs
+
+
+def old_bloch_matrix(N, d):
+    x = np.arange(1, N + 1)
+    k = np.arange(0, N)
+    B1 = np.exp(2j * np.pi * np.outer(x, k) / N) / np.sqrt(N)
+    B = B1
+    for _ in range(d - 1):
+        B = np.kron(B, B1)
+    lam1 = 2.0 * np.cos(2.0 * np.pi * k / N)
+    eigs = lam1
+    for _ in range(d - 1):
+        eigs = np.add.outer(eigs, lam1).reshape(-1)
+    return B, eigs
+
+
+class TestLazyFields:
+    @pytest.mark.parametrize("d,N", [(1, 9), (2, 6), (3, 4)])
+    @pytest.mark.parametrize("mode,build,oracle", [
+        ("dirichlet", sine_basis, old_sine_matrix),
+        ("periodic", bloch_basis, old_bloch_matrix),
+    ])
+    def test_vectors_bit_identical_to_dense_columns(self, d, N, mode, build, oracle):
+        M, eigs = oracle(N, d)
+        order = np.argsort(eigs, kind="stable")
+        basis = build(N, d)
+        assert np.array_equal(basis.eigenvalues, eigs[order])
+        assert np.array_equal(basis.vectors, M[:, order])
+
+    def test_n_and_eigenvalues_build_nothing(self):
+        basis = sine_basis(6, 2)
+        assert basis.n == 36 and basis.eigenvalues.shape == (36,)
+        assert not {"vectors", "classes", "freqs"} & set(vars(basis))
+
+    def test_fields_cached(self):
+        basis = bloch_basis(4, 2)
+        assert basis.vectors is basis.vectors
+        assert basis.classes is basis.classes
+        assert basis.freqs is basis.freqs
+
+    def test_freqs_follow_sort_order(self):
+        basis = sine_basis(5, 2)
+        pb = basis.product
+        for j, k in enumerate(basis.freqs):
+            assert pb.eigs[pb.order[j]] == basis.eigenvalues[j]
+            assert basis.eigenvalues[j] == pytest.approx(sum(2 * np.cos(c * np.pi / 6) for c in k))
+
+    def test_numeric_basis_needs_vectors(self):
+        with pytest.raises(TypeError):
+            SpectralData(cube(2, 1), np.zeros(2))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            ProductBasis("neumann", 4, 1)
+
+
+class TestScale:
+    """Sizes whose dense basis would need gigabytes to terabytes."""
+
+    @pytest.mark.parametrize("d,N", [(2, 1024), (3, 128), (4, 48)])
+    @pytest.mark.parametrize("mode", sorted(BASES))
+    def test_variance_without_dense_vectors(self, d, N, mode, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"dense {self.N}^{self.d} basis materialized")
+
+        monkeypatch.setattr(ProductBasis, "matrix", refuse)
+        start = time.perf_counter()
+        basis = BASES[mode](N, d)
+        assert "vectors" not in vars(basis)
+        vals = np.random.default_rng(N).uniform(-1.0, 1.0, N**d)
+        a = Observable.diagonal(cube(N, d), vals)
+        exp = expectations(basis, a)
+        var = quantum_variance(basis, a)
+        elapsed = time.perf_counter() - start
+        assert "vectors" not in vars(basis)
+        # sum_k |psi_k(x)|^2 = 1 at every site, so the expectations average to <a>
+        assert np.mean(exp) == pytest.approx(vals.mean(), abs=1e-12)
+        assert 0.0 <= var <= 1.0
+        assert elapsed <= 5.0

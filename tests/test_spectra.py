@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latticeqe.lattice import Wavefunction, cube
 from latticeqe.spectra import (
@@ -157,6 +159,23 @@ class TestDegeneracyClasses:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             degeneracy_classes([1.0, 0.0], 1e-9)
+
+    @given(
+        gaps=st.lists(st.sampled_from([0.0, 0.5e-9, 1e-9, 1.5e-9, 1e-3, 0.25]), max_size=40),
+        start=st.floats(-6.0, 6.0),
+    )
+    def test_partition_matches_chaining_loop(self, gaps, start):
+        vals = np.cumsum([start, *gaps])
+        classes = [[0]]
+        for i in range(1, vals.size):
+            if vals[i] - vals[classes[-1][-1]] <= 1e-9:
+                classes[-1].append(i)
+            else:
+                classes.append([i])
+        assert degeneracy_classes(vals, 1e-9) == classes
+
+    def test_empty(self):
+        assert degeneracy_classes([], 1e-9) == []
 
     def test_genuine_gaps_resolve_at_desk_scale(self):
         # distinct analytic eigenvalues stay far above the class tolerance
