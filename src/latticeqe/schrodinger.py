@@ -7,6 +7,11 @@ potential with a large gap M produces two spectral bands whose eigenfunctions
 concentrate on alternating sublattices, the standard obstruction to
 equidistribution; observables that are constant on period blocks remain
 well-behaved, which the partial equidistribution experiment measures.
+
+With zero boundaries and every period in {1, 2} the operator splits into
+``N^d`` Floquet blocks of size ``prod(q)`` (:class:`FloquetBasis`); the
+experiments solve those. The dense operator and ``eigh`` serve periods of
+three or more, wraparound boundaries, and the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ __all__ = [
     "EigenSolveResult",
     "eigensolve_symmetric",
     "eigenbasis",
+    "FloquetBasis",
+    "floquet_eigenbasis",
     "counterexample_potential",
     "MassProfile",
     "counterexample_mass_profile",
@@ -85,6 +92,8 @@ def load_potential(path) -> PeriodicPotential:
 
 def lattice_block(q, N: int) -> LatticeBox:
     """The block with sides q_l * N."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     return LatticeBox(tuple(int(c) * N for c in q))
 
 
@@ -100,8 +109,6 @@ class TruncatedOperator:
 
 def build_operator(potential: PeriodicPotential, N: int, mode: str = "dirichlet") -> TruncatedOperator:
     """Adjacency of the block plus the periodic diagonal potential."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
     box = lattice_block(potential.q, N)
     H = adjacency_matrix(box, mode)
     H[np.diag_indices_from(H)] += potential.on_box(box)
@@ -134,11 +141,10 @@ def eigensolve_symmetric(H: np.ndarray, sym_tol: float = 1e-10) -> EigenSolveRes
         eigs, vecs = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        lead = np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col)))
-        if col[lead] < 0:
-            vecs[:, j] = -col
+    mag = np.abs(vecs)
+    lead = np.argmax(mag > 1e-12 * np.max(mag, axis=0), axis=0)
+    flip = vecs[lead, np.arange(vecs.shape[1])] < 0
+    vecs[:, flip] = -vecs[:, flip]
     residual = float(np.max(np.linalg.norm(H @ vecs - vecs * eigs, axis=0))) if H.size else 0.0
     gram_error = float(np.max(np.abs(vecs.T @ vecs - np.eye(H.shape[0]))))
     return EigenSolveResult(eigs, vecs, residual, gram_error)
@@ -150,6 +156,124 @@ def eigenbasis(op: TruncatedOperator, tol: float | None = None) -> SpectralData:
     tol = default_deg_tol(op.box.d) if tol is None else tol
     classes = degeneracy_classes(result.eigenvalues, tol)
     return SpectralData(op.box, result.eigenvalues, result.vectors, classes)
+
+
+@dataclass(eq=False)
+class FloquetBasis:
+    """Eigenbasis of the zero-boundary operator ``A + V``, periods in {1, 2}, by blocks.
+
+    On the block with sides ``q_l N`` the vectors
+
+        psi(x) = c[r(x)] * prod_l sqrt(2 q_l / (q_l N + 1)) sin(k_l x_l),
+
+    ``k_l = pi j_l / (q_l N + 1)``, ``j_l = 1..N``, ``r(x)`` the row-major
+    residue of ``x - 1`` mod ``q``, are eigenfunctions exactly when ``c`` is
+    an eigenvector of the ``Q x Q`` block (``Q = prod q``)
+
+        B(k) = diag(values) + sum_l 2 cos(k_l) F_l,
+
+    where ``F_l`` flips residue bit l if ``q_l = 2`` and is the identity if
+    ``q_l = 1``. Every normalized sine factor puts weight one on each residue
+    class, and factors of different ``j`` are orthogonal on each class, so
+    orthonormal ``c`` give an orthonormal eigenbasis.
+
+    One batched ``eigh`` solves all ``N^d`` blocks. Kept are the amplitudes
+    ``amplitudes[k, r, s]`` (k row-major over j, s the block eigenvector),
+    the eigenvalues ``eigs`` (row-major in (k, s)), their stable ascending
+    sort ``order``, and the certificates ``residual`` and ``gram_error``, the
+    worst ``||B c - c w||`` and ``|c^T c - I|`` over the block solves.
+    :meth:`vectors` assembles the dense eigenvectors on request.
+
+    Inside a degenerate eigenspace this is one choice of basis, the Floquet
+    modes; a quantity that depends on that choice, such as the quantum
+    variance, is taken over this basis. A basis-invariant replacement is
+    still open.
+    """
+
+    potential: PeriodicPotential
+    N: int
+
+    def __post_init__(self):
+        q, N = self.potential.q, self.N
+        if any(c not in (1, 2) for c in q):
+            raise UnsupportedPeriodError(f"Floquet blocks need periods in {{1, 2}}, got {q}")
+        self.box = lattice_block(q, N)
+        d, Q = len(q), self.potential.values.size
+        B = np.zeros((N,) * d + (Q, Q))
+        r = np.arange(Q)
+        B[..., r, r] = self.potential.values.reshape(-1)
+        stride = Q
+        for l, c in enumerate(q):
+            stride //= c
+            hop = 2.0 * np.cos(self._k(l)).reshape([N if m == l else 1 for m in range(d)])
+            B[..., r, r ^ (stride if c == 2 else 0)] += hop[..., None]
+        B = B.reshape(-1, Q, Q)
+        w, amp = np.linalg.eigh(B)
+        self.amplitudes = amp
+        self.eigs = w.reshape(-1)
+        self.order = np.argsort(self.eigs, kind="stable")
+        # Certificates slice by slice: full-size temporaries would triple the peak memory.
+        res, gram = [], []
+        for s in range(0, len(B), 1 << 14):
+            b, c, ws = B[s : s + (1 << 14)], amp[s : s + (1 << 14)], w[s : s + (1 << 14)]
+            res.append(np.max(np.linalg.norm(b @ c - c * ws[:, None, :], axis=1)))
+            gram.append(np.max(np.abs(np.swapaxes(c, 1, 2) @ c - np.eye(Q))))
+        self.residual, self.gram_error = float(max(res)), float(max(gram))
+
+    def _k(self, l: int) -> np.ndarray:
+        c = self.potential.q[l]
+        return np.pi * np.arange(1, self.N + 1) / (c * self.N + 1)
+
+    def freqs(self) -> None:
+        """Floquet modes carry no frequency multi-index of the cube."""
+        return None
+
+    def expectations(self, diag: np.ndarray) -> np.ndarray:
+        """<psi, a psi> for a diagonal a, in eigenvalue order.
+
+        ``|psi(x)|^2 = |c[r(x)]|^2 prod_l w_l(x_l)``, so the expectation is
+        ``sum_r |c[r]|^2 g_r(k)`` with ``g_r(k)`` the sum of a over residue
+        class r against the squared sine factors. Each axis contracts in
+        turn, residue by residue: with ``L = q_l N + 1`` the factor is
+        ``w(x) = q_l (1 - cos(2 pi j x / L)) / L``, so the contraction is a
+        real DFT of length L of the residue's values. Time is
+        ``O(N^d log N)``; no array exceeds ``O(N^d)``.
+        """
+        if np.iscomplexobj(diag):
+            return self.expectations(diag.real) + 1j * self.expectations(diag.imag)
+        q, N, d = self.potential.q, self.N, self.box.d
+        j = np.arange(1, N + 1)
+        g = diag.reshape(sum(((N, c) for c in q), ()))  # axes (n_1, r_1, n_2, r_2, ...), x - 1 = c n + r
+        for l, c in enumerate(q):
+            L = c * N + 1
+            fold = np.minimum(j, L - j)  # cos is even mod L; rfft keeps j <= L/2
+            g = np.moveaxis(g, (2 * l, 2 * l + 1), (0, 1))
+            padded = np.zeros((c, L) + g.shape[2:])  # (r, x = 0..L-1, rest)
+            for r in range(c):
+                padded[r, r + 1 :: c] = g[:, r]
+            f = np.fft.rfft(padded, axis=1).real
+            g = np.moveaxis(c * (f[:, :1] - f[:, fold]) / L, (1, 0), (2 * l, 2 * l + 1))
+        g = g.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))).reshape(N**d, -1)
+        return np.einsum("krs,krs,kr->ks", self.amplitudes, self.amplitudes, g).reshape(-1)[self.order]
+
+    def vectors(self) -> np.ndarray:
+        """Dense eigenvectors in eigenvalue order (volume squared memory)."""
+        q, N = self.potential.q, self.N
+        sines = np.ones((1, 1))  # rows: sites, row-major; columns: k, row-major
+        for l, c in enumerate(q):
+            x = np.arange(1, c * N + 1)
+            sines = np.kron(sines, np.sqrt(2.0 * c / (c * N + 1)) * np.sin(np.outer(x, self._k(l))))
+        grid = np.indices(self.box.sides).reshape(len(q), -1)
+        residue = np.ravel_multi_index(grid % np.array(q)[:, None], q)
+        psi = sines[:, :, None] * self.amplitudes[:, residue, :].transpose(1, 0, 2)
+        return psi.reshape(self.box.volume, -1)[:, self.order]
+
+
+def floquet_eigenbasis(potential: PeriodicPotential, N: int, tol: float | None = None) -> SpectralData:
+    """Floquet block eigenbasis of the zero-boundary operator, eigenvalues ascending."""
+    fb = FloquetBasis(potential, N)
+    tol = default_deg_tol(fb.box.d) if tol is None else tol
+    return SpectralData(fb.box, fb.eigs[fb.order], product=fb, tol=tol)
 
 
 def counterexample_potential(M: float) -> PeriodicPotential:
@@ -168,6 +292,8 @@ class MassProfile:
     high_band_count: int
     even_masses: np.ndarray  # per eigenfunction, ascending eigenvalue order
     mass_bound: float
+    residual: float  # worst ||B c - c w|| over the Floquet block solves
+    gram_error: float  # worst |c^T c - I| over the Floquet block solves
 
     @property
     def bands_complete(self) -> bool:
@@ -193,27 +319,27 @@ def counterexample_mass_profile(M: float, N: int) -> MassProfile:
     With M > 4 the spectrum splits into N eigenvalues in [-2, 2] and N in
     [M-2, M+2]; every low-band eigenfunction carries at most 4/(M-2)^2 of
     its mass on even sites, and high-band eigenfunctions at most that much
-    on odd sites.
+    on odd sites. The operator is solved as N Floquet blocks of size 2; an
+    eigenfunction's even-site mass is ``|c[1]|^2`` (residue 1 holds the even
+    sites), so no ``2N x 2N`` matrix is built.
     """
     if M <= 4:
         raise ValueError("need M > 4: the two spectral bands must not overlap")
-    op = build_operator(counterexample_potential(M), N, "dirichlet")
-    result = eigensolve_symmetric(op.matrix)
-    x = np.arange(1, op.box.volume + 1)
-    even = x % 2 == 0
-    even_masses = np.sum(result.vectors[even, :] ** 2, axis=0)
-    low = int(np.count_nonzero((result.eigenvalues >= -2 - 1e-9) & (result.eigenvalues <= 2 + 1e-9)))
-    high = int(
-        np.count_nonzero((result.eigenvalues >= M - 2 - 1e-9) & (result.eigenvalues <= M + 2 + 1e-9))
-    )
+    fb = FloquetBasis(counterexample_potential(M), N)
+    eigenvalues = fb.eigs[fb.order]
+    even_masses = (fb.amplitudes[:, 1, :] ** 2).reshape(-1)[fb.order]
+    low = int(np.count_nonzero((eigenvalues >= -2 - 1e-9) & (eigenvalues <= 2 + 1e-9)))
+    high = int(np.count_nonzero((eigenvalues >= M - 2 - 1e-9) & (eigenvalues <= M + 2 + 1e-9)))
     return MassProfile(
         M=float(M),
         N=N,
-        eigenvalues=result.eigenvalues,
+        eigenvalues=eigenvalues,
         low_band_count=low,
         high_band_count=high,
         even_masses=even_masses,
         mass_bound=4.0 / (M - 2) ** 2,
+        residual=fb.residual,
+        gram_error=fb.gram_error,
     )
 
 
@@ -249,6 +375,8 @@ class PartialQeResult:
     variance: float
     lc_deviation: float
     lc_checked: bool
+    residual: float  # worst eigenpair residual of the solve behind the variance
+    gram_error: float  # worst deviation of its Gram matrix from the identity
 
 
 def partial_qe_experiment(
@@ -259,32 +387,54 @@ def partial_qe_experiment(
     exploratory: bool = False,
     lc_tol: float = 1e-12,
 ) -> PartialQeResult:
-    """Quantum variance of a centered observable over the numeric eigenbasis.
+    """Quantum variance of a centered observable over an eigenbasis of the block operator.
 
     The observable must have sup-norm at most 1 and satisfy the block-orbit
     sum condition; violations raise :class:`LcViolationError` with the
     measured deviation unless ``enforce_lc`` is off (useful to exhibit the
-    failure mode). Periods above 2 are admitted only in exploratory mode,
-    where nothing is asserted about the outcome.
+    failure mode). Both are checked before any operator is built. Periods
+    above 2 are admitted only in exploratory mode, where nothing is asserted
+    about the outcome.
+
+    Periods in {1, 2} use the Floquet block basis (:class:`FloquetBasis`);
+    longer periods use the dense operator and ``eigh``. Inside degenerate
+    eigenspaces the variance depends on the basis chosen there: it is taken
+    over the Floquet modes, or over LAPACK's choice on the dense path. A
+    basis-invariant replacement is still open.
     """
     q = potential.q
-    if any(c not in (1, 2) for c in q) and not exploratory:
+    dense = any(c not in (1, 2) for c in q)
+    if dense and not exploratory:
         raise UnsupportedPeriodError(
             f"periods {q} exceed 2; pass exploratory=True to scan anyway (no guarantees)"
         )
-    op = build_operator(potential, N, "dirichlet")
-    if a.box != op.box:
-        raise ValueError(f"observable box {a.box.sides} does not match block {op.box.sides}")
+    box = lattice_block(q, N)
+    if a.box != box:
+        raise ValueError(f"observable box {a.box.sides} does not match block {box.sides}")
     if a.sup_norm > 1.0 + 1e-12:
         raise ValueError(f"observable sup-norm {a.sup_norm} exceeds 1")
     deviation = lc_deviation(a, q)
-    scale = max(1.0, float(np.max(np.abs(a.diag())))) * op.box.volume
+    scale = max(1.0, float(np.max(np.abs(a.diag())))) * box.volume
     checked = deviation <= lc_tol * scale
     if enforce_lc and not checked:
         raise LcViolationError(
             f"block-orbit sums differ by {deviation:.3e} (tolerance {lc_tol * scale:.3e}); "
             "rerun with enforce_lc=False to measure the failing observable"
         )
-    basis = eigenbasis(op)
+    if dense:
+        solved = eigensolve_symmetric(build_operator(potential, N, "dirichlet").matrix)
+        classes = degeneracy_classes(solved.eigenvalues, default_deg_tol(box.d))
+        basis = SpectralData(box, solved.eigenvalues, solved.vectors, classes)
+    else:
+        basis = floquet_eigenbasis(potential, N)
+        solved = basis.product
     variance = quantum_variance(basis, centered(a))
-    return PartialQeResult(N=N, q=q, variance=variance, lc_deviation=deviation, lc_checked=checked)
+    return PartialQeResult(
+        N=N,
+        q=q,
+        variance=variance,
+        lc_deviation=deviation,
+        lc_checked=checked,
+        residual=solved.residual,
+        gram_error=solved.gram_error,
+    )

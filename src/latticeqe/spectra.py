@@ -153,6 +153,34 @@ class ProductBasis:
             F = np.kron(F, F1)
         return F
 
+    def vectors(self) -> np.ndarray:
+        """Dense eigenvectors in eigenvalue order, via ``sine_matrix``/``bloch_matrix``."""
+        dense = sine_matrix if self.mode == "dirichlet" else bloch_matrix
+        return dense(self.N, self.d)[0][:, self.order]
+
+    def expectations(self, diag: np.ndarray) -> np.ndarray:
+        """<psi_k, a psi_k> for a diagonal a, in eigenvalue order.
+
+        Bloch vectors have |b_k(x)|^2 = N^-d, so every expectation is the site
+        mean. Sine vectors have |s_k(x)|^2 = prod_l (1 - cos(2 pi k_l x_l/(N+1)))/(N+1),
+        so each axis maps g(x) to (sum_x g(x) - sum_x g(x) cos(2 pi k x/(N+1)))/(N+1),
+        a real DFT of length N+1 with g(0) = 0. No array exceeds O(N^d).
+        """
+        if self.mode == "periodic":
+            return np.full(diag.size, diag.mean())
+        if np.iscomplexobj(diag):
+            return self.expectations(diag.real) + 1j * self.expectations(diag.imag)
+        N, d = self.N, self.d
+        k = np.arange(1, N + 1)
+        fold = np.minimum(k, N + 1 - k)  # cos is even mod N+1; rfft keeps k <= (N+1)/2
+        g = diag.reshape((N,) * d)
+        for axis in range(d):
+            pad = [(0, 0)] * d
+            pad[axis] = (1, 0)
+            c = np.fft.rfft(np.pad(g, pad), axis=axis).real
+            g = (c.take([0], axis=axis) - c.take(fold, axis=axis)) / (N + 1)
+        return g.reshape(-1)[self.order]
+
 
 def sine_matrix(N: int, d: int):
     """Sine eigenvectors of the zero-boundary cube, in frequency order.
@@ -189,14 +217,17 @@ class SpectralData:
     gaps within the detection tolerance ``tol``. ``freqs`` carries the
     analytic frequency multi-indices when the basis has them, else None.
 
-    A basis built on a :class:`ProductBasis` (``product``) stores only the
-    factored form and the sorted eigenvalues. Its ``vectors``, ``classes``
-    and ``freqs`` are computed on first access and cached; ``n`` and
-    ``eigenvalues`` never build them.
+    A basis built on a factored form (``product``) stores only that form and
+    the sorted eigenvalues. The form is a :class:`ProductBasis` or a
+    :class:`~latticeqe.schrodinger.FloquetBasis`; it provides the stable sort
+    ``order``, ``vectors()`` and ``expectations(diag)`` in eigenvalue order,
+    and ``freqs()`` in its own order (None without frequency labels). The
+    basis's ``vectors``, ``classes`` and ``freqs`` are computed on first
+    access and cached; ``n`` and ``eigenvalues`` never build them.
     """
 
     def __init__(self, box: LatticeBox, eigenvalues, vectors=None, classes=None, freqs=None,
-                 *, product: ProductBasis | None = None, tol: float | None = None):
+                 *, product=None, tol: float | None = None):
         if product is None and (vectors is None or classes is None):
             raise TypeError("a basis without a product form needs vectors and classes")
         self.box = box
@@ -213,9 +244,7 @@ class SpectralData:
 
     @cached_property
     def vectors(self) -> np.ndarray:
-        pb = self.product
-        dense = sine_matrix if pb.mode == "dirichlet" else bloch_matrix
-        return dense(pb.N, pb.d)[0][:, pb.order]
+        return self.product.vectors()
 
     @cached_property
     def classes(self) -> list[list[int]]:
@@ -223,10 +252,8 @@ class SpectralData:
 
     @cached_property
     def freqs(self) -> list[tuple[int, ...]] | None:
-        if self.product is None:
-            return None
-        freqs = self.product.freqs()
-        return [freqs[i] for i in self.product.order]
+        freqs = None if self.product is None else self.product.freqs()
+        return None if freqs is None else [freqs[i] for i in self.product.order]
 
 
 def _product_spectral_data(mode: str, N: int, d: int, tol: float | None) -> SpectralData:

@@ -52,15 +52,16 @@ def expectations(basis: SpectralData, T) -> np.ndarray:
     """Diagonal matrix elements <psi_j, T psi_j> over the basis columns.
 
     T may be a diagonal or kernel :class:`Observable`, or a dense matrix. A
-    diagonal observable on a product basis is contracted in factored form,
-    without the dense eigenvectors.
+    diagonal observable on a basis with a factored form (sine, Bloch or
+    Floquet blocks) is contracted in that form, without the dense
+    eigenvectors.
     """
     if isinstance(T, Observable):
         if T.box != basis.box:
             raise BoxMismatchError("observable and basis live on different boxes")
         if T.kind == "diagonal":
             if basis.product is not None:
-                return _product_expectations(basis.product, T.diag())
+                return basis.product.expectations(T.diag())
             return (np.abs(basis.vectors) ** 2).T @ T.diag()
         T = T.to_matrix()
     T = np.asarray(T)
@@ -68,30 +69,6 @@ def expectations(basis: SpectralData, T) -> np.ndarray:
         raise BoxMismatchError(f"matrix shape {T.shape} does not match box volume")
     V = basis.vectors
     return np.einsum("xj,xj->j", V.conj(), T @ V)
-
-
-def _product_expectations(pb: ProductBasis, diag: np.ndarray) -> np.ndarray:
-    """<psi_k, a psi_k> for a diagonal a over a product basis, eigenvalue order.
-
-    Bloch vectors have |b_k(x)|^2 = N^-d, so every expectation is the site
-    mean. Sine vectors have |s_k(x)|^2 = prod_l (1 - cos(2 pi k_l x_l/(N+1)))/(N+1),
-    so each axis maps g(x) to (sum_x g(x) - sum_x g(x) cos(2 pi k x/(N+1)))/(N+1),
-    a real DFT of length N+1 with g(0) = 0. No array exceeds O(N^d).
-    """
-    if pb.mode == "periodic":
-        return np.full(diag.size, diag.mean())
-    if np.iscomplexobj(diag):
-        return _product_expectations(pb, diag.real) + 1j * _product_expectations(pb, diag.imag)
-    N, d = pb.N, pb.d
-    k = np.arange(1, N + 1)
-    fold = np.minimum(k, N + 1 - k)  # cos is even mod N+1; rfft keeps k <= (N+1)/2
-    g = diag.reshape((N,) * d)
-    for axis in range(d):
-        pad = [(0, 0)] * d
-        pad[axis] = (1, 0)
-        c = np.fft.rfft(np.pad(g, pad), axis=axis).real
-        g = (c.take([0], axis=axis) - c.take(fold, axis=axis)) / (N + 1)
-    return g.reshape(-1)[pb.order]
 
 
 def quantum_variance(basis: SpectralData, T) -> float:
