@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeBox, Observable, UnsupportedPeriodError
-from .spectra import SpectralData, adjacency_matrix, default_deg_tol, degeneracy_classes
+from .spectra import SpectralData, adjacency_matrix, default_deg_tol, degeneracy_classes, sine_square_sums
 from .time_average import centered, quantum_variance
 
 __all__ = [
@@ -122,6 +122,11 @@ class EigenSolveResult:
     residual: float
     gram_error: float
 
+    def basis(self, box: LatticeBox, tol: float | None = None) -> SpectralData:
+        """The solved eigenbasis on a box, with degeneracy classes."""
+        tol = default_deg_tol(box.d) if tol is None else tol
+        return SpectralData(box, self.eigenvalues, self.vectors, degeneracy_classes(self.eigenvalues, tol))
+
 
 def eigensolve_symmetric(H: np.ndarray, sym_tol: float = 1e-10) -> EigenSolveResult:
     """Full spectral decomposition of a real symmetric matrix.
@@ -152,10 +157,7 @@ def eigensolve_symmetric(H: np.ndarray, sym_tol: float = 1e-10) -> EigenSolveRes
 
 def eigenbasis(op: TruncatedOperator, tol: float | None = None) -> SpectralData:
     """Numeric eigenbasis of a truncated operator with degeneracy classes."""
-    result = eigensolve_symmetric(op.matrix)
-    tol = default_deg_tol(op.box.d) if tol is None else tol
-    classes = degeneracy_classes(result.eigenvalues, tol)
-    return SpectralData(op.box, result.eigenvalues, result.vectors, classes)
+    return eigensolve_symmetric(op.matrix).basis(op.box, tol)
 
 
 @dataclass(eq=False)
@@ -232,28 +234,9 @@ class FloquetBasis:
         """<psi, a psi> for a diagonal a, in eigenvalue order.
 
         ``|psi(x)|^2 = |c[r(x)]|^2 prod_l w_l(x_l)``, so the expectation is
-        ``sum_r |c[r]|^2 g_r(k)`` with ``g_r(k)`` the sum of a over residue
-        class r against the squared sine factors. Each axis contracts in
-        turn, residue by residue: with ``L = q_l N + 1`` the factor is
-        ``w(x) = q_l (1 - cos(2 pi j x / L)) / L``, so the contraction is a
-        real DFT of length L of the residue's values. Time is
-        ``O(N^d log N)``; no array exceeds ``O(N^d)``.
+        ``sum_r |c[r]|^2 g_r(k)`` with ``g`` from :func:`sine_square_sums`.
         """
-        if np.iscomplexobj(diag):
-            return self.expectations(diag.real) + 1j * self.expectations(diag.imag)
-        q, N, d = self.potential.q, self.N, self.box.d
-        j = np.arange(1, N + 1)
-        g = diag.reshape(sum(((N, c) for c in q), ()))  # axes (n_1, r_1, n_2, r_2, ...), x - 1 = c n + r
-        for l, c in enumerate(q):
-            L = c * N + 1
-            fold = np.minimum(j, L - j)  # cos is even mod L; rfft keeps j <= L/2
-            g = np.moveaxis(g, (2 * l, 2 * l + 1), (0, 1))
-            padded = np.zeros((c, L) + g.shape[2:])  # (r, x = 0..L-1, rest)
-            for r in range(c):
-                padded[r, r + 1 :: c] = g[:, r]
-            f = np.fft.rfft(padded, axis=1).real
-            g = np.moveaxis(c * (f[:, :1] - f[:, fold]) / L, (1, 0), (2 * l, 2 * l + 1))
-        g = g.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))).reshape(N**d, -1)
+        g = sine_square_sums(diag, self.N, self.potential.q)
         return np.einsum("krs,krs,kr->ks", self.amplitudes, self.amplitudes, g).reshape(-1)[self.order]
 
     def vectors(self) -> np.ndarray:
@@ -269,11 +252,10 @@ class FloquetBasis:
         return psi.reshape(self.box.volume, -1)[:, self.order]
 
 
-def floquet_eigenbasis(potential: PeriodicPotential, N: int, tol: float | None = None) -> SpectralData:
+def floquet_eigenbasis(potential: PeriodicPotential, N: int) -> SpectralData:
     """Floquet block eigenbasis of the zero-boundary operator, eigenvalues ascending."""
     fb = FloquetBasis(potential, N)
-    tol = default_deg_tol(fb.box.d) if tol is None else tol
-    return SpectralData(fb.box, fb.eigs[fb.order], product=fb, tol=tol)
+    return SpectralData(fb.box, fb.eigs[fb.order], product=fb, tol=default_deg_tol(fb.box.d))
 
 
 def counterexample_potential(M: float) -> PeriodicPotential:
@@ -423,8 +405,7 @@ def partial_qe_experiment(
         )
     if dense:
         solved = eigensolve_symmetric(build_operator(potential, N, "dirichlet").matrix)
-        classes = degeneracy_classes(solved.eigenvalues, default_deg_tol(box.d))
-        basis = SpectralData(box, solved.eigenvalues, solved.vectors, classes)
+        basis = solved.basis(box)
     else:
         basis = floquet_eigenbasis(potential, N)
         solved = basis.product

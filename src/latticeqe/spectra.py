@@ -33,6 +33,7 @@ __all__ = [
     "dirichlet_eigenvalues",
     "periodic_eigenvalues",
     "sine_matrix",
+    "sine_square_sums",
     "bloch_matrix",
     "ProductBasis",
     "SpectralData",
@@ -162,24 +163,41 @@ class ProductBasis:
         """<psi_k, a psi_k> for a diagonal a, in eigenvalue order.
 
         Bloch vectors have |b_k(x)|^2 = N^-d, so every expectation is the site
-        mean. Sine vectors have |s_k(x)|^2 = prod_l (1 - cos(2 pi k_l x_l/(N+1)))/(N+1),
-        so each axis maps g(x) to (sum_x g(x) - sum_x g(x) cos(2 pi k x/(N+1)))/(N+1),
-        a real DFT of length N+1 with g(0) = 0. No array exceeds O(N^d).
+        mean. Sine vectors have |s_k(x)|^2 = prod_l w(x_l), the squared sine
+        factors of :func:`sine_square_sums` with every period 1.
         """
         if self.mode == "periodic":
             return np.full(diag.size, diag.mean())
-        if np.iscomplexobj(diag):
-            return self.expectations(diag.real) + 1j * self.expectations(diag.imag)
-        N, d = self.N, self.d
-        k = np.arange(1, N + 1)
-        fold = np.minimum(k, N + 1 - k)  # cos is even mod N+1; rfft keeps k <= (N+1)/2
-        g = diag.reshape((N,) * d)
-        for axis in range(d):
-            pad = [(0, 0)] * d
-            pad[axis] = (1, 0)
-            c = np.fft.rfft(np.pad(g, pad), axis=axis).real
-            g = (c.take([0], axis=axis) - c.take(fold, axis=axis)) / (N + 1)
-        return g.reshape(-1)[self.order]
+        return sine_square_sums(diag, self.N, (1,) * self.d).reshape(-1)[self.order]
+
+
+def sine_square_sums(diag: np.ndarray, N: int, q) -> np.ndarray:
+    """Sums of a diagonal against products of squared sine factors, per residue class.
+
+    On the block with sides ``q_l N`` the squared normalized sine factor of
+    frequency ``j`` along axis l is ``w(x) = q_l (1 - cos(2 pi j x / L)) / L``,
+    ``L = q_l N + 1``. Returns ``g[k, r]``, the sum of the diagonal over the
+    sites whose ``x - 1`` has row-major residue ``r`` mod q, weighted by
+    ``prod_l w(x_l)`` at ``j = k_l``; k runs row-major over ``[[1, N]]^d``.
+    Each axis contracts in turn, residue by residue, as a real DFT of length
+    L of the values padded with a zero at ``x = 0``. Time is
+    ``O(N^d log N)``; no array exceeds ``O(N^d)``.
+    """
+    if np.iscomplexobj(diag):
+        return sine_square_sums(diag.real, N, q) + 1j * sine_square_sums(diag.imag, N, q)
+    d = len(q)
+    j = np.arange(1, N + 1)
+    g = diag.reshape(sum(((N, c) for c in q), ()))  # axes (n_1, r_1, n_2, r_2, ...), x - 1 = c n + r
+    for l, c in enumerate(q):
+        L = c * N + 1
+        fold = np.minimum(j, L - j)  # cos is even mod L; rfft keeps j <= L/2
+        g = np.moveaxis(g, (2 * l, 2 * l + 1), (0, 1))
+        padded = np.zeros((c, L) + g.shape[2:])  # (r, x = 0..L-1, rest)
+        for r in range(c):
+            padded[r, r + 1 :: c] = g[:, r]
+        f = np.fft.rfft(padded, axis=1).real
+        g = np.moveaxis(c * (f[:, :1] - f[:, fold]) / L, (1, 0), (2 * l, 2 * l + 1))
+    return g.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))).reshape(N**d, -1)
 
 
 def sine_matrix(N: int, d: int):

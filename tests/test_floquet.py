@@ -16,12 +16,13 @@ from latticeqe.schrodinger import (
     build_operator,
     counterexample_mass_profile,
     counterexample_potential,
+    eigenbasis,
     eigensolve_symmetric,
     floquet_eigenbasis,
     lattice_block,
     partial_qe_experiment,
 )
-from latticeqe.spectra import SpectralData, default_deg_tol, degeneracy_classes
+from latticeqe.spectra import SpectralData
 from latticeqe.time_average import centered, expectations, quantum_variance
 
 
@@ -109,10 +110,7 @@ class TestDenseOracle:
             result = partial_qe_experiment(potential, N, a)
             assert result.residual <= 1e-12 * scale_of(potential)
             assert result.gram_error <= 1e-12 * scale_of(potential)
-            dense = eigensolve_symmetric(build_operator(potential, N).matrix)
-            classes = degeneracy_classes(dense.eigenvalues, default_deg_tol(1))
-            oracle = quantum_variance(SpectralData(box, dense.eigenvalues, dense.vectors, classes),
-                                      centered(a))
+            oracle = quantum_variance(eigenbasis(build_operator(potential, N)), centered(a))
             assert result.variance == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     def test_complex_diagonal_splits_into_parts(self):
