@@ -211,15 +211,19 @@ class Observable:
         return self.diag()
 
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix ``M[i, j] = K(x_i, x_j)``."""
+        """Dense matrix ``M[i, j] = K(x_i, x_j)``.
+
+        Nonzero entries lie inside the shift set of their offset, so site
+        ``i`` pairs with ``j = i + sum_l z_l * stride_l`` in row-major order.
+        """
         vol = self.box.volume
         dtype = complex if any(v.dtype.kind == "c" for v in self.offsets.values()) else float
         M = np.zeros((vol, vol), dtype=dtype)
+        sides = self.box.sides
+        strides = [int(np.prod(sides[l + 1 :])) for l in range(len(sides))]
         for z, vals in self.offsets.items():
-            for i, x in enumerate(self.box.sites()):
-                if vals[i] != 0:
-                    y = tuple(xl + zl for xl, zl in zip(x, z))
-                    M[i, self.box.linearize(y)] = vals[i]
+            i = np.flatnonzero(vals)
+            M[i, i + sum(zl * sl for zl, sl in zip(z, strides))] = vals[i]
         return M
 
 

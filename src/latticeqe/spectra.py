@@ -395,30 +395,62 @@ def lemma_c1_count(N: int, d: int, theta, eps, eps_prime, tol: float | None = No
     return int(np.count_nonzero(valid & (np.abs(lam_k - lam_m) <= tol)))
 
 
+def _sign_pairs(d: int):
+    """The 4^d sign-vector pairs ``(eps, eps')`` as two ``(4^d, d)`` arrays, eps slowest."""
+    E = np.array(list(itertools.product((1, -1), repeat=d)))
+    return np.repeat(E, len(E), axis=0), np.tile(E, (len(E), 1))
+
+
+def _equal_pairs(pb: ProductBasis, tol: float):
+    """Every ordered pair of equal-eigenvalue frequencies, with its signed sums.
+
+    Returns ``(i, j, t)``. ``i[p], j[p]`` are row-major frequency indices of
+    the p-th pair: the degeneracy classes come in eigenvalue order, and inside
+    a class i runs over the members in eigenvalue order with j fastest.
+    ``t[p, s]`` is the row-major index of ``k.eps + m.eps' + 2N`` on the grid
+    ``[[0, 4N]]^d`` (the grid of ``time_average.fourier_coefficients``), for
+    the frequencies k, m of ``i[p], j[p]`` and the s-th sign pair of
+    :func:`_sign_pairs`.
+    """
+    N, d = pb.N, pb.d
+    sizes = np.array([len(c) for c in degeneracy_classes(pb.eigs[pb.order], tol)], dtype=int)
+    size = np.repeat(sizes, sizes)  # class size at each sorted position
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # class start at each sorted position
+    u = np.repeat(np.arange(size.size), size)
+    v = np.arange(u.size) + np.repeat(start - (np.cumsum(size) - size), size)
+    i, j = pb.order[u], pb.order[v]
+    w = (4 * N + 1) ** np.arange(d - 1, -1, -1)  # row-major strides of the t grid
+    Kw = (np.indices((N,) * d).reshape(d, -1).T + 1) * w  # frequency of each index, scaled by w
+    eps, epp = _sign_pairs(d)
+    return i, j, Kw[i] @ eps.T + Kw[j] @ epp.T + 2 * N * w.sum()
+
+
+def _grid_points(index: np.ndarray, N: int, d: int) -> list[tuple[int, ...]]:
+    """The points t of ``[[-2N, 2N]]^d`` at the row-major grid indices of :func:`_equal_pairs`."""
+    t = np.stack(np.unravel_index(index, (4 * N + 1,) * d), axis=1) - 2 * N
+    return list(map(tuple, t.tolist()))
+
+
 def lemma_c1_counts(N: int, d: int, tol: float | None = None) -> dict:
     """Exhaustive pair counts for every nonzero theta and sign combination.
 
-    Walks all ordered frequency pairs (k, m) inside each degeneracy class
-    (exactly the pairs with equal eigenvalues at the working tolerance) and
-    bins them by ``t = k.eps + m.eps'`` for every sign choice, which covers
-    every admissible nonzero theta in one sweep. Returns a mapping
-    ``(t, eps, eps') -> count``; absent keys have count zero.
+    Takes all ordered frequency pairs (k, m) inside each degeneracy class
+    (exactly the pairs with equal eigenvalues at the working tolerance) from
+    :func:`_equal_pairs`, the enumerator it shares with
+    ``time_average.theta_decompose``, and bins them by
+    ``t = k.eps + m.eps'`` for every sign choice, which covers every
+    admissible nonzero theta in one sweep. Returns a mapping
+    ``(t, eps, eps') -> count`` in order of first appearance in the sweep;
+    absent keys have count zero.
     """
     tol = default_deg_tol(d) if tol is None else tol
-    pb = ProductBasis("dirichlet", N, d)
-    freqs, order = pb.freqs(), pb.order
-    classes = degeneracy_classes(pb.eigs[order], tol)
-    sign_vectors = list(itertools.product((1, -1), repeat=d))
-    counts: dict = {}
-    for cls in classes:
-        members = [freqs[order[i]] for i in cls]
-        for k in members:
-            for m in members:
-                for eps in sign_vectors:
-                    for epp in sign_vectors:
-                        t = tuple(k[l] * eps[l] + m[l] * epp[l] for l in range(d))
-                        if all(c == 0 for c in t):
-                            continue
-                        key = (t, eps, epp)
-                        counts[key] = counts.get(key, 0) + 1
-    return counts
+    _, _, t = _equal_pairs(ProductBasis("dirichlet", N, d), tol)
+    eps, epp = _sign_pairs(d)
+    grid = (4 * N + 1) ** d
+    key = (np.arange(len(eps)) * grid + t)[t != grid // 2]  # the grid's center is t = 0
+    key, first, count = np.unique(key, return_index=True, return_counts=True)
+    rank = np.argsort(first)
+    s, t = np.divmod(key[rank], grid)
+    eps, epp = [tuple(e) for e in eps.tolist()], [tuple(e) for e in epp.tolist()]
+    counts = count[rank].tolist()
+    return {(tk, eps[sl], epp[sl]): c for tk, sl, c in zip(_grid_points(t, N, d), s.tolist(), counts)}

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import BoxMismatchError, Observable
-from .spectra import ProductBasis, SpectralData, default_deg_tol, degeneracy_classes, sine_matrix
+from .spectra import (
+    ProductBasis,
+    SpectralData,
+    _equal_pairs,
+    _grid_points,
+    _sign_pairs,
+    default_deg_tol,
+)
 
 __all__ = [
     "hs_norm",
@@ -87,20 +94,23 @@ def time_averaged_observable(basis: SpectralData, a: Observable) -> np.ndarray:
     """Infinite-time average of the conjugated observable.
 
     Equals the sum over degeneracy classes of P a P with P the orthogonal
-    projector onto the class, which is exact (no quadrature) and costs
-    O(sum class_size^2 * volume).
+    projector onto the class. In the eigenbasis that is the center matrix
+    C = V* a V with the entries between different classes set to zero, so
+    the average is V C V*: three dense products, O(V^3) time, and at most
+    four V x V arrays alive at once. The classes are taken as given; they
+    need not be contiguous, and a column in no class contributes nothing.
     """
     if a.box != basis.box:
         raise BoxMismatchError("observable and basis live on different boxes")
     diag = a.require_diagonal()
     V = basis.vectors
-    dtype = complex if (np.iscomplexobj(V) or np.iscomplexobj(diag)) else float
-    out = np.zeros((basis.box.volume, basis.box.volume), dtype=dtype)
-    for cls in basis.classes:
-        Vc = V[:, cls]
-        mid = Vc.conj().T @ (diag[:, None] * Vc)
-        out += Vc @ mid @ Vc.conj().T
-    return out
+    label = np.full(V.shape[1], -1)
+    for i, cls in enumerate(basis.classes):
+        label[cls] = i
+    C = V.conj().T @ (diag[:, None] * V)
+    C[(label[:, None] != label) | (label < 0)[:, None]] = 0
+    C = V @ C  # rebinding frees the masked C before the last product
+    return C @ V.conj().T
 
 
 def _trapezoid_phase_average(omega: np.ndarray, T: float, steps: int, chunk_elems: int = 2_000_000):
@@ -187,12 +197,20 @@ def center_matrix(a: Observable):
     """Center matrix C = S* a S in row-major frequency order.
 
     Returns ``(C, freqs, eigs)`` with frequencies and eigenvalues aligned to
-    the rows/columns of C.
+    the rows/columns of C. The sine basis is a tensor power of the 1-D
+    factor S1, so C contracts one axis at a time with
+    ``P[x, k, m] = S1[x, k] S1[x, m]``: time O(d N^(2d+1)), without the dense
+    sine matrix.
     """
     N, d = _require_cube(a)
-    diag = a.require_diagonal()
-    S, freqs, eigs = sine_matrix(N, d)
-    return S.T @ (diag[:, None] * S), freqs, eigs
+    pb = ProductBasis("dirichlet", N, d)
+    S1 = pb.factor()
+    P = S1[:, :, None] * S1[:, None, :]
+    C = a.require_diagonal().reshape((N,) * d)
+    for _ in range(d):
+        C = np.tensordot(C, P, axes=([0], [0]))  # site axis x_l -> frequency axes (k_l, m_l)
+    C = C.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2)))
+    return C.reshape(N**d, N**d), pb.freqs(), pb.eigs
 
 
 @dataclass(eq=False)
@@ -257,45 +275,43 @@ def theta_decompose(a: Observable, tol: float | None = None) -> ThetaDecompositi
     4^d Fourier coefficients; restricted to equal-eigenvalue pairs, binning
     the terms by their frequency t = k.eps + m.eps' yields components that
     sum back to the masked center matrix. The zero component is exactly
-    (N/(N+1))^d <a> Id.
+    (N/(N+1))^d <a> Id. The pairs and their frequencies t come from
+    ``spectra._equal_pairs``, the enumerator shared with
+    :func:`~latticeqe.spectra.lemma_c1_counts`; each entry adds its terms in
+    sign-pair order, starting from zero.
     """
     N, d = _require_cube(a)
     tol = default_deg_tol(d) if tol is None else tol
     pb = ProductBasis("dirichlet", N, d)
-    freqs, eigs, order = pb.freqs(), pb.eigs, pb.order
-    coeffs = fourier_coefficients(a)
-    scale = 1.0 / (2 * (N + 1)) ** d
-    classes = degeneracy_classes(eigs[order], tol)
-    sign_vectors = list(itertools.product((1, -1), repeat=d))
-    sign_pairs = []
-    for eps in sign_vectors:
-        for epp in sign_vectors:
-            sgn = 1
-            for el, e2 in zip(eps, epp):
-                sgn *= -el * e2
-            sign_pairs.append((eps, epp, sgn))
-
+    i, j, t = _equal_pairs(pb, tol)
+    eps, epp = _sign_pairs(d)
+    coeffs = fourier_coefficients(a).reshape(-1)
+    terms = coeffs[t] * (np.prod(-eps * epp, axis=1) / (2 * (N + 1)) ** d)
+    # Components in order of first appearance of t; inside one, one entry per pair.
+    t_grid, t_first, t_of = np.unique(t.reshape(-1), return_index=True, return_inverse=True)
+    by_first = np.argsort(t_first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    pair = np.repeat(np.arange(len(i)), len(eps))
+    entry, inverse = np.unique(rank[t_of] * len(i) + pair, return_inverse=True)
+    # bincount adds each entry's terms in sign-pair order, starting from zero
+    values = np.bincount(inverse, weights=terms.real.reshape(-1)).astype(complex)
+    values.imag = np.bincount(inverse, weights=terms.imag.reshape(-1))
+    component, pair = np.divmod(entry, len(i))
+    bounds = [0, *(np.flatnonzero(np.diff(component)) + 1).tolist(), len(entry)]
+    keys = list(zip(i[pair].tolist(), j[pair].tolist()))
+    values = values.tolist()
+    flat = t_grid[by_first]
     components: dict[tuple[int, ...], ThetaComponent] = {}
-    for cls in classes:
-        members = [int(order[i]) for i in cls]
-        for i in members:
-            k = freqs[i]
-            for j in members:
-                m = freqs[j]
-                for eps, epp, sgn in sign_pairs:
-                    t = tuple(k[l] * eps[l] + m[l] * epp[l] for l in range(d))
-                    coeff = complex(coeffs[tuple(c + 2 * N for c in t)])
-                    comp = components.get(t)
-                    if comp is None:
-                        comp = ThetaComponent(
-                            t=t,
-                            theta=tuple(c / (N + 1) for c in t),
-                            coefficient=coeff,
-                            entries={},
-                        )
-                        components[t] = comp
-                    comp.entries[(i, j)] = comp.entries.get((i, j), 0.0) + sgn * coeff * scale
-    return ThetaDecomposition(N, d, freqs, eigs, components)
+    ts = _grid_points(flat, N, d)
+    for tk, coeff, lo, hi in zip(ts, coeffs[flat].tolist(), bounds[:-1], bounds[1:]):
+        components[tk] = ThetaComponent(
+            t=tk,
+            theta=tuple(c / (N + 1) for c in tk),
+            coefficient=coeff,
+            entries=dict(zip(keys[lo:hi], values[lo:hi])),
+        )
+    return ThetaDecomposition(N, d, pb.freqs(), pb.eigs, components)
 
 
 def bessel_bound_check(a: Observable):

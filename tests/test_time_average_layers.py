@@ -1,0 +1,281 @@
+"""Class-masked time average, factored center matrix, shared pair enumerator and
+vectorized kernel matrices, each against the loop it replaced."""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latticeqe.lattice import LatticeBox, Observable, cube, shift_set
+from latticeqe.schrodinger import PeriodicPotential, floquet_eigenbasis
+from latticeqe.spectra import (
+    ProductBasis,
+    SpectralData,
+    adjacency_matrix,
+    bloch_basis,
+    default_deg_tol,
+    degeneracy_classes,
+    lemma_c1_counts,
+    sine_basis,
+    sine_matrix,
+)
+from latticeqe.time_average import (
+    center_matrix,
+    expectations,
+    fourier_coefficients,
+    theta_decompose,
+    time_averaged_observable,
+)
+
+
+# -- oracles: the loops the vectorized code replaced --------------------------
+
+def loop_time_average(basis, a):
+    diag = a.require_diagonal()
+    V = basis.vectors
+    dtype = complex if (np.iscomplexobj(V) or np.iscomplexobj(diag)) else float
+    out = np.zeros((basis.box.volume, basis.box.volume), dtype=dtype)
+    for cls in basis.classes:
+        Vc = V[:, cls]
+        mid = Vc.conj().T @ (diag[:, None] * Vc)
+        out += Vc @ mid @ Vc.conj().T
+    return out
+
+
+def loop_lemma_c1_counts(N, d):
+    pb = ProductBasis("dirichlet", N, d)
+    freqs, order = pb.freqs(), pb.order
+    classes = degeneracy_classes(pb.eigs[order], default_deg_tol(d))
+    sign_vectors = list(itertools.product((1, -1), repeat=d))
+    counts = {}
+    for cls in classes:
+        members = [freqs[order[i]] for i in cls]
+        for k in members:
+            for m in members:
+                for eps in sign_vectors:
+                    for epp in sign_vectors:
+                        t = tuple(k[l] * eps[l] + m[l] * epp[l] for l in range(d))
+                        if all(c == 0 for c in t):
+                            continue
+                        key = (t, eps, epp)
+                        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def loop_theta_entries(a):
+    """``{t: (coefficient, entries)}`` in the loop's insertion order."""
+    N, d = a.box.sides[0], a.box.d
+    pb = ProductBasis("dirichlet", N, d)
+    freqs, order = pb.freqs(), pb.order
+    coeffs = fourier_coefficients(a)
+    scale = 1.0 / (2 * (N + 1)) ** d
+    classes = degeneracy_classes(pb.eigs[order], default_deg_tol(d))
+    sign_pairs = []
+    for eps in itertools.product((1, -1), repeat=d):
+        for epp in itertools.product((1, -1), repeat=d):
+            sgn = 1
+            for el, e2 in zip(eps, epp):
+                sgn *= -el * e2
+            sign_pairs.append((eps, epp, sgn))
+    out = {}
+    for cls in classes:
+        members = [int(order[i]) for i in cls]
+        for i in members:
+            for j in members:
+                k, m = freqs[i], freqs[j]
+                for eps, epp, sgn in sign_pairs:
+                    t = tuple(k[l] * eps[l] + m[l] * epp[l] for l in range(d))
+                    coeff = complex(coeffs[tuple(c + 2 * N for c in t)])
+                    entries = out.setdefault(t, (coeff, {}))[1]
+                    entries[(i, j)] = entries.get((i, j), 0.0) + sgn * coeff * scale
+    return out
+
+
+def loop_to_matrix(K):
+    vol = K.box.volume
+    dtype = complex if any(v.dtype.kind == "c" for v in K.offsets.values()) else float
+    M = np.zeros((vol, vol), dtype=dtype)
+    for z, vals in K.offsets.items():
+        for i, x in enumerate(K.box.sites()):
+            if vals[i] != 0:
+                M[i, K.box.linearize(tuple(xl + zl for xl, zl in zip(x, z)))] = vals[i]
+    return M
+
+
+def bits(values):
+    return np.array(list(values), dtype=complex).view(np.uint64)
+
+
+# -- time average -------------------------------------------------------------
+
+def random_diagonal(box, rng, complex_values):
+    vals = rng.uniform(-1.0, 1.0, box.volume)
+    if complex_values:
+        vals = vals + 1j * rng.uniform(-1.0, 1.0, box.volume)
+    return Observable.diagonal(box, vals)
+
+
+def numeric_basis(N, d, rng):
+    """An eigh basis of the adjacency matrix with shuffled columns.
+
+    The classes are lists of non-contiguous columns, and the last column of
+    the largest class is in no class at all.
+    """
+    box = cube(N, d)
+    vals, vecs = np.linalg.eigh(adjacency_matrix(box))
+    perm = rng.permutation(box.volume)
+    where = np.argsort(perm)  # column of sorted eigenvalue i after the shuffle
+    classes = [sorted(where[c].tolist()) for c in degeneracy_classes(vals, default_deg_tol(d))]
+    biggest = max(classes, key=len)
+    if len(biggest) > 1:
+        biggest.pop()
+    return SpectralData(box, vals[perm], vecs[:, perm], classes)
+
+
+@st.composite
+def bases(draw):
+    kind = draw(st.sampled_from(["sine", "bloch", "floquet", "numeric"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "floquet":
+        d = draw(st.integers(1, 2))
+        q = tuple(draw(st.sampled_from((1, 2))) for _ in range(d))
+        values = [draw(st.sampled_from((0.0, 1.0, 100.0))) for _ in range(int(np.prod(q)))]
+        N = draw(st.integers(1, {1: 20, 2: 5}[d]))
+        return floquet_eigenbasis(PeriodicPotential(q, values), N), rng
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(1, {1: 30, 2: 10, 3: 5}[d]))
+    if kind == "numeric":
+        return numeric_basis(N, d, rng), rng
+    return (sine_basis if kind == "sine" else bloch_basis)(N, d), rng
+
+
+def rotate_within_classes(basis, rng):
+    V = basis.vectors.copy()
+    for cls in basis.classes:
+        M = rng.normal(size=(len(cls), len(cls)))
+        if np.iscomplexobj(V):
+            M = M + 1j * rng.normal(size=M.shape)
+        Q, _ = np.linalg.qr(M)
+        V[:, cls] = V[:, cls] @ Q
+    return SpectralData(basis.box, basis.eigenvalues, V, basis.classes)
+
+
+class TestTimeAverage:
+    @settings(max_examples=80, deadline=None)
+    @given(case=bases(), complex_values=st.booleans())
+    def test_matches_class_loop(self, case, complex_values):
+        basis, rng = case
+        a = random_diagonal(basis.box, rng, complex_values)
+        fast = time_averaged_observable(basis, a)
+        oracle = loop_time_average(basis, a)
+        assert fast.dtype == oracle.dtype
+        assert np.max(np.abs(fast - oracle)) <= 1e-12 * a.sup_norm
+        rotated = time_averaged_observable(rotate_within_classes(basis, rng), a)
+        assert np.max(np.abs(rotated - fast)) <= 1e-12 * a.sup_norm
+
+    @pytest.mark.parametrize("make", [sine_basis, bloch_basis])
+    def test_at_most_four_volume_squared_arrays(self, make):
+        basis = make(20, 2)
+        a = random_diagonal(basis.box, np.random.default_rng(3), True)
+        V = basis.vectors
+        tracemalloc.start()
+        try:
+            out = time_averaged_observable(basis, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # V itself plus at most three arrays of its size made inside
+        assert peak <= 3 * V.shape[0] ** 2 * out.itemsize + (1 << 16)
+
+    def test_unclassified_column_contributes_nothing(self):
+        box = cube(3, 1)
+        basis = SpectralData(box, np.zeros(3), np.eye(3), [[2], [0]])
+        a = Observable.diagonal(box, [1.0, 2.0, 3.0])
+        assert np.array_equal(time_averaged_observable(basis, a), np.diag([1.0, 0.0, 3.0]))
+
+
+# -- center matrix ------------------------------------------------------------
+
+class TestCenterMatrix:
+    @pytest.mark.parametrize("d,Ns", [(1, [1, 2, 7, 40]), (2, [1, 3, 8, 15]), (3, [2, 4, 6])])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_matches_dense(self, d, Ns, complex_values):
+        rng = np.random.default_rng(d)
+        for N in Ns:
+            a = random_diagonal(cube(N, d), rng, complex_values)
+            C, freqs, eigs = center_matrix(a)
+            S, dense_freqs, dense_eigs = sine_matrix(N, d)
+            assert freqs == dense_freqs and np.array_equal(eigs, dense_eigs)
+            assert np.max(np.abs(C - S.T @ (a.diag()[:, None] * S))) <= 1e-12 * a.sup_norm
+
+    def test_scale_without_dense_basis(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense sine matrix built")
+
+        monkeypatch.setattr(ProductBasis, "matrix", refuse)
+        N, d = 64, 2
+        a = random_diagonal(cube(N, d), np.random.default_rng(5), False)
+        C, _, _ = center_matrix(a)
+        assert C.shape == (N**d, N**d)
+        assert np.max(np.abs(C - C.T)) <= 1e-12
+        assert np.trace(C) == pytest.approx(np.sum(a.diag()), abs=1e-10)
+        # the diagonal is <s_k, a s_k>, which the factored contraction gives too
+        basis = sine_basis(N, d)
+        np.testing.assert_allclose(np.diag(C)[basis.product.order], expectations(basis, a),
+                                   rtol=0, atol=1e-12)
+
+
+# -- pair enumerator ----------------------------------------------------------
+
+PAIR_SIZES = [(1, N) for N in (1, 2, 5, 9, 16)] + [(2, N) for N in (1, 2, 5, 8, 12)]
+PAIR_SIZES += [(3, N) for N in (2, 3, 5)]
+
+
+class TestPairEnumerator:
+    @pytest.mark.parametrize("d,N", PAIR_SIZES)
+    def test_lemma_c1_counts_match_loop(self, d, N):
+        new, old = lemma_c1_counts(N, d), loop_lemma_c1_counts(N, d)
+        assert new == old
+        assert list(new) == list(old)
+        for (t, eps, epp), count in new.items():
+            assert all(type(c) is int for c in t + eps + epp) and type(count) is int
+
+    @pytest.mark.parametrize("d,N", PAIR_SIZES)
+    def test_theta_decompose_bitwise(self, d, N):
+        rng = np.random.default_rng(N)
+        a = Observable.diagonal(cube(N, d), rng.uniform(-1, 1, N**d))
+        dec, old = theta_decompose(a), loop_theta_entries(a)
+        assert list(dec.components) == list(old)
+        for t, (coeff, entries) in old.items():
+            comp = dec.components[t]
+            assert comp.coefficient == coeff
+            assert list(comp.entries) == list(entries)
+            assert np.array_equal(bits(comp.entries.values()), bits(entries.values()))
+            assert comp.nnz == sum(1 for v in entries.values() if v != 0)
+
+
+# -- kernel matrices ----------------------------------------------------------
+
+class TestToMatrix:
+    @pytest.mark.parametrize("sides", [(6,), (1,), (3, 5), (4, 1, 3), (2, 3, 4)])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_matches_site_loop(self, sides, complex_values):
+        box = LatticeBox(sides)
+        rng = np.random.default_rng(len(sides))
+        # offsets up to the box edge, where only one site keeps x + z inside
+        offsets = {(0,) * box.d, tuple(s - 1 for s in sides), tuple(1 - s for s in sides)}
+        offsets |= {tuple(int(rng.integers(1 - s, s)) for s in sides) for _ in range(4)}
+        kernel = {}
+        for z in offsets:
+            vals = rng.uniform(-1, 1, box.volume)
+            if complex_values:
+                vals = vals + 1j * rng.uniform(-1, 1, box.volume)
+            vals[rng.random(box.volume) < 0.2] = 0.0
+            kernel[z] = np.where(shift_set(box, z).mask, vals, 0.0)
+        K = Observable.kernel(box, kernel)
+        M, oracle = K.to_matrix(), loop_to_matrix(K)
+        assert M.dtype == oracle.dtype
+        assert np.array_equal(M, oracle)
