@@ -27,7 +27,6 @@ from .spectra import adjacency_matrix, sine_matrix
 __all__ = [
     "spherical",
     "chebyshev_operator",
-    "infinite_chebyshev",
     "correlator",
     "averaged_kernel",
     "sine_shift_overlaps",
@@ -45,12 +44,22 @@ def spherical(lam: float, n: int) -> float:
         raise ValueError(f"spectral parameter {lam} outside [-2, 2]")
     if n < 0:
         raise ValueError("order must be nonnegative")
+    return float(_spherical_orders(lam, n)[n])
+
+
+def _spherical_orders(lam, n: int) -> list:
+    """Phi_lam(0), ..., Phi_lam(n) by the three-term recursion.
+
+    ``lam`` may be an array: each entry then goes through the same
+    floating-point operations as the scalar recursion, so the values agree
+    bit for bit. Order 0 is the scalar 1.0.
+    """
     prev, cur = 1.0, lam / 2.0
-    if n == 0:
-        return prev
+    orders = [prev, cur]
     for _ in range(n - 1):
         prev, cur = cur, lam * cur - prev
-    return float(cur)
+        orders.append(cur)
+    return orders[: n + 1]
 
 
 def chebyshev_operator(n: int, N: int) -> np.ndarray:
@@ -65,14 +74,6 @@ def chebyshev_operator(n: int, N: int) -> np.ndarray:
     for _ in range(n - 1):
         prev, cur = cur, A @ cur - prev
     return cur
-
-
-def infinite_chebyshev(n: int, N: int) -> np.ndarray:
-    """Restriction to [[1, N]] of the full-line pattern: 1/2 at distance n."""
-    if n == 0:
-        return np.eye(N)
-    x = np.arange(N)
-    return np.where(np.abs(x[:, None] - x[None, :]) == n, 0.5, 0.0)
 
 
 def correlator(K: Observable, psi: Wavefunction, mode: str = "dirichlet") -> complex:
@@ -145,9 +146,10 @@ def wucha_error_scan(n_values, R: int) -> list[dict]:
     rows = []
     for N in n_values:
         S1, _, lam = sine_matrix(N, 1)
-        for z in range(0, R + 1):
+        if np.any(np.abs(lam) > 2.0):
+            raise ValueError(f"spectral parameters outside [-2, 2] for N = {N}")
+        for z, sph in enumerate(_spherical_orders(lam, R)):
             overlaps = _shift_overlaps(S1, z) if z else np.ones(N)
-            sph = np.array([spherical(l, z) for l in lam])
             err = float(np.max(np.abs(overlaps - sph)))
             rows.append({"N": N, "z": z, "max_err": err, "err_times_N": err * N})
     return rows

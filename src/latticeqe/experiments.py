@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -158,22 +159,27 @@ def _run_degeneracy(cfg: ExperimentConfig):
 
 def _run_lemma_c1(cfg: ExperimentConfig):
     rows = []
+    # Every cell string is formatted once per value, through lookup tables.
+    signs = {eps: ";".join(map(str, eps)) for eps in itertools.product((1, -1), repeat=cfg.d)}
     for N in cfg.n_values:
         counts = lemma_c1_counts(N, cfg.d)
         bound = 2 * N ** (cfg.d - 1)
-        for (t, eps, epp), count in sorted(counts.items()):
-            rows.append(
-                {
-                    "N": N,
-                    "theta": ";".join(repr(tl / (N + 1)) for tl in t),
-                    "t": ";".join(str(tl) for tl in t),
-                    "eps": ";".join(str(e) for e in eps),
-                    "epsp": ";".join(str(e) for e in epp),
-                    "count": count,
-                    "bound": bound,
-                    "pass": count <= bound,
-                }
-            )
+        axis = range(-2 * N, 2 * N + 1)
+        theta = {tl: repr(tl / (N + 1)) for tl in axis}
+        text = {tl: str(tl) for tl in axis}
+        rows += [
+            {
+                "N": N,
+                "theta": ";".join(map(theta.__getitem__, t)),
+                "t": ";".join(map(text.__getitem__, t)),
+                "eps": signs[eps],
+                "epsp": signs[epp],
+                "count": count,
+                "bound": bound,
+                "pass": count <= bound,
+            }
+            for (t, eps, epp), count in sorted(counts.items())
+        ]
     return ["N", "theta", "t", "eps", "epsp", "count", "bound", "pass"], rows
 
 

@@ -16,7 +16,6 @@ classes, which is the engine behind the variance decay.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +44,6 @@ __all__ = [
     "ThetaDecomposition",
     "theta_decompose",
     "bessel_bound_check",
-    "tilde_exponential",
-    "theta_classes",
 ]
 
 
@@ -319,36 +316,11 @@ def bessel_bound_check(a: Observable):
 
     Returns ``(lhs, rhs)`` where lhs sums |<e~_theta, a~>|^2 over the full
     frequency grid (with a~ the zero-padded normalized diagonal on
-    [[0, N]]^d) and rhs = 4^d sup|a|^2.
+    [[0, N]]^d) and rhs = 4^d sup|a|^2. The bound holds when lhs <= rhs;
+    the caller gives the verdict, so a violation is reported, not raised.
     """
     N, d = _require_cube(a)
     coeffs = fourier_coefficients(a)
     lhs = float(np.sum(np.abs(coeffs) ** 2) / (N + 1) ** (2 * d))
     rhs = float(4**d * a.sup_norm**2)
-    if lhs > rhs * (1 + 1e-12) + 1e-300:
-        raise ArithmeticError(f"Bessel bound violated: lhs={lhs} > rhs={rhs}")
     return lhs, rhs
-
-
-def tilde_exponential(N: int, d: int, t) -> np.ndarray:
-    """Unit exponential vector on [[0, N]]^d at frequency theta = t/(N+1)."""
-    t = tuple(int(c) for c in t)
-    x = np.arange(0, N + 1)
-    vec = np.array([1.0 + 0.0j])
-    for tl in t:
-        vec = np.multiply.outer(vec, np.exp(1j * np.pi * tl * x / (N + 1)))
-    return vec.reshape(-1) / np.sqrt(float((N + 1) ** d))
-
-
-def theta_classes(N: int, d: int) -> dict:
-    """Partition of the frequency grid into the 4^d orthogonality classes.
-
-    Frequencies sharing coordinatewise sign and parity patterns have
-    mutually orthogonal tilde exponentials. Keys are (signs, parities).
-    """
-    out: dict = {}
-    for t in itertools.product(range(-2 * N, 2 * N + 1), repeat=d):
-        signs = tuple(1 if c >= 0 else -1 for c in t)
-        parities = tuple(c % 2 for c in t)
-        out.setdefault((signs, parities), []).append(t)
-    return out

@@ -1,0 +1,144 @@
+"""Test-only reference implementations.
+
+Each one is an independent, slower construction of something the library
+computes faster; tests compare the library against them. None of them is
+part of the package.
+"""
+
+from __future__ import annotations
+
+import csv
+import itertools
+import json
+from pathlib import Path
+
+import numpy as np
+
+from latticeqe.correspondence import embed, embedding_target
+from latticeqe.lattice import Wavefunction
+from latticeqe.spectra import apply_adjacency
+
+
+# -- report writers: the row-by-row serializers the columnar ones replaced ----
+
+def _plain(value):
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _cell(value) -> str:
+    value = _plain(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if value is None:
+        return ""
+    return str(value)
+
+
+def loop_write_csv(report, path) -> Path:
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(report.columns)
+        for row in report.rows:
+            writer.writerow([_cell(row.get(col)) for col in report.columns])
+    return path
+
+
+def loop_write_json(report, path) -> Path:
+    path = Path(path)
+    payload = {
+        "experiment": report.experiment,
+        "metadata": _plain(report.metadata),
+        "columns": list(report.columns),
+        "rows": [{k: _plain(v) for k, v in row.items()} for row in report.rows],
+        "passed": report.passed,
+    }
+    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+# -- embedding ----------------------------------------------------------------
+
+def embed_by_reflections(psi: Wavefunction) -> Wavefunction:
+    """The antisymmetric extension built by sweeping reflections axis by axis.
+
+    Copies the scaled source block, zeroes the divisible hyperplanes, then
+    propagates with a sign flip across each coordinate reflection in turn.
+    Agrees exactly with ``embed``: the extension is uniquely determined.
+    """
+    target = embedding_target(psi.box)
+    dtype = complex if np.iscomplexobj(psi.values) else float
+    out = np.zeros(target.sides, dtype=dtype)
+    src_block = tuple(slice(0, n) for n in psi.box.sides)
+    out[src_block] = 2.0 ** (-psi.box.d / 2.0) * psi.grid()
+    for axis, n in enumerate(psi.box.sides):
+        lower = [slice(None)] * target.d
+        upper = [slice(None)] * target.d
+        lower[axis] = slice(0, n)
+        upper[axis] = slice(n + 1, 2 * n + 1)
+        out[tuple(upper)] = -np.flip(out[tuple(lower)], axis=axis)
+    return Wavefunction.from_grid(target, out)
+
+
+def loop_correspondence_family(basis):
+    """One ``embed`` and one ``apply_adjacency`` per basis column."""
+    images = []
+    residuals = []
+    for j in range(basis.n):
+        psi = Wavefunction(basis.box, basis.vectors[:, j])
+        image = embed(psi)
+        res = apply_adjacency(image, "periodic").values - basis.eigenvalues[j] * image.values
+        residuals.append(np.linalg.norm(res))
+        images.append(image.values)
+    E = np.column_stack(images)
+    gram = E.conj().T @ E
+    gram_error = float(np.max(np.abs(gram - np.eye(basis.n))))
+    return float(max(residuals)), gram_error
+
+
+# -- correlators --------------------------------------------------------------
+
+def infinite_chebyshev(n: int, N: int) -> np.ndarray:
+    """Restriction to [[1, N]] of the full-line pattern: 1/2 at distance n."""
+    if n == 0:
+        return np.eye(N)
+    x = np.arange(N)
+    return np.where(np.abs(x[:, None] - x[None, :]) == n, 0.5, 0.0)
+
+
+# -- Fourier classes ----------------------------------------------------------
+
+def tilde_exponential(N: int, d: int, t) -> np.ndarray:
+    """Unit exponential vector on [[0, N]]^d at frequency theta = t/(N+1)."""
+    t = tuple(int(c) for c in t)
+    x = np.arange(0, N + 1)
+    vec = np.array([1.0 + 0.0j])
+    for tl in t:
+        vec = np.multiply.outer(vec, np.exp(1j * np.pi * tl * x / (N + 1)))
+    return vec.reshape(-1) / np.sqrt(float((N + 1) ** d))
+
+
+def theta_classes(N: int, d: int) -> dict:
+    """Partition of the frequency grid into the 4^d orthogonality classes.
+
+    Frequencies sharing coordinatewise sign and parity patterns have
+    mutually orthogonal tilde exponentials. Keys are (signs, parities).
+    """
+    out: dict = {}
+    for t in itertools.product(range(-2 * N, 2 * N + 1), repeat=d):
+        signs = tuple(1 if c >= 0 else -1 for c in t)
+        parities = tuple(c % 2 for c in t)
+        out.setdefault((signs, parities), []).append(t)
+    return out

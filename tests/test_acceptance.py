@@ -40,7 +40,9 @@ from latticeqe.time_average import (
     theta_decompose,
     time_averaged_observable,
 )
-from latticeqe.correlators import chebyshev_operator, infinite_chebyshev, sine_shift_overlaps, spherical
+from latticeqe.correlators import chebyshev_operator, sine_shift_overlaps, spherical
+
+from oracles import infinite_chebyshev
 
 
 def report(num: int, slug: str, ok: bool, detail: str = ""):

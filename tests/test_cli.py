@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,36 @@ class TestExitCodes:
              "--M", "50", "--unchecked", "--out", str(tmp_path)]
         )
         assert code == 0
+
+    def test_violated_bessel_bound_is_a_fail_row(self, tmp_path):
+        # An inflated Fourier coefficient breaks lhs <= rhs: the row says so
+        # and the run exits 2, with no traceback.
+        script = (
+            "import sys\n"
+            "import latticeqe.time_average as ta\n"
+            "from latticeqe.cli import main\n"
+            "real = ta.fourier_coefficients\n"
+            "def inflated(a):\n"
+            "    c = real(a).copy()\n"
+            "    c.flat[0] += 100.0\n"
+            "    return c\n"
+            "ta.fourier_coefficients = inflated\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "bessel", "--d", "1", "--N", "4",
+             "--obs", "half-indicator", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = read(tmp_path / "bessel.csv").splitlines()
+        header, row = lines[0].split(","), lines[1].split(",")
+        cell = dict(zip(header, row))
+        assert cell["pass"] == "false"
+        assert float(cell["lhs"]) > float(cell["rhs"])
 
 
 class TestOutputs:

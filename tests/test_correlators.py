@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from latticeqe.correlators import (
+    _shift_overlaps,
+    _spherical_orders,
     averaged_kernel,
     chebyshev_operator,
     correlator,
-    infinite_chebyshev,
     sine_shift_overlaps,
     spherical,
     wucha_error_scan,
 )
 from latticeqe.lattice import Observable, Wavefunction, cube, shift_set, translate
 from latticeqe.spectra import adjacency_matrix, dirichlet_eigenpair, sine_matrix
+
+from oracles import infinite_chebyshev
 
 
 class TestSpherical:
@@ -39,6 +42,26 @@ class TestSpherical:
             spherical(2.5, 1)
         with pytest.raises(ValueError):
             spherical(1.0, -1)
+
+    @pytest.mark.parametrize("N", [1, 2, 50, 400, 1600])
+    def test_array_recursion_matches_scalar_bitwise(self, N):
+        lams = np.concatenate([sine_matrix(N, 1)[2], [-2.0, 0.0, 2.0]])
+        orders = _spherical_orders(lams, 3)
+        for z, values in enumerate(orders):
+            scalar = np.array([spherical(lam, z) for lam in lams])
+            assert np.array_equal(np.broadcast_to(values, lams.shape), scalar)
+
+    def test_scan_matches_scalar_loop(self):
+        n_values, R = [50, 100, 200, 400, 800, 1600], 3
+        expected = []
+        for N in n_values:
+            S1, _, lam = sine_matrix(N, 1)
+            for z in range(R + 1):
+                overlaps = _shift_overlaps(S1, z) if z else np.ones(N)
+                sph = np.array([spherical(l, z) for l in lam])
+                err = float(np.max(np.abs(overlaps - sph)))
+                expected.append({"N": N, "z": z, "max_err": err, "err_times_N": err * N})
+        assert wucha_error_scan(n_values, R) == expected
 
 
 class TestChebyshevOperator:

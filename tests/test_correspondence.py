@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeqe.correspondence import (
     complete_to_periodic_basis,
     embed,
     embed_block,
-    embed_by_reflections,
     extend_observable,
     reflect,
     verify_correspondence,
@@ -13,12 +14,16 @@ from latticeqe.correspondence import (
 )
 from latticeqe.lattice import LatticeBox, Observable, UnsupportedPeriodError, Wavefunction, cube
 from latticeqe.spectra import (
+    SpectralData,
     apply_adjacency,
+    bloch_basis,
     dirichlet_eigenvalues,
     periodic_eigenvalues,
     sine_basis,
 )
 from latticeqe.time_average import expectations
+
+from oracles import embed_by_reflections, loop_correspondence_family
 
 
 class TestReflect:
@@ -152,6 +157,58 @@ class TestCorrespondence:
         per_eigs = periodic_eigenvalues(2 * N + 2, d)
         for lam in dir_eigs:
             assert np.min(np.abs(per_eigs - lam)) <= 1e-10
+
+
+def random_sides(data, max_side=5):
+    d = data.draw(st.integers(1, 3), label="d")
+    return LatticeBox(tuple(data.draw(st.lists(st.integers(1, max_side), min_size=d, max_size=d),
+                                      label="sides")))
+
+
+def random_columns(data, box, count):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    F = rng.normal(size=(box.volume, count))
+    if data.draw(st.booleans(), label="complex"):
+        F = F + 1j * rng.normal(size=F.shape)
+    return F
+
+
+class TestEmbeddedFamily:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_embedding_is_an_isometry(self, data):
+        box = random_sides(data)
+        count = data.draw(st.integers(1, min(box.volume, 6)), label="count")
+        F = random_columns(data, box, count)
+        E = np.column_stack([embed(Wavefunction(box, F[:, j])).values for j in range(count)])
+        before, after = F.conj().T @ F, E.conj().T @ E
+        assert np.max(np.abs(after - before)) <= 1e-12 * np.max(np.abs(before))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_column_loop_bitwise(self, data):
+        box = random_sides(data)
+        Q, _ = np.linalg.qr(random_columns(data, box, box.volume))
+        eigs = np.sort(np.random.default_rng(box.volume).uniform(-4, 4, size=box.volume))
+        basis = SpectralData(box, eigs, Q, [[j] for j in range(box.volume)])
+        assert verify_correspondence_family(basis) == loop_correspondence_family(basis)
+
+    @pytest.mark.parametrize("d,N", [(1, 64), (2, 8), (2, 12), (2, 16), (3, 5)])
+    def test_sine_basis_matches_column_loop_bitwise(self, d, N):
+        basis = sine_basis(N, d)
+        assert verify_correspondence_family(basis) == loop_correspondence_family(basis)
+
+    def test_bloch_basis_matches_column_loop_bitwise(self):
+        basis = bloch_basis(6, 2)
+        assert verify_correspondence_family(basis) == loop_correspondence_family(basis)
+
+    def test_non_finite_vectors_rejected(self):
+        basis = sine_basis(3, 1)
+        vectors = basis.vectors.copy()
+        vectors[1, 2] = np.nan
+        broken = SpectralData(basis.box, basis.eigenvalues, vectors, basis.classes)
+        with pytest.raises(ValueError, match="finite"):
+            verify_correspondence_family(broken)
 
 
 class TestExtendObservable:

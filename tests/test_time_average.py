@@ -15,11 +15,11 @@ from latticeqe.time_average import (
     hs_norm,
     numeric_time_average,
     quantum_variance,
-    theta_classes,
     theta_decompose,
-    tilde_exponential,
     time_averaged_observable,
 )
+
+from oracles import theta_classes, tilde_exponential
 
 
 class TestHsNorm:
