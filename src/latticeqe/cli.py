@@ -8,6 +8,7 @@ Exit status: 0 when every assertion row passes, 2 when at least one fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,7 +35,9 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = _Parser(prog="latticeqe", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", metavar="|".join(EXPERIMENTS), parser_class=_Parser)
     for name in EXPERIMENTS:

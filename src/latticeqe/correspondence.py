@@ -137,32 +137,48 @@ def verify_correspondence(psi: Wavefunction, lam: float, norm_tol: float = 1e-8)
     return float(np.linalg.norm(residual))
 
 
+# np.roll(g, 1) and then np.roll(g, -1) along one axis, as (target, source)
+# slice pairs for in-place sums: the interior, then the wrapped end.
+_ROLL_SLICES = (
+    (slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None)),
+    (slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1)),
+)
+# Columns per chunk of the eigenvalue subtraction.
+_CHUNK = 16
+
+
 def verify_correspondence_family(basis: SpectralData):
     """Batch certification of an embedded orthonormal eigenfamily.
 
     Embeds every basis column at once: one gather of the ``sides + (n,)``
-    block and one multiplication by the sign tensor, then the wraparound
-    adjacency on the whole doubled block, in the roll order of
-    :func:`apply_adjacency`. Each column gets the same floating-point
-    operations as :func:`embed` and :func:`apply_adjacency` would give it.
-    Returns ``(max_residual, gram_error)``: the largest eigen-residual norm
-    over the columns, and the max-norm deviation of the embedded family's
-    Gram matrix from the identity.
+    block, scaled in place by the sign tensor, then the wraparound adjacency
+    on the whole doubled block as in-place slice sums, in the roll order of
+    :func:`apply_adjacency`, and the eigenvalues subtracted in column chunks.
+    Each column gets the same floating-point operations as :func:`embed` and
+    :func:`apply_adjacency` would give it, and no more than two blocks are
+    alive at once. Returns ``(max_residual, gram_error)``: the largest
+    eigen-residual norm over the columns, and the max-norm deviation of the
+    embedded family's Gram matrix from the identity.
     """
     box, n = basis.box, basis.n
     vectors = basis.vectors
     if not np.all(np.isfinite(vectors)):
         raise ValueError("basis vectors must be finite")
     index, sign = _embedding_maps(box.sides)
-    images = sign[..., None] * vectors.reshape(box.sides + (n,))[index]
+    images = vectors.reshape(box.sides + (n,))[index]
+    images *= sign[..., None]
     residual = np.zeros_like(images)
     for axis in range(box.d):
-        residual += np.roll(images, 1, axis=axis)
-        residual += np.roll(images, -1, axis=axis)
-    residual -= basis.eigenvalues * images
+        lead = (slice(None),) * axis
+        for dst, src in _ROLL_SLICES:
+            residual[lead + (dst,)] += images[lead + (src,)]
+    for c in range(0, n, _CHUNK):
+        cols = slice(c, c + _CHUNK)
+        residual[..., cols] -= basis.eigenvalues[cols] * images[..., cols]
     # np.linalg.norm copies each strided column to a contiguous vector first,
     # so every norm sums in the order of the one-column computation.
     max_residual = max(map(np.linalg.norm, residual.reshape(-1, n).T))
+    del residual
     E = images.reshape(-1, n)
     gram = E.conj().T @ E
     gram_error = float(np.max(np.abs(gram - np.eye(n))))

@@ -110,6 +110,12 @@ def loop_correspondence_family(basis):
 
 # -- correlators --------------------------------------------------------------
 
+def dense_shift_overlaps(S1: np.ndarray, z: int) -> np.ndarray:
+    """<s_j, rho_z s_j> from the dense 1-D sine factor, summed along x in order."""
+    N = len(S1)
+    return np.sum(S1[: N - z] * S1[z:], axis=0)
+
+
 def infinite_chebyshev(n: int, N: int) -> np.ndarray:
     """Restriction to [[1, N]] of the full-line pattern: 1/2 at distance n."""
     if n == 0:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from latticeqe.cli import main
+from latticeqe.cli import build_parser, main
+from latticeqe.experiments import ExperimentConfig
 from latticeqe.reporting import ExperimentReport, config_hash, emit_report, write_csv
 
 
@@ -172,6 +173,42 @@ class TestOutputs:
         )
         assert code == 1
 
+
+class TestSharedParser:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_calls_do_not_leak_flags(self, tmp_path, capsys):
+        flagged = ["bessel", "--d", "1", "--N", "4,6", "--obs", "half-indicator",
+                   "--random", "2", "--seed", "7", "--bound", "1e9", "--out", str(tmp_path / "a")]
+        plain = ["bessel", "--d", "1", "--N", "4,6", "--obs", "half-indicator",
+                 "--out", str(tmp_path / "b")]
+        assert main(flagged) == 0
+        assert main(plain) == 0
+        a = json.loads(read(tmp_path / "a" / "bessel.json"))["metadata"]["config"]
+        b = json.loads(read(tmp_path / "b" / "bessel.json"))["metadata"]["config"]
+        assert (a["seed"], a["random_count"], a["bound"]) == (7, 2, 1e9)
+        defaults = ExperimentConfig(experiment="bessel").canonical()
+        assert (b["seed"], b["random_count"], b["bound"]) == (
+            defaults["seed"], defaults["random_count"], defaults["bound"])
+
+    def test_store_true_flag_does_not_stick(self, tmp_path):
+        argv = ["schrodinger", "--task", "partial-qe", "--N", "4", "--obs", "parity",
+                "--M", "50", "--out", str(tmp_path)]
+        assert main(argv + ["--unchecked"]) == 0
+        assert main(argv) == 1
+
+    def test_usage_error_between_calls_exits_one(self, tmp_path):
+        argv = ["correspond", "--d", "1", "--N", "2,3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["correspond", "--d", "one"])
+        assert err.value.code == 1
+        with pytest.raises(SystemExit) as err:
+            main(["no-such-thing"])
+        assert err.value.code == 1
+        assert main([]) == 1
+        assert main(argv) == 0
 
 class TestDeterminism:
     def test_identical_config_identical_bytes(self, tmp_path):

@@ -1,9 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from latticeqe import spectra
 from latticeqe.correlators import (
+    _BLOCK,
     _shift_overlaps,
     _spherical_orders,
     averaged_kernel,
@@ -16,7 +19,7 @@ from latticeqe.correlators import (
 from latticeqe.lattice import Observable, Wavefunction, cube, shift_set, translate
 from latticeqe.spectra import adjacency_matrix, dirichlet_eigenpair, sine_matrix
 
-from oracles import infinite_chebyshev
+from oracles import dense_shift_overlaps, infinite_chebyshev
 
 
 class TestSpherical:
@@ -57,7 +60,7 @@ class TestSpherical:
         for N in n_values:
             S1, _, lam = sine_matrix(N, 1)
             for z in range(R + 1):
-                overlaps = _shift_overlaps(S1, z) if z else np.ones(N)
+                overlaps = dense_shift_overlaps(S1, z) if z else np.ones(N)
                 sph = np.array([spherical(l, z) for l in lam])
                 err = float(np.max(np.abs(overlaps - sph)))
                 expected.append({"N": N, "z": z, "max_err": err, "err_times_N": err * N})
@@ -232,7 +235,7 @@ class TestShiftOverlaps:
                 sine_shift_overlaps(N, 1), np.cos(j * np.pi / (N + 1)), atol=1e-12
             )
 
-    @pytest.mark.parametrize("N", [2, 7, 50, 301])
+    @pytest.mark.parametrize("N", [2, 7, 50, _BLOCK + 1, 2 * _BLOCK + 1, 301, 3 * _BLOCK + 1])
     def test_matches_dense_oracle_and_closed_form(self, N):
         # summing sin(ax) sin(a(x+z)) over [[1, N-z]], a = j pi/(N+1), gives
         # ((N-z) cos(az) - sin((N-z)a) cos(a(N+1)) / sin a) / (N+1)
@@ -270,6 +273,54 @@ class TestShiftOverlaps:
                 assert overlaps[j] == pytest.approx(
                     psi.inner(translate(psi, (z,), "dirichlet")).real, abs=1e-12
                 )
+
+
+def kernel_offsets(N):
+    return sorted({z for z in (1, 2, 3, N // 2, N - 1) if 1 <= z < N})
+
+
+class TestStreamedKernel:
+    def test_matches_dense_oracle_bitwise_small_boxes(self):
+        # every block width from 2 to _BLOCK, and N = _BLOCK + 1 and
+        # 2 * _BLOCK + 1, where fixed-width blocks would leave a one-column tail
+        for N in range(2, 301):
+            S = sine_matrix(N, 1)[0]
+            offsets = kernel_offsets(N)
+            for z, row in zip(offsets, _shift_overlaps(N, offsets)):
+                assert np.array_equal(row, dense_shift_overlaps(S, z)), (N, z)
+
+    @pytest.mark.parametrize("N", [385, 400, 513, 800, 1025, 1600, 2000])
+    def test_matches_dense_oracle_bitwise_scan_sizes(self, N):
+        S = sine_matrix(N, 1)[0]
+        offsets = kernel_offsets(N)
+        for z, row in zip(offsets, _shift_overlaps(N, offsets)):
+            assert np.array_equal(row, dense_shift_overlaps(S, z)), z
+
+    def test_scan_peak_memory_without_dense_factor(self):
+        # the dense 1600 x 1600 factor alone is 20 MB
+        tracemalloc.start()
+        try:
+            wucha_error_scan([1600], 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_scan_at_scale_builds_no_factor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense sine factor built")
+
+        monkeypatch.setattr(spectra, "sine_matrix", refuse)
+        monkeypatch.setattr(spectra.ProductBasis, "factor", refuse)
+        monkeypatch.setattr(spectra.ProductBasis, "matrix", refuse)
+        rows = wucha_error_scan([1600, 6400], 3)
+        small, large = rows[:4], rows[4:]
+        assert [row["z"] for row in large] == [0, 1, 2, 3]
+        assert large[0]["max_err"] == 0.0
+        assert large[1]["max_err"] < 1e-12  # the exact error is 0 at z = 1
+        for a, b in zip(small[2:], large[2:]):
+            assert b["max_err"] < a["max_err"] / 3
+            assert b["err_times_N"] == pytest.approx(a["err_times_N"], rel=1e-2)
 
 
 class TestUniversalityScan:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,20 @@ class TestEmbeddedFamily:
     def test_bloch_basis_matches_column_loop_bitwise(self):
         basis = bloch_basis(6, 2)
         assert verify_correspondence_family(basis) == loop_correspondence_family(basis)
+
+    @pytest.mark.parametrize("make,d,N", [(sine_basis, 3, 6), (bloch_basis, 2, 12)])
+    def test_holds_two_blocks(self, make, d, N):
+        # the embedded block and its residual; a third block-sized temporary
+        # (a rolled copy or eigenvalues * images) would pass 3 blocks
+        basis = make(N, d)
+        block = (2 * N + 2) ** d * basis.n * basis.vectors.itemsize
+        tracemalloc.start()
+        try:
+            verify_correspondence_family(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * block
 
     def test_non_finite_vectors_rejected(self):
         basis = sine_basis(3, 1)

@@ -60,8 +60,14 @@ def reports(draw):
 
 def assert_same_bytes(report, tmp_path):
     for new, old in ((write_csv, loop_write_csv), (write_json, loop_write_json)):
+        try:
+            b = old(report, tmp_path / "old").read_bytes()
+        except UnicodeEncodeError:
+            # a lone surrogate has no UTF-8 form: both writers must refuse it
+            with pytest.raises(UnicodeEncodeError):
+                new(report, tmp_path / "new")
+            continue
         a = new(report, tmp_path / "new").read_bytes()
-        b = old(report, tmp_path / "old").read_bytes()
         assert a == b
 
 

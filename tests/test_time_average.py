@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeqe.lattice import BoxMismatchError, Observable, cube
-from latticeqe.spectra import sine_basis
+from latticeqe.spectra import bloch_basis, sine_basis
 from latticeqe.time_average import (
     bessel_bound_check,
     centered,
@@ -349,3 +351,35 @@ class TestBessel:
                 a = Observable.diagonal(cube(N, d), rng.uniform(-1, 1, N**d))
                 lhs, rhs = bessel_bound_check(a)
                 assert lhs <= rhs
+
+
+MAX_SIDE = {1: 40, 2: 9, 3: 5}
+
+
+@st.composite
+def real_diagonals(draw):
+    """A real diagonal observable on a cube, d = 1..3, entries of mixed scale."""
+    d = draw(st.integers(1, 3), label="d")
+    N = draw(st.integers(1, MAX_SIDE[d]), label="N")
+    scale = draw(st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]), label="scale")
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=N**d, max_size=N**d), label="values")
+    return Observable.diagonal(cube(N, d), scale * np.array(values))
+
+
+class TestBoundProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(a=real_diagonals(), make=st.sampled_from([sine_basis, bloch_basis]))
+    def test_variance_at_most_hs_squared_over_volume(self, a, make):
+        # |<psi, a psi>|^2 <= ||a psi||^2 (Cauchy-Schwarz), summed over an
+        # orthonormal basis: equality for multiples of the identity, so the
+        # bound gets a relative rounding allowance of 1e-12
+        N, V = a.box.sides[0], a.box.volume
+        var = quantum_variance(make(N, a.box.d), a)
+        assert var <= hs_norm(a.diag()) ** 2 / V * (1 + 1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=real_diagonals())
+    def test_bessel_bound_holds(self, a):
+        # each of the 4^d classes contributes at most ||a~||^2 <= sup|a|^2 (N/(N+1))^d
+        lhs, rhs = bessel_bound_check(a)
+        assert lhs <= rhs
