@@ -26,6 +26,7 @@ from .spectra import (
     bloch_basis,
     degeneracy_classes,
     dirichlet_eigenpair,
+    lemma_c1_bins,
     lemma_c1_count,
     lemma_c1_counts,
     periodic_eigenpair,

@@ -123,27 +123,62 @@ def sine_shift_overlaps(N: int, z: int) -> np.ndarray:
     return _shift_overlaps(N, (z,))[0]
 
 
-# Columns of the sine factor per block of the streamed overlap kernel.
-_BLOCK = 128
+# Rows of the sine factor per block of the streamed overlap kernel.
+_BLOCK = 64
 
 
 def _shift_overlaps(N: int, offsets) -> np.ndarray:
     """Overlaps <s_j, rho_z s_j>, one row per offset z in [[1, N-1]].
 
-    Streams the 1-D sine factor in ``ceil(N / _BLOCK)`` near-equal column
-    blocks, so no ``N x N`` array is held. Every block entry goes through the
-    floating-point operations of the dense factor, and each column is summed
-    along x in order, so the overlaps equal those of the dense factor bit for
-    bit. Blocks are at least two columns wide: a single column would be
-    reduced along its contiguous axis, where numpy sums pairwise.
+    The factor ``S[x, j] = scale * sin(x j pi / (N+1))`` depends on the exact
+    integer ``x j`` only, so it is symmetric bit for bit, and only its lower
+    staircase is evaluated: ``ceil(N / _BLOCK)`` near-equal row blocks
+    ``[r0, r1)``, each over the columns ``[0, r1)``. A block's own columns
+    ``[r0, r1)`` take their rows ``x < r1`` from a contiguous copy of the
+    block's transpose; earlier columns add the block's rows to their running
+    sums, reading the last ``max(offsets)`` rows before the block from a
+    carried halo. Each column is summed along x in order, its running sum
+    written as the first row of the product buffer, so the overlaps equal
+    those of the dense factor bit for bit. Blocks hold at least two rows and
+    columns: a single column would be reduced along its contiguous axis,
+    where numpy sums pairwise.
     """
-    x = np.arange(1, N + 1)
+    offsets = list(offsets)
+    out = np.zeros((len(offsets), N))
+    if not offsets:
+        return out
+    R = max(offsets)
+    x = np.arange(1.0, N + 1.0)  # products x j < 2^53 are exact in floats
     scale = np.sqrt(2.0 / (N + 1))
-    out = np.empty((len(offsets), N))
-    for cols in np.array_split(x, -(-N // _BLOCK)):
-        block = scale * np.sin(np.outer(x, cols) * np.pi / (N + 1))
+    halo = np.empty((0, 0))  # rows [lo, r0) of the factor, columns [0, r0)
+    buf = np.empty((_BLOCK + 1) * N)  # products of one offset, running sums first
+    for rows in np.array_split(np.arange(N), -(-N // _BLOCK)):
+        r0, r1 = int(rows[0]), int(rows[-1]) + 1
+        lo = r0 - len(halo)
+        end = r1 - lo
+        window = np.empty((end, r1))  # the factor's rows [lo, r1), columns [0, r1)
+        window[: r0 - lo, :r0] = halo
+        block = window[r0 - lo:]
+        np.multiply.outer(x[r0:r1], x[:r1], out=block)
+        block *= np.pi
+        block /= N + 1
+        np.sin(block, out=block)
+        block *= scale
+        own = np.ascontiguousarray(block.T)  # the factor's rows [0, r1), columns [r0, r1)
+        window[: r0 - lo, r0:] = own[lo:r0]  # for the next halo, when it reaches above r0
         for row, z in zip(out, offsets):
-            row[cols - 1] = np.sum(block[: N - z] * block[z:], axis=0)
+            m = r1 - z  # pairs (x, x + z) with x + z < r1
+            if m > 0:
+                prod = buf[: m * (r1 - r0)].reshape(m, r1 - r0)
+                np.multiply(own[:m], own[z:r1], out=prod)
+                row[r0:r1] = prod.sum(axis=0)
+            m = min(r1 - r0, m)  # pairs with r0 <= x + z < r1, earlier columns
+            if r0 and m > 0:
+                prod = buf[: (m + 1) * r0].reshape(m + 1, r0)
+                prod[0] = row[:r0]
+                np.multiply(window[end - m - z: end - z, :r0], window[end - m:, :r0], out=prod[1:])
+                row[:r0] = prod.sum(axis=0)
+        halo = window[max(0, r1 - R) - lo:].copy()
     return out
 
 
@@ -154,11 +189,13 @@ def wucha_error_scan(n_values, R: int) -> list[dict]:
     max_j |<s_j, rho_z s_j> - Phi_{lam_j}(|z|)| together with its product
     with N; the product stays bounded along the scan while the error itself
     decays like 1/N. The overlaps of all offsets come from one streamed pass
-    over the sine factor per box size.
+    over the lower half of the sine factor per box size.
     """
     n_values = [int(N) for N in n_values]
     if not n_values:
         raise ValueError("need at least one box size")
+    if R < 0:
+        raise ValueError(f"offset range {R} is negative")
     if R > min(n_values) - 1:
         raise ValueError(f"offset range {R} too large for smallest box {min(n_values)}")
     rows = []

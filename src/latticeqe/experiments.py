@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,13 +22,14 @@ from .schrodinger import (
     partial_qe_experiment,
 )
 from .spectra import (
+    _grid_points,
     bloch_basis,
     dirichlet_eigenvalues,
-    lemma_c1_counts,
+    lemma_c1_bins,
     periodic_eigenvalues,
     sine_basis,
 )
-from .time_average import bessel_bound_check, centered, quantum_variance
+from .time_average import bessel_bound_check, centered, fourier_phases, quantum_variance
 from .correlators import wucha_error_scan
 
 __all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "run"]
@@ -90,6 +92,11 @@ class ExperimentConfig:
             raise ConfigError("box sizes must be positive")
         if self.d < 1:
             raise ConfigError("dimension must be positive")
+        if not isinstance(self.max_offset, int) or self.max_offset < 0:
+            raise ConfigError(f"max kernel offset (--R) must be a nonnegative integer, got {self.max_offset!r}")
+        if not isinstance(self.random_count, int) or self.random_count < 0:
+            raise ConfigError(f"random observable count (--random) must be a nonnegative integer, "
+                              f"got {self.random_count!r}")
         if self.mode not in ("dirichlet", "periodic"):
             raise ConfigError(f"unknown boundary mode {self.mode!r}")
         if self.task not in ("counterexample", "partial-qe"):
@@ -111,18 +118,22 @@ def _obs_rng(cfg: ExperimentConfig, *key):
     return np.random.default_rng([cfg.seed, *key])
 
 
+def _columns(names: str, records) -> dict[str, list]:
+    """A table from one tuple per row, holding the cells of the space-separated ``names`` in order."""
+    records = list(records)
+    return {name: [r[i] for r in records] for i, name in enumerate(names.split())}
+
+
 def _run_var_scan(cfg: ExperimentConfig):
     spec = cfg.obs[0]
     bound = cfg.bound if cfg.bound is not None else 1.0
 
     def one(N):
-        box = cube(N, cfg.d)
-        a = build_observable(spec, box, q=cfg.q, rng=_obs_rng(cfg, N))
+        a = build_observable(spec, cube(N, cfg.d), q=cfg.q, rng=_obs_rng(cfg, N))
         var = quantum_variance(_basis(cfg, N), centered(a))
-        return {"N": N, "var": var, "var_times_N": var * N, "pass": var * N <= bound}
+        return N, var, var * N, var * N <= bound
 
-    rows = [one(N) for N in cfg.n_values]
-    return ["N", "var", "var_times_N", "pass"], rows
+    return _columns("N var var_times_N pass", map(one, cfg.n_values))
 
 
 def _run_degeneracy(cfg: ExperimentConfig):
@@ -140,47 +151,41 @@ def _run_degeneracy(cfg: ExperimentConfig):
                 break
         singles = all(s == 1 for s in sizes)
         ok = perm_ok and (singles if cfg.d == 1 and cfg.mode == "dirichlet" else True)
-        return {
-            "N": N,
-            "n_classes": len(sizes),
-            "max_class_size": max(sizes),
-            "sum_sq_sizes": sum(s * s for s in sizes),
-            "all_singletons": singles,
-            "perm_consistent": perm_ok,
-            "pass": ok,
-        }
+        return N, len(sizes), max(sizes), sum(s * s for s in sizes), singles, perm_ok, ok
 
-    rows = [one(N) for N in cfg.n_values]
-    return (
-        ["N", "n_classes", "max_class_size", "sum_sq_sizes", "all_singletons", "perm_consistent", "pass"],
-        rows,
-    )
+    return _columns("N n_classes max_class_size sum_sq_sizes all_singletons perm_consistent pass",
+                    map(one, cfg.n_values))
 
 
 def _run_lemma_c1(cfg: ExperimentConfig):
-    rows = []
-    # Every cell string is formatted once per value, through lookup tables.
-    signs = {eps: ";".join(map(str, eps)) for eps in itertools.product((1, -1), repeat=cfg.d)}
+    d = cfg.d
+    table = {name: [] for name in ("N", "theta", "t", "eps", "epsp", "count", "bound", "pass")}
+    # Every cell string is formatted once per value: per sign vector, and per
+    # grid point from per-axis lookup tables.
+    signs = np.array([";".join(map(str, eps)) for eps in itertools.product((1, -1), repeat=d)], dtype=object)
     for N in cfg.n_values:
-        counts = lemma_c1_counts(N, cfg.d)
-        bound = 2 * N ** (cfg.d - 1)
+        s, t, count = lemma_c1_bins(N, d)
+        # sorted((t, eps, eps')) order: t ascending is grid index ascending,
+        # and eps, eps' ascending is sign-pair index descending.
+        order = np.argsort(t * 4**d - s)
+        s, t, count = s[order], t[order], count[order]
+        points, at = np.unique(t, return_inverse=True)
         axis = range(-2 * N, 2 * N + 1)
         theta = {tl: repr(tl / (N + 1)) for tl in axis}
         text = {tl: str(tl) for tl in axis}
-        rows += [
-            {
-                "N": N,
-                "theta": ";".join(map(theta.__getitem__, t)),
-                "t": ";".join(map(text.__getitem__, t)),
-                "eps": signs[eps],
-                "epsp": signs[epp],
-                "count": count,
-                "bound": bound,
-                "pass": count <= bound,
-            }
-            for (t, eps, epp), count in sorted(counts.items())
-        ]
-    return ["N", "theta", "t", "eps", "epsp", "count", "bound", "pass"], rows
+        coords = _grid_points(points, N, d)
+        for name, strings in (("theta", theta), ("t", text)):
+            cells = np.array([";".join(map(strings.__getitem__, c)) for c in coords], dtype=object)
+            table[name] += cells[at].tolist()
+        eps, epp = np.divmod(s, 2**d)
+        table["eps"] += signs[eps].tolist()
+        table["epsp"] += signs[epp].tolist()
+        bound = 2 * N ** (d - 1)
+        table["N"] += [N] * len(count)
+        table["count"] += count.tolist()
+        table["bound"] += [bound] * len(count)
+        table["pass"] += (count <= bound).tolist()
+    return table
 
 
 def _spectral_inclusion_error(N: int, d: int) -> float:
@@ -192,21 +197,12 @@ def _spectral_inclusion_error(N: int, d: int) -> float:
 
 def _run_correspond(cfg: ExperimentConfig):
     def one(N):
-        basis = sine_basis(N, cfg.d)
-        max_residual, gram_error = verify_correspondence_family(basis)
+        max_residual, gram_error = verify_correspondence_family(sine_basis(N, cfg.d))
         inclusion = _spectral_inclusion_error(N, cfg.d)
         ok = max_residual <= cfg.tol and gram_error <= cfg.tol and inclusion <= cfg.tol
-        return {
-            "N": N,
-            "d": cfg.d,
-            "max_residual": max_residual,
-            "gram_error": gram_error,
-            "spectral_inclusion_error": inclusion,
-            "pass": ok,
-        }
+        return N, cfg.d, max_residual, gram_error, inclusion, ok
 
-    rows = [one(N) for N in cfg.n_values]
-    return ["N", "d", "max_residual", "gram_error", "spectral_inclusion_error", "pass"], rows
+    return _columns("N d max_residual gram_error spectral_inclusion_error pass", map(one, cfg.n_values))
 
 
 def _run_schrodinger(cfg: ExperimentConfig):
@@ -214,97 +210,58 @@ def _run_schrodinger(cfg: ExperimentConfig):
 
         def one(N):
             profile = counterexample_mass_profile(cfg.mass, N)
-            return {
-                "N": N,
-                "M": cfg.mass,
-                "volume": 2 * N,
-                "low_band_count": profile.low_band_count,
-                "high_band_count": profile.high_band_count,
-                "bands_complete": profile.bands_complete,
-                "max_low_even_mass": profile.max_low_even_mass,
-                "max_high_odd_mass": profile.max_high_odd_mass,
-                "mass_bound": profile.mass_bound,
-                "pass": profile.bands_complete and profile.bound_holds,
-            }
+            return (N, cfg.mass, 2 * N, profile.low_band_count, profile.high_band_count,
+                    profile.bands_complete, profile.max_low_even_mass, profile.max_high_odd_mass,
+                    profile.mass_bound, profile.bands_complete and profile.bound_holds)
 
-        rows = [one(N) for N in cfg.n_values]
-        return (
-            [
-                "N",
-                "M",
-                "volume",
-                "low_band_count",
-                "high_band_count",
-                "bands_complete",
-                "max_low_even_mass",
-                "max_high_odd_mass",
-                "mass_bound",
-                "pass",
-            ],
-            rows,
-        )
+        return _columns("N M volume low_band_count high_band_count bands_complete max_low_even_mass "
+                        "max_high_odd_mass mass_bound pass", map(one, cfg.n_values))
 
     potential = load_potential(cfg.potential) if cfg.potential else counterexample_potential(cfg.mass)
-    rows = []
+    q = ";".join(str(c) for c in potential.q)
     first_var: dict[str, float] = {}
-    for spec in cfg.obs:
-        for N in cfg.n_values:
-            box = lattice_block(potential.q, N)
-            a = build_observable(spec, box, q=potential.q, rng=_obs_rng(cfg, N))
-            result = partial_qe_experiment(
-                potential, N, a, enforce_lc=not cfg.unchecked, exploratory=cfg.exploratory
-            )
-            if result.lc_checked:
-                ok = result.variance <= first_var.setdefault(spec, result.variance) + 1e-15
-            else:
-                ok = True  # reporting only: inadmissible observable, nothing asserted
-            rows.append(
-                {
-                    "N": N,
-                    "q": ";".join(str(c) for c in potential.q),
-                    "obs": spec,
-                    "variance": result.variance,
-                    "lc_deviation": result.lc_deviation,
-                    "lc_checked": result.lc_checked,
-                    "pass": ok,
-                }
-            )
-    return ["N", "q", "obs", "variance", "lc_deviation", "lc_checked", "pass"], rows
+
+    def one(spec, N):
+        box = lattice_block(potential.q, N)
+        a = build_observable(spec, box, q=potential.q, rng=_obs_rng(cfg, N))
+        result = partial_qe_experiment(potential, N, a, enforce_lc=not cfg.unchecked, exploratory=cfg.exploratory)
+        if result.lc_checked:
+            ok = result.variance <= first_var.setdefault(spec, result.variance) + 1e-15
+        else:
+            ok = True  # reporting only: inadmissible observable, nothing asserted
+        return N, q, spec, result.variance, result.lc_deviation, result.lc_checked, ok
+
+    return _columns("N q obs variance lc_deviation lc_checked pass",
+                    itertools.starmap(one, itertools.product(cfg.obs, cfg.n_values)))
 
 
 def _run_correlator(cfg: ExperimentConfig):
-    scan = wucha_error_scan(cfg.n_values, cfg.max_offset)
+    rows = wucha_error_scan(cfg.n_values, cfg.max_offset)
+    scan = {name: [row[name] for row in rows] for name in ("N", "z", "max_err", "err_times_N")}
     first = {}
-    for row in scan:
-        first.setdefault(row["z"], row["err_times_N"])
-    rows = []
-    for row in scan:
-        bound = cfg.bound if cfg.bound is not None else max(2.0 * first[row["z"]], 1e-8)
-        rows.append({**row, "bound": bound, "pass": row["err_times_N"] <= bound})
-    return ["N", "z", "max_err", "err_times_N", "bound", "pass"], rows
+    for z, scaled in zip(scan["z"], scan["err_times_N"]):
+        first.setdefault(z, scaled)
+    if cfg.bound is not None:
+        bound = [cfg.bound] * len(scan["z"])
+    else:
+        bound = [max(2.0 * first[z], 1e-8) for z in scan["z"]]
+    return {**scan, "bound": bound, "pass": list(map(operator.le, scan["err_times_N"], bound))}
 
 
 def _run_bessel(cfg: ExperimentConfig):
     specs = list(cfg.obs) + ["random-diagonal"] * cfg.random_count
-    rows = []
-    for N in cfg.n_values:
-        box = cube(N, cfg.d)
-        for i, spec in enumerate(specs):
-            a = build_observable(spec, box, q=cfg.q, rng=_obs_rng(cfg, N, i))
-            lhs, rhs = bessel_bound_check(a)
-            name = spec if spec != "random-diagonal" else f"random-diagonal-{i}"
-            rows.append(
-                {
-                    "N": N,
-                    "d": cfg.d,
-                    "obs": name,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "slack": rhs - lhs,
-                    "pass": lhs <= rhs * (1 + 1e-12),
-                }
-            )
-    return ["N", "d", "obs", "lhs", "rhs", "slack", "pass"], rows
+
+    def records():
+        for N in cfg.n_values:
+            box = cube(N, cfg.d)
+            phases = fourier_phases(N)  # one phase matrix per box side, shared by its observables
+            for i, spec in enumerate(specs):
+                a = build_observable(spec, box, q=cfg.q, rng=_obs_rng(cfg, N, i))
+                lhs, rhs = bessel_bound_check(a, phases)
+                name = spec if spec != "random-diagonal" else f"random-diagonal-{i}"
+                yield N, cfg.d, name, lhs, rhs, rhs - lhs, lhs <= rhs * (1 + 1e-12)
+
+    return _columns("N d obs lhs rhs slack pass", records())
 
 
 EXPERIMENTS = {
@@ -322,12 +279,12 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Validate, dispatch, and package an experiment run."""
     cfg.validate()
     start = time.perf_counter()
-    columns, rows = EXPERIMENTS[cfg.experiment](cfg)
+    table = EXPERIMENTS[cfg.experiment](cfg)
     wall = time.perf_counter() - start
     metadata = {
         "version": _VERSION,
         "config_hash": config_hash(cfg.canonical()),
         "config": cfg.canonical(),
     }
-    return ExperimentReport(cfg.experiment, columns, rows, metadata, wall_time_s=wall)
+    return ExperimentReport(cfg.experiment, list(table), list(table.values()), metadata, wall_time_s=wall)
 

@@ -5,23 +5,25 @@ shortest round-trip decimal form; JSON files use sorted keys and two-space
 indentation. Identical configs and seeds must reproduce byte-identical
 files, so volatile data (wall time) stays out of the serialized payload.
 
-Both writers work column by column. Every row must be keyed by exactly the
-report's columns, and every cell must be a scalar: ``None``, ``bool``,
-``int``, ``float``, ``str``, or a numpy bool, integer or floating scalar.
-A column whose cells share one plain type is converted to text by a single
-``map`` of that type's formatter; other columns are first converted cell by
-cell to plain scalars, then formatted with the same formatters.
+A report holds its cells as one list per column, in column order. Both
+writers format each column once and join the lines, byte for byte what
+``csv.writer`` and ``json.dumps`` write for the rows. Every cell must be a
+scalar: ``None``, ``bool``, ``int``, ``float``, ``str``, or a numpy bool,
+integer or floating scalar. A column whose cells share one plain type is
+converted to text by a single ``map`` of that type's formatter; other
+columns are first converted cell by cell to plain scalars, then formatted
+with the same formatters.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 from json.encoder import encode_basestring
-from operator import eq, itemgetter, methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -46,17 +48,42 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+class _Rows(Sequence):
+    """Read-only view of a report's rows, each a dict in column order."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: ExperimentReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        cells = self._report.cells
+        return len(cells[0]) if cells else 0
+
+    def __getitem__(self, i) -> dict:
+        i = range(len(self))[i]
+        return {name: column[i] for name, column in zip(self._report.columns, self._report.cells)}
+
+    def __iter__(self):
+        columns = self._report.columns
+        return (dict(zip(columns, row)) for row in zip(*self._report.cells))
+
+
 @dataclass(eq=False)
 class ExperimentReport:
     experiment: str
     columns: list[str]
-    rows: list[dict]
+    cells: list[list]  # one list per column, in column order
     metadata: dict = field(default_factory=dict)
     wall_time_s: float | None = None  # informational only, never serialized
 
     @property
+    def rows(self) -> _Rows:
+        return _Rows(self)
+
+    @property
     def passed(self) -> bool:
-        return all(map(methodcaller("get", "pass", True), self.rows))
+        return "pass" not in self.columns or all(self.cells[self.columns.index("pass")])
 
 
 # (accepted types, plain type), in order: bool before int, its superclass.
@@ -96,26 +123,48 @@ def _column_texts(column: list, formats: dict) -> list[str]:
     return [formats[type(value)](value) for value in map(_scalar, column)]
 
 
-def _text_rows(report: ExperimentReport, names, formats: dict):
-    """The report's cells as text, one tuple per row, columns in ``names`` order."""
+def _probe_csv(char: str) -> bool:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([char])
+    return buf.getvalue() != char + "\n"
+
+
+# The characters that make csv.writer quote a field: the delimiter, the quote
+# character and the line terminator, and on some Python versions also "\r".
+_CSV_SPECIAL = tuple(filter(_probe_csv, ',"\r\n'))
+
+
+def _csv_fields(texts: list[str]) -> list[str]:
+    """Cell texts as csv.writer quotes them; one search when none needs quotes."""
+    joined = "".join(texts)
+    if not any(map(joined.__contains__, _CSV_SPECIAL)):
+        return texts
+    return ['"' + text.replace('"', '""') + '"' if any(map(text.__contains__, _CSV_SPECIAL)) else text
+            for text in texts]
+
+
+def _cell_texts(report: ExperimentReport, order: list[int], formats: dict) -> list[list[str]]:
+    """The text of each column in ``order``, after checking the report's shape."""
     columns = list(report.columns)
     if len(set(columns)) != len(columns):
         raise ValueError(f"duplicate report columns in {columns}")
-    expected = set(columns)
-    if not all(map(eq, map(dict.keys, report.rows), repeat(expected))):
-        i, row = next((i, row) for i, row in enumerate(report.rows) if row.keys() != expected)
-        raise ValueError(f"row {i} has keys {sorted(map(str, row))}, the report's columns are {columns}")
-    texts = [_column_texts(list(map(itemgetter(name), report.rows)), formats) for name in names]
-    return zip(*texts) if texts else [()] * len(report.rows)
+    if len(report.cells) != len(columns):
+        raise ValueError(f"{len(report.cells)} cell lists for the report's columns {columns}")
+    lengths = sorted(set(map(len, report.cells)))
+    if len(lengths) > 1:
+        raise ValueError(f"report columns of unequal lengths {lengths}")
+    return [_column_texts(report.cells[i], formats) for i in order]
 
 
 def write_csv(report: ExperimentReport, path) -> Path:
     path = Path(path)
-    rows = _text_rows(report, report.columns, _CSV_TEXT)
+    texts = _cell_texts(report, range(len(report.columns)), _CSV_TEXT)
+    columns = [_csv_fields([name, *column]) for name, column in zip(report.columns, texts)]
+    if len(columns) == 1:  # csv.writer quotes a record made of one empty field
+        columns = [['""' if text == "" else text for text in columns[0]]]
+    lines = list(map(",".join, zip(*columns))) or [""]  # no columns: an empty header line
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(report.columns)
-        writer.writerows(rows)
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -127,7 +176,7 @@ def write_json(report: ExperimentReport, path) -> Path:
     """
     path = Path(path)
     names = sorted(report.columns)
-    rows = _text_rows(report, names, _JSON_TEXT)
+    texts = _cell_texts(report, [report.columns.index(name) for name in names], _JSON_TEXT)
     head = {
         "experiment": report.experiment,
         "metadata": _plain(report.metadata),
@@ -135,12 +184,9 @@ def write_json(report: ExperimentReport, path) -> Path:
         "passed": report.passed,
     }
     text = json.dumps(head, sort_keys=True, indent=2, ensure_ascii=False)
-    if names:
-        fields = (encode_basestring(name).replace("%", "%%") for name in names)
-        template = "    {\n" + ",\n".join(f"      {key}: %s" for key in fields) + "\n    }"
-    else:
-        template = "    {}"
-    body = ",\n".join(map(template.__mod__, rows))
+    fields = (encode_basestring(name).replace("%", "%%") for name in names)
+    template = "    {\n" + ",\n".join(f"      {key}: %s" for key in fields) + "\n    }"
+    body = ",\n".join(map(template.__mod__, zip(*texts)))
     body = "[\n" + body + "\n  ]" if body else "[]"
     text = text[: -len("\n}")] + ',\n  "rows": ' + body + "\n}\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:

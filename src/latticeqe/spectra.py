@@ -44,6 +44,7 @@ __all__ = [
     "degeneracy_classes",
     "lemma_c1_count",
     "lemma_c1_counts",
+    "lemma_c1_bins",
 ]
 
 
@@ -431,6 +432,24 @@ def _grid_points(index: np.ndarray, N: int, d: int) -> list[tuple[int, ...]]:
     return list(map(tuple, t.tolist()))
 
 
+def lemma_c1_bins(N: int, d: int, tol: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair counts of :func:`lemma_c1_counts` as arrays, in the same order.
+
+    Returns ``(s, t, count)``, one entry per nonempty bin: the sign-pair
+    index ``s = e 2^d + e'``, where e and e' are the places of eps and eps'
+    in ``itertools.product((1, -1), repeat=d)``; the row-major index of
+    ``t + 2N`` on the grid ``[[0, 4N]]^d``; and the number of pairs.
+    """
+    tol = default_deg_tol(d) if tol is None else tol
+    _, _, t = _equal_pairs(ProductBasis("dirichlet", N, d), tol)
+    grid = (4 * N + 1) ** d
+    key = (np.arange(4**d) * grid + t)[t != grid // 2]  # the grid's center is t = 0
+    key, first, count = np.unique(key, return_index=True, return_counts=True)
+    rank = np.argsort(first)
+    s, t = np.divmod(key[rank], grid)
+    return s, t, count[rank]
+
+
 def lemma_c1_counts(N: int, d: int, tol: float | None = None) -> dict:
     """Exhaustive pair counts for every nonzero theta and sign combination.
 
@@ -443,14 +462,7 @@ def lemma_c1_counts(N: int, d: int, tol: float | None = None) -> dict:
     ``(t, eps, eps') -> count`` in order of first appearance in the sweep;
     absent keys have count zero.
     """
-    tol = default_deg_tol(d) if tol is None else tol
-    _, _, t = _equal_pairs(ProductBasis("dirichlet", N, d), tol)
+    s, t, count = lemma_c1_bins(N, d, tol)
     eps, epp = _sign_pairs(d)
-    grid = (4 * N + 1) ** d
-    key = (np.arange(len(eps)) * grid + t)[t != grid // 2]  # the grid's center is t = 0
-    key, first, count = np.unique(key, return_index=True, return_counts=True)
-    rank = np.argsort(first)
-    s, t = np.divmod(key[rank], grid)
     eps, epp = [tuple(e) for e in eps.tolist()], [tuple(e) for e in epp.tolist()]
-    counts = count[rank].tolist()
-    return {(tk, eps[sl], epp[sl]): c for tk, sl, c in zip(_grid_points(t, N, d), s.tolist(), counts)}
+    return {(tk, eps[sl], epp[sl]): c for tk, sl, c in zip(_grid_points(t, N, d), s.tolist(), count.tolist())}

@@ -38,6 +38,7 @@ __all__ = [
     "time_averaged_observable",
     "numeric_time_average",
     "fourier_coefficient",
+    "fourier_phases",
     "fourier_coefficients",
     "center_matrix",
     "ThetaComponent",
@@ -174,16 +175,22 @@ def fourier_coefficient(a: Observable, t) -> complex:
     return complex(g)
 
 
-def fourier_coefficients(a: Observable) -> np.ndarray:
+def fourier_phases(N: int) -> np.ndarray:
+    """The phases exp(-i pi x t/(N+1)) for x in [[1, N]], t in [[-2N, 2N]]: shape (N, 4N+1)."""
+    x = np.arange(1, N + 1)
+    t = np.arange(-2 * N, 2 * N + 1)
+    return np.exp(-1j * np.pi * np.outer(x, t) / (N + 1))
+
+
+def fourier_coefficients(a: Observable, phases: np.ndarray | None = None) -> np.ndarray:
     """All coefficients e_theta . a on the grid t in [[-2N, 2N]]^d.
 
     Returns an array of shape (4N+1,)*d; entry at index (t_1+2N, ...) holds
-    the coefficient for theta = t/(N+1).
+    the coefficient for theta = t/(N+1). Observables on one box may share
+    ``phases``, the matrix :func:`fourier_phases` gives for their side N.
     """
     N, d = _require_cube(a)
-    x = np.arange(1, N + 1)
-    t = np.arange(-2 * N, 2 * N + 1)
-    P = np.exp(-1j * np.pi * np.outer(x, t) / (N + 1))  # (N, 4N+1)
+    P = fourier_phases(N) if phases is None else phases
     g = a.require_diagonal().reshape(a.box.sides).astype(complex)
     for _ in range(d):
         g = np.tensordot(g, P, axes=([0], [0]))
@@ -212,28 +219,34 @@ def center_matrix(a: Observable):
 
 @dataclass(eq=False)
 class ThetaComponent:
-    """One frequency component of the masked center matrix.
+    """One frequency component of the masked center matrix, as COO arrays.
 
-    ``entries`` maps frequency-pair positions (i, j) in row-major frequency
-    order to values; only pairs with equal eigenvalues and a sign combination
-    hitting t appear, so for nonzero t the support has at most
-    2 * 4^d * N^(d-1) sites and every entry is bounded by
-    (2/(N+1))^d |e_theta . a|.
+    Entry p sits at the frequency-pair position ``(rows[p], cols[p])`` in
+    row-major frequency order, each position at most once; only pairs with
+    equal eigenvalues and a sign combination hitting t appear, so for nonzero
+    t the support has at most 2 * 4^d * N^(d-1) sites and every entry is
+    bounded by (2/(N+1))^d |e_theta . a|.
     """
 
     t: tuple[int, ...]
     theta: tuple[float, ...]
     coefficient: complex
-    entries: dict[tuple[int, int], complex]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @property
+    def entries(self) -> dict[tuple[int, int], complex]:
+        """The entries as a new dict ``(i, j) -> value``, in entry order."""
+        return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.values.tolist()))
 
     @property
     def nnz(self) -> int:
-        return sum(1 for v in self.entries.values() if v != 0)
+        return int(np.count_nonzero(self.values))
 
     def matrix(self, n: int) -> np.ndarray:
         M = np.zeros((n, n), dtype=complex)
-        for (i, j), v in self.entries.items():
-            M[i, j] = v
+        M[self.rows, self.cols] = self.values
         return M
 
 
@@ -258,10 +271,13 @@ class ThetaDecomposition:
         return np.zeros((self.n, self.n), dtype=complex)
 
     def total_matrix(self) -> np.ndarray:
+        """The sum of the components, each position adding its entries in component order."""
         out = np.zeros((self.n, self.n), dtype=complex)
-        for comp in self.components.values():
-            for (i, j), v in comp.entries.items():
-                out[i, j] += v
+        comps = self.components.values()
+        if comps:
+            rows, cols, values = (np.concatenate([getattr(c, name) for c in comps])
+                                  for name in ("rows", "cols", "values"))
+            np.add.at(out, (rows, cols), values)
         return out
 
 
@@ -296,8 +312,7 @@ def theta_decompose(a: Observable, tol: float | None = None) -> ThetaDecompositi
     values.imag = np.bincount(inverse, weights=terms.imag.reshape(-1))
     component, pair = np.divmod(entry, len(i))
     bounds = [0, *(np.flatnonzero(np.diff(component)) + 1).tolist(), len(entry)]
-    keys = list(zip(i[pair].tolist(), j[pair].tolist()))
-    values = values.tolist()
+    rows, cols = i[pair], j[pair]
     flat = t_grid[by_first]
     components: dict[tuple[int, ...], ThetaComponent] = {}
     ts = _grid_points(flat, N, d)
@@ -306,21 +321,24 @@ def theta_decompose(a: Observable, tol: float | None = None) -> ThetaDecompositi
             t=tk,
             theta=tuple(c / (N + 1) for c in tk),
             coefficient=coeff,
-            entries=dict(zip(keys[lo:hi], values[lo:hi])),
+            rows=rows[lo:hi],
+            cols=cols[lo:hi],
+            values=values[lo:hi],
         )
     return ThetaDecomposition(N, d, pb.freqs(), pb.eigs, components)
 
 
-def bessel_bound_check(a: Observable):
+def bessel_bound_check(a: Observable, phases: np.ndarray | None = None):
     """Summed squared Fourier overlaps against the 4^d class Bessel bound.
 
     Returns ``(lhs, rhs)`` where lhs sums |<e~_theta, a~>|^2 over the full
     frequency grid (with a~ the zero-padded normalized diagonal on
     [[0, N]]^d) and rhs = 4^d sup|a|^2. The bound holds when lhs <= rhs;
     the caller gives the verdict, so a violation is reported, not raised.
+    ``phases`` is passed on to :func:`fourier_coefficients`.
     """
     N, d = _require_cube(a)
-    coeffs = fourier_coefficients(a)
+    coeffs = fourier_coefficients(a, phases)
     lhs = float(np.sum(np.abs(coeffs) ** 2) / (N + 1) ** (2 * d))
     rhs = float(4**d * a.sup_norm**2)
     return lhs, rhs

@@ -38,6 +38,23 @@ class TestExitCodes:
     def test_missing_sizes_rejected(self, tmp_path):
         assert main(["var-scan", "--d", "1", "--out", str(tmp_path)]) == 1
 
+    def test_negative_offset_range_rejected(self, tmp_path, capsys):
+        assert main(["correlator", "--N", "10,20", "--R", "-1", "--out", str(tmp_path)]) == 1
+        assert "--R" in capsys.readouterr().err
+        assert not (tmp_path / "correlator.csv").exists()
+
+    def test_negative_random_count_rejected(self, tmp_path, capsys):
+        code = main(["bessel", "--d", "1", "--N", "4", "--random", "-3", "--out", str(tmp_path)])
+        assert code == 1
+        assert "--random" in capsys.readouterr().err
+        assert not (tmp_path / "bessel.csv").exists()
+
+    @pytest.mark.parametrize("field", ["max_offset", "random_count"])
+    def test_non_integer_count_in_config_rejected(self, tmp_path, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: None}))
+        assert main(["var-scan", "--config", str(path), "--N", "4", "--out", str(tmp_path)]) == 1
+
     def test_no_experiment_given(self):
         assert main([]) == 1
 
@@ -71,8 +88,8 @@ class TestExitCodes:
             "import latticeqe.time_average as ta\n"
             "from latticeqe.cli import main\n"
             "real = ta.fourier_coefficients\n"
-            "def inflated(a):\n"
-            "    c = real(a).copy()\n"
+            "def inflated(a, *args):\n"
+            "    c = real(a, *args).copy()\n"
             "    c.flat[0] += 100.0\n"
             "    return c\n"
             "ta.fourier_coefficients = inflated\n"
@@ -138,6 +155,16 @@ class TestOutputs:
         assert row["low_band_count"] == 10
         assert row["high_band_count"] == 10
         assert row["pass"] is True
+
+    def test_bessel_builds_one_phase_matrix_per_side(self, tmp_path, monkeypatch):
+        from latticeqe import experiments
+
+        sides = []
+        real = experiments.fourier_phases
+        monkeypatch.setattr(experiments, "fourier_phases", lambda N: sides.append(N) or real(N))
+        argv = ["bessel", "--d", "2", "--N", "2,4,5", "--obs", "half-indicator,parity", "--random", "3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert sides == [2, 4, 5]
 
     def test_correlator_scan(self, tmp_path):
         code = main(["correlator", "--N", "20,40", "--R", "2", "--out", str(tmp_path)])
@@ -269,18 +296,18 @@ class TestConfigFile:
 
 class TestReporting:
     def test_empty_rows_gives_header_only_csv(self, tmp_path):
-        report = ExperimentReport("demo", ["a", "b"], [], {"version": "0"})
+        report = ExperimentReport("demo", ["a", "b"], [[], []], {"version": "0"})
         path = write_csv(report, tmp_path / "demo.csv")
         assert read(path) == "a,b\n"
 
     def test_float_cells_round_trip(self, tmp_path):
-        report = ExperimentReport("demo", ["x"], [{"x": 0.1 + 0.2}], {})
+        report = ExperimentReport("demo", ["x"], [[0.1 + 0.2]], {})
         path = write_csv(report, tmp_path / "demo.csv")
         cell = read(path).split("\n")[1]
         assert float(cell) == 0.1 + 0.2
 
     def test_emit_writes_both_formats(self, tmp_path):
-        report = ExperimentReport("demo", ["x"], [{"x": 1}], {"config_hash": "h"})
+        report = ExperimentReport("demo", ["x"], [[1]], {"config_hash": "h"})
         paths = emit_report(report, tmp_path)
         assert {p.name for p in paths} == {"demo.csv", "demo.json"}
 

@@ -235,7 +235,7 @@ class TestShiftOverlaps:
                 sine_shift_overlaps(N, 1), np.cos(j * np.pi / (N + 1)), atol=1e-12
             )
 
-    @pytest.mark.parametrize("N", [2, 7, 50, _BLOCK + 1, 2 * _BLOCK + 1, 301, 3 * _BLOCK + 1])
+    @pytest.mark.parametrize("N", sorted({2, 7, 50, 129, 257, 301, 385, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 1}))
     def test_matches_dense_oracle_and_closed_form(self, N):
         # summing sin(ax) sin(a(x+z)) over [[1, N-z]], a = j pi/(N+1), gives
         # ((N-z) cos(az) - sin((N-z)a) cos(a(N+1)) / sin a) / (N+1)
@@ -279,22 +279,50 @@ def kernel_offsets(N):
     return sorted({z for z in (1, 2, 3, N // 2, N - 1) if 1 <= z < N})
 
 
+def offset_sets(N):
+    """Offset lists for the kernel at box size N: z = N - 1 has a single pair
+    per column, and the last list runs offsets past a block height, so the
+    halo spans several blocks."""
+    return [kernel_offsets(N), [1], [min(5, N - 1)], [N - 1], list(range(1, min(N - 1, 139) + 1))]
+
+
 class TestStreamedKernel:
     def test_matches_dense_oracle_bitwise_small_boxes(self):
-        # every block width from 2 to _BLOCK, and N = _BLOCK + 1 and
-        # 2 * _BLOCK + 1, where fixed-width blocks would leave a one-column tail
+        # every block height from 2 to _BLOCK, and N = _BLOCK + 1 and
+        # 2 * _BLOCK + 1, where fixed-height blocks would leave a one-row tail
         for N in range(2, 301):
             S = sine_matrix(N, 1)[0]
-            offsets = kernel_offsets(N)
-            for z, row in zip(offsets, _shift_overlaps(N, offsets)):
-                assert np.array_equal(row, dense_shift_overlaps(S, z)), (N, z)
+            for offsets in offset_sets(N):
+                for z, row in zip(offsets, _shift_overlaps(N, offsets)):
+                    assert np.array_equal(row, dense_shift_overlaps(S, z)), (N, z)
 
     @pytest.mark.parametrize("N", [385, 400, 513, 800, 1025, 1600, 2000])
     def test_matches_dense_oracle_bitwise_scan_sizes(self, N):
         S = sine_matrix(N, 1)[0]
-        offsets = kernel_offsets(N)
-        for z, row in zip(offsets, _shift_overlaps(N, offsets)):
-            assert np.array_equal(row, dense_shift_overlaps(S, z)), z
+        for offsets in offset_sets(N):
+            for z, row in zip(offsets, _shift_overlaps(N, offsets)):
+                assert np.array_equal(row, dense_shift_overlaps(S, z)), (z, len(offsets))
+
+    def test_no_offsets_evaluates_no_sine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sine evaluated")
+
+        monkeypatch.setattr(np, "sin", refuse)
+        assert _shift_overlaps(50, []).shape == (0, 50)
+        assert wucha_error_scan([10, 20], 0)[1]["max_err"] == 0.0
+
+    def test_staircase_evaluates_half_the_factor(self, monkeypatch):
+        evaluated = []
+        real = np.sin
+
+        def counting(a, *args, **kwargs):
+            evaluated.append(np.size(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counting)
+        N = 1600
+        _shift_overlaps(N, [1, 2, 3])
+        assert N * N / 2 < sum(evaluated) <= N * (N + _BLOCK) / 2
 
     def test_scan_peak_memory_without_dense_factor(self):
         # the dense 1600 x 1600 factor alone is 20 MB
@@ -362,3 +390,5 @@ class TestUniversalityScan:
     def test_offset_range_validated(self):
         with pytest.raises(ValueError):
             wucha_error_scan([5, 10], R=5)
+        with pytest.raises(ValueError):
+            wucha_error_scan([5, 10], R=-1)

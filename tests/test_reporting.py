@@ -1,4 +1,4 @@
-"""Columnar report writers against the row-by-row writers they replaced."""
+"""Columnar reports and writers against the row-by-row writers they replaced."""
 
 import math
 
@@ -50,12 +50,9 @@ def reports(draw):
         draw(st.lists(SCALARS[kind] if kind != "mixed" else any_scalar, min_size=n_rows, max_size=n_rows))
         for kind in kinds
     ]
-    rows = [{name: col[i] for name, col in zip(names, columns)} for i in range(n_rows)]
-    order = draw(st.permutations(names)) if names else []
-    rows = [{name: row[name] for name in order} for row in rows]  # key order must not matter
     experiment = draw(texts)
     metadata = {"version": "0.1.0", "config": {"note": draw(texts), "n_values": [1, 2]}}
-    return ExperimentReport(experiment, names, rows, metadata)
+    return ExperimentReport(experiment, names, columns, metadata)
 
 
 def assert_same_bytes(report, tmp_path):
@@ -91,34 +88,42 @@ def test_edge_values_of_each_type(kind, tmp_path):
         "none": [None, None],
         "str": ["", "a,b", 'say "hi"', "two\nlines", "cr\rlf", "café ☃ \U0001f600", "100%"],
     }[kind]
-    rows = [{"x": v, "pass": True} for v in values]
-    assert_same_bytes(ExperimentReport("edge", ["x", "pass"], rows, {"k": 1}), tmp_path)
+    report = ExperimentReport("edge", ["x", "pass"], [values, [True] * len(values)], {"k": 1})
+    assert_same_bytes(report, tmp_path)
 
 
 def test_mixed_column(tmp_path):
     cells = [1, 2.5, None, True, "s", np.float64(-0.0), np.int64(7), np.bool_(False), math.nan]
-    rows = [{"mixed": v, "const": 1.0} for v in cells]
-    assert_same_bytes(ExperimentReport("mixed", ["mixed", "const"], rows, {}), tmp_path)
+    report = ExperimentReport("mixed", ["mixed", "const"], [cells, [1.0] * len(cells)], {})
+    assert_same_bytes(report, tmp_path)
 
 
+# Zero rows, zero columns, and one column whose name and cell are empty: a
+# record made of one empty field is the one csv.writer quotes whole.
 @pytest.mark.parametrize("columns, rows", [
-    (["a", "b"], []),
+    (["a", "b"], [[], []]),
     ([], []),
-    ([], [{}, {}]),
+    ([""], [["", None, "x"]]),
 ])
 def test_empty_reports(columns, rows, tmp_path):
     assert_same_bytes(ExperimentReport("empty", columns, rows, {}), tmp_path)
 
 
+@settings(max_examples=200, deadline=None)
+@given(name=texts, cells=st.lists(texts | st.none(), max_size=6))
+def test_one_column_reports(name, cells, tmp_path_factory):
+    assert_same_bytes(ExperimentReport("one", [name], [cells], {}), tmp_path_factory.mktemp("w"))
+
+
 @pytest.mark.parametrize("writer", [write_csv, write_json])
 @pytest.mark.parametrize("columns, row", [
-    (["a", "b"], {"a": 1}),
-    (["a"], {"a": 1, "b": 2}),
-    (["a", "b"], {"a": 1, "c": 2}),
-    (["a", "a"], {"a": 1}),
+    (["a", "b"], [[0, 1]]),  # fewer cell lists than columns
+    (["a"], [[0, 1], [0, 2]]),  # more cell lists than columns
+    (["a", "b"], [[0, 1], [0]]),  # columns of unequal lengths
+    (["a", "a"], [[0, 1], [0, 1]]),  # duplicate column names
 ])
 def test_key_column_mismatch_raises(writer, columns, row, tmp_path):
-    report = ExperimentReport("bad", columns, [{k: 0 for k in columns}, row], {})
+    report = ExperimentReport("bad", columns, row, {})
     with pytest.raises(ValueError):
         writer(report, tmp_path / "bad")
 
@@ -126,7 +131,7 @@ def test_key_column_mismatch_raises(writer, columns, row, tmp_path):
 @pytest.mark.parametrize("writer", [write_csv, write_json])
 @pytest.mark.parametrize("cell", [[1, 2], (1.0,), {"k": 1}, 1j, np.array([1.0])])
 def test_non_scalar_cell_raises(writer, cell, tmp_path):
-    report = ExperimentReport("bad", ["a"], [{"a": 1.0}, {"a": cell}], {})
+    report = ExperimentReport("bad", ["a"], [[1.0, cell]], {})
     with pytest.raises(TypeError):
         writer(report, tmp_path / "bad")
 
@@ -159,3 +164,16 @@ def test_cli_reports_match_row_by_row_bytes(argv, tmp_path, monkeypatch):
     for ext, oracle in (("csv", loop_write_csv), ("json", loop_write_json)):
         written = (tmp_path / f"{report.experiment}.{ext}").read_bytes()
         assert written == oracle(report, tmp_path / f"oracle.{ext}").read_bytes()
+
+
+def test_row_view():
+    report = ExperimentReport("view", ["a", "pass"], [[1, 2, 3], [True, np.bool_(True), False]], {})
+    assert len(report.rows) == 3
+    assert report.rows[-1] == {"a": 3, "pass": False}
+    assert list(report.rows) == [report.rows[i] for i in range(3)]
+    assert list(report.rows[0]) == ["a", "pass"]
+    with pytest.raises(IndexError):
+        report.rows[3]
+    assert not report.passed
+    assert len(ExperimentReport("none", [], [], {}).rows) == 0
+    assert ExperimentReport("none", [], [], {}).passed

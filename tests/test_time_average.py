@@ -14,6 +14,7 @@ from latticeqe.time_average import (
     expectations,
     fourier_coefficient,
     fourier_coefficients,
+    fourier_phases,
     hs_norm,
     numeric_time_average,
     quantum_variance,
@@ -295,6 +296,16 @@ class TestThetaDecomposition:
 
 
 class TestBessel:
+    @pytest.mark.parametrize("d,N", [(1, 7), (2, 4), (3, 3)])
+    def test_shared_phases_bitwise(self, d, N):
+        rng = np.random.default_rng(d)
+        phases = fourier_phases(N)
+        assert phases.shape == (N, 4 * N + 1)
+        for _ in range(3):
+            a = Observable.diagonal(cube(N, d), rng.uniform(-1, 1, N**d))
+            assert np.array_equal(fourier_coefficients(a, phases), fourier_coefficients(a))
+            assert bessel_bound_check(a, phases) == bessel_bound_check(a)
+
     def test_zero_observable(self):
         a = Observable.diagonal(cube(4, 1), np.zeros(4))
         assert bessel_bound_check(a) == (0.0, 0.0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeqe.experiments import EXPERIMENTS, ExperimentConfig
 from latticeqe.lattice import LatticeBox, Observable, cube, shift_set
 from latticeqe.schrodinger import PeriodicPotential, floquet_eigenbasis
 from latticeqe.spectra import (
@@ -255,6 +256,35 @@ class TestPairEnumerator:
             assert list(comp.entries) == list(entries)
             assert np.array_equal(bits(comp.entries.values()), bits(entries.values()))
             assert comp.nnz == sum(1 for v in entries.values() if v != 0)
+
+    @pytest.mark.parametrize("d,N", [(1, 9), (2, 5), (2, 8), (3, 3)])
+    def test_theta_matrices_match_entry_loops(self, d, N):
+        # the COO arrays against the entry-dict loops they replaced, bit for bit
+        rng = np.random.default_rng(N)
+        dec = theta_decompose(Observable.diagonal(cube(N, d), rng.uniform(-1, 1, N**d)))
+        total = np.zeros((dec.n, dec.n), dtype=complex)
+        for comp in dec.components.values():
+            M = np.zeros((dec.n, dec.n), dtype=complex)
+            for (i, j), v in comp.entries.items():
+                M[i, j] = v
+                total[i, j] += v
+            assert np.array_equal(bits(comp.matrix(dec.n)), bits(M))
+            assert np.array_equal(bits(dec.component_matrix(comp.t)), bits(M))
+        assert np.array_equal(bits(dec.total_matrix()), bits(total))
+
+    @pytest.mark.parametrize("d,N", [(1, 2), (1, 9), (2, 4), (2, 7), (3, 2), (3, 3)])
+    def test_lemma_c1_report_in_sorted_count_order(self, d, N):
+        cfg = ExperimentConfig("lemma-c1", d=d, n_values=(N,))
+        table = EXPERIMENTS["lemma-c1"](cfg)
+        expected = sorted(lemma_c1_counts(N, d).items())
+        signs = lambda eps: ";".join(map(str, eps))
+        assert table["t"] == [";".join(map(str, t)) for (t, _, _), _ in expected]
+        assert table["theta"] == [";".join(repr(c / (N + 1)) for c in t) for (t, _, _), _ in expected]
+        assert table["eps"] == [signs(eps) for (_, eps, _), _ in expected]
+        assert table["epsp"] == [signs(epp) for (_, _, epp), _ in expected]
+        assert table["count"] == [count for _, count in expected]
+        assert all(type(c) is int for c in table["count"])
+        assert table["pass"] == [count <= 2 * N ** (d - 1) for _, count in expected]
 
 
 # -- kernel matrices ----------------------------------------------------------
