@@ -8,6 +8,7 @@ Exit status: 0 when every assertion row passes, 2 when at least one fails,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -15,7 +16,6 @@ from pathlib import Path
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run
 from .reporting import emit_report
-from .schrodinger import LcViolationError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,57 +41,45 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="latticeqe", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", metavar="|".join(EXPERIMENTS), parser_class=_Parser)
     for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file; flags override it")
-        p.add_argument("--d", type=int, default=None, help="lattice dimension")
-        p.add_argument("--N", dest="n_values", type=_int_list, default=None,
-                       help="comma-separated ascending box sizes")
-        p.add_argument("--obs", type=_str_list, default=None,
-                       help="observable names or .json files, comma-separated")
-        p.add_argument("--mode", choices=("dirichlet", "periodic"), default=None)
-        p.add_argument("--q", type=_int_list, default=None, help="periods, comma-separated")
-        p.add_argument("--potential", default=None, help="potential JSON file")
-        p.add_argument("--M", dest="mass", type=float, default=None, help="staggered potential gap")
-        p.add_argument("--task", choices=("counterexample", "partial-qe"), default=None)
-        p.add_argument("--R", dest="max_offset", type=int, default=None, help="max kernel offset")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--bound", type=float, default=None)
-        p.add_argument("--random", dest="random_count", type=int, default=None,
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)  # absent flags stay unset
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--d", type=int, help="lattice dimension")
+        p.add_argument("--N", dest="n_values", type=_int_list, help="comma-separated ascending box sizes")
+        p.add_argument("--obs", type=_str_list, help="observable names or .json files, comma-separated")
+        p.add_argument("--mode", choices=("dirichlet", "periodic"))
+        p.add_argument("--q", type=_int_list, help="periods, comma-separated")
+        p.add_argument("--potential", help="potential JSON file")
+        p.add_argument("--M", dest="mass", type=float, help="staggered potential gap")
+        p.add_argument("--task", choices=("counterexample", "partial-qe"))
+        p.add_argument("--R", dest="max_offset", type=int, help="max kernel offset")
+        p.add_argument("--tol", type=float)
+        p.add_argument("--bound", type=float)
+        p.add_argument("--random", dest="random_count", type=int,
                        help="number of seeded random diagonals to add")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--unchecked", action="store_true", default=None,
+        p.add_argument("--seed", type=int)
+        p.add_argument("--unchecked", action="store_true",
                        help="run inadmissible observables anyway (report only)")
-        p.add_argument("--exploratory", action="store_true", default=None,
+        p.add_argument("--exploratory", action="store_true",
                        help="allow periods above 2 in partial-qe scans (nothing asserted)")
-        p.add_argument("--out", default=None, help="output directory for CSV/JSON")
+        p.add_argument("--out", help="output directory for CSV/JSON")
     return parser
 
 
-def _build_config(experiment: str, args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(experiment=experiment)
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {args.config}")
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    values = {}
+    if "config" in args:
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config file {args.config}: {exc}")
-        for key, value in data.items():
-            if key == "experiment":
-                continue
-            if not hasattr(cfg, key):
-                raise ConfigError(f"unknown config field {key!r}")
-            if key in ("n_values", "obs", "q") and value is not None:
-                value = tuple(value)
-            setattr(cfg, key, value)
-    for key in ("d", "n_values", "obs", "mode", "q", "potential", "mass", "task",
-                "max_offset", "tol", "bound", "random_count", "seed", "unchecked",
-                "exploratory", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}")
+        if not isinstance(values, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object, not {type(values).__name__}")
+        unknown = ", ".join(map(repr, sorted(values.keys() - names)))
+        if unknown:
+            raise ConfigError(f"unknown config field {unknown} in {args.config}")
+    values.update((key, value) for key, value in vars(args).items() if key in names)
+    return ExperimentConfig(**values)
 
 
 def main(argv=None) -> int:
@@ -101,9 +89,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        cfg = _build_config(args.experiment, args)
+        cfg = _build_config(args)
         report = run(cfg)
-    except (ConfigError, LcViolationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and LcViolationError included
         print(f"latticeqe: error: {exc}", file=sys.stderr)
         return 1
     paths = emit_report(report, cfg.out)

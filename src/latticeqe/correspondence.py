@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import LatticeBox, Observable, UnsupportedPeriodError, Wavefunction, shift_set
-from .spectra import SpectralData, apply_adjacency, bloch_basis, default_deg_tol
+from .spectra import SpectralData, _add_neighbours, apply_adjacency, bloch_basis, default_deg_tol
 
 __all__ = [
     "reflect",
@@ -137,12 +137,6 @@ def verify_correspondence(psi: Wavefunction, lam: float, norm_tol: float = 1e-8)
     return float(np.linalg.norm(residual))
 
 
-# np.roll(g, 1) and then np.roll(g, -1) along one axis, as (target, source)
-# slice pairs for in-place sums: the interior, then the wrapped end.
-_ROLL_SLICES = (
-    (slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None)),
-    (slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1)),
-)
 # Columns per chunk of the eigenvalue subtraction.
 _CHUNK = 16
 
@@ -152,7 +146,7 @@ def verify_correspondence_family(basis: SpectralData):
 
     Embeds every basis column at once: one gather of the ``sides + (n,)``
     block, scaled in place by the sign tensor, then the wraparound adjacency
-    on the whole doubled block as in-place slice sums, in the roll order of
+    on the whole doubled block as the in-place neighbour sum behind
     :func:`apply_adjacency`, and the eigenvalues subtracted in column chunks.
     Each column gets the same floating-point operations as :func:`embed` and
     :func:`apply_adjacency` would give it, and no more than two blocks are
@@ -168,10 +162,7 @@ def verify_correspondence_family(basis: SpectralData):
     images = vectors.reshape(box.sides + (n,))[index]
     images *= sign[..., None]
     residual = np.zeros_like(images)
-    for axis in range(box.d):
-        lead = (slice(None),) * axis
-        for dst, src in _ROLL_SLICES:
-            residual[lead + (dst,)] += images[lead + (src,)]
+    _add_neighbours(residual, images, box.d, "periodic")
     for c in range(0, n, _CHUNK):
         cols = slice(c, c + _CHUNK)
         residual[..., cols] -= basis.eigenvalues[cols] * images[..., cols]

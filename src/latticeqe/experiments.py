@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """Run settings; a ``--config`` file is a JSON object of these fields, arrays for tuples, flags win."""
+
     experiment: str
     d: int = 1
     n_values: tuple[int, ...] = ()
@@ -59,29 +63,21 @@ class ExperimentConfig:
     seed: int = 0
     unchecked: bool = False
     exploratory: bool = False
-    out: str = "."  # execution detail, not part of the config identity
+    out: str = field(default=".", compare=False)  # execution detail, not part of the config identity
 
     def canonical(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "d": self.d,
-            "n_values": list(self.n_values),
-            "obs": list(self.obs),
-            "mode": self.mode,
-            "q": list(self.q) if self.q is not None else None,
-            "potential": self.potential,
-            "mass": self.mass,
-            "task": self.task,
-            "max_offset": self.max_offset,
-            "tol": self.tol,
-            "bound": self.bound,
-            "random_count": self.random_count,
-            "seed": self.seed,
-            "unchecked": self.unchecked,
-            "exploratory": self.exploratory,
-        }
+        """The config identity: every compared field, tuples as lists."""
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in fields(self) if f.compare}
 
     def validate(self):
+        """Check each field against its annotation, then the values; ``ConfigError`` (exit 1) if bad."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                setattr(self, f.name, _conform(_HINTS[f.name], value))
+            except TypeError:
+                raise ConfigError(f"config field {f.name!r} expects {f.type}, got {value!r}") from None
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.n_values:
@@ -92,9 +88,9 @@ class ExperimentConfig:
             raise ConfigError("box sizes must be positive")
         if self.d < 1:
             raise ConfigError("dimension must be positive")
-        if not isinstance(self.max_offset, int) or self.max_offset < 0:
+        if self.max_offset < 0:
             raise ConfigError(f"max kernel offset (--R) must be a nonnegative integer, got {self.max_offset!r}")
-        if not isinstance(self.random_count, int) or self.random_count < 0:
+        if self.random_count < 0:
             raise ConfigError(f"random observable count (--random) must be a nonnegative integer, "
                               f"got {self.random_count!r}")
         if self.mode not in ("dirichlet", "periodic"):
@@ -106,6 +102,27 @@ class ExperimentConfig:
         for spec in self.obs:
             if spec.endswith(".json") and not Path(spec).is_file():
                 raise ConfigError(f"observable file not found: {spec}")
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)  # resolved once: the annotations are strings
+
+
+def _conform(hint, value):
+    """``value`` as a field annotated ``hint`` stores it; ``TypeError`` if mistyped (a bool is no number)."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _conform(args[0], value)
+    if typing.get_origin(hint) is tuple and isinstance(value, (list, tuple)):
+        return tuple(_conform(args[0], v) for v in value)
+    if isinstance(value, bool) != (hint is bool):
+        raise TypeError
+    if hint is int:
+        return operator.index(value)
+    if hint is float and (isinstance(value, int) or math.isfinite(value)):
+        return value
+    if hint in (str, bool) and isinstance(value, hint):
+        return value
+    raise TypeError
 
 
 def _basis(cfg: ExperimentConfig, N: int):
@@ -140,15 +157,8 @@ def _run_degeneracy(cfg: ExperimentConfig):
     def one(N):
         basis = _basis(cfg, N)
         sizes = [len(c) for c in basis.classes]
-        cls_of = {}
-        for ci, cls in enumerate(basis.classes):
-            for j in cls:
-                cls_of[basis.freqs[j]] = ci
-        perm_ok = True
-        for freq, ci in cls_of.items():
-            if cls_of[tuple(sorted(freq))] != ci:
-                perm_ok = False
-                break
+        cls_of = {basis.freqs[j]: ci for ci, cls in enumerate(basis.classes) for j in cls}
+        perm_ok = all(cls_of[tuple(sorted(freq))] == ci for freq, ci in cls_of.items())
         singles = all(s == 1 for s in sizes)
         ok = perm_ok and (singles if cfg.d == 1 and cfg.mode == "dirichlet" else True)
         return N, len(sizes), max(sizes), sum(s * s for s in sizes), singles, perm_ok, ok

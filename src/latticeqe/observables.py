@@ -94,8 +94,16 @@ def build_observable(
     """Resolve an observable spec: a builtin name or a JSON file of values."""
     if spec.endswith(".json"):
         with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return Observable.diagonal(box, np.asarray(data["values"], dtype=float))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"observable file {spec}: {exc}") from None
+        if not isinstance(data, dict) or "values" not in data:
+            raise ValueError(f"observable file {spec}: expected a JSON object with key 'values'")
+        try:
+            return Observable.diagonal(box, np.asarray(data["values"], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"observable file {spec}: key 'values': {exc}") from None
     if spec == "half-indicator":
         return half_indicator(box)
     if spec == "centered-half":

@@ -58,6 +58,8 @@ class PeriodicPotential:
         if any(c < 1 for c in q):
             raise ValueError(f"periods must be positive, got {q}")
         vals = np.asarray(self.values, dtype=float).reshape(q)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("potential values must be finite")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "values", vals)
 
@@ -67,10 +69,23 @@ class PeriodicPotential:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PeriodicPotential":
-        q = tuple(int(c) for c in data["q"])
-        if int(data.get("d", len(q))) != len(q):
-            raise ValueError("field d inconsistent with length of q")
-        return cls(q, np.asarray(data["values"], dtype=float).reshape(q))
+        """A potential from a JSON object with keys ``q``, ``values`` and optionally ``d``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object with keys 'q' and 'values', got {type(data).__name__}")
+        for key in ("q", "values"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
+        try:
+            q = tuple(int(c) for c in data["q"])
+        except (TypeError, ValueError):
+            raise ValueError(f"key 'q' must be a list of integers, got {data['q']!r}") from None
+        if data.get("d", len(q)) != len(q):
+            raise ValueError(f"key 'd' must equal the length of q, got {data['d']!r}")
+        try:
+            values = np.asarray(data["values"], dtype=float).reshape(q)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"key 'values' must hold {int(np.prod(q))} numbers: {exc}") from None
+        return cls(q, values)
 
     def to_dict(self) -> dict:
         return {"d": self.d, "q": list(self.q), "values": [float(v) for v in self.values.reshape(-1)]}
@@ -87,7 +102,10 @@ class PeriodicPotential:
 def load_potential(path) -> PeriodicPotential:
     """Read a potential from JSON with fields d, q, values (row-major)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return PeriodicPotential.from_dict(json.load(fh))
+        try:
+            return PeriodicPotential.from_dict(json.load(fh))
+        except ValueError as exc:  # malformed JSON included
+            raise ValueError(f"potential file {path}: {exc}") from None
 
 
 def lattice_block(q, N: int) -> LatticeBox:

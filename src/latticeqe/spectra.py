@@ -291,22 +291,31 @@ def bloch_basis(N: int, d: int, tol: float | None = None) -> SpectralData:
     return _product_spectral_data("periodic", N, d, tol)
 
 
+# Neighbours along one axis as (target, source) slice pairs for in-place sums.
+# Wraparound: np.roll(g, 1) and then np.roll(g, -1), each as the interior and
+# then the wrapped end. Zero boundary: the upper neighbour, then the lower.
+_NEIGHBOUR_SLICES = {
+    "periodic": ((slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None)),
+                 (slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1))),
+    "dirichlet": ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1))),
+}
+
+
+def _add_neighbours(out: np.ndarray, g: np.ndarray, d: int, mode: str) -> None:
+    """Add the nearest-neighbour sum of ``g`` over its leading ``d`` axes to ``out``, in place."""
+    if mode not in _NEIGHBOUR_SLICES:
+        raise ValueError(f"unknown boundary mode {mode!r}")
+    for axis in range(d):
+        lead = (slice(None),) * axis
+        for dst, src in _NEIGHBOUR_SLICES[mode]:
+            out[lead + (dst,)] += g[lead + (src,)]
+
+
 def apply_adjacency(psi: Wavefunction, mode: str = "dirichlet") -> Wavefunction:
     """Matrix-free nearest-neighbor sum, cost linear in the box volume."""
     g = psi.grid()
     out = np.zeros_like(g)
-    for axis, s in enumerate(psi.box.sides):
-        if mode == "periodic":
-            out = out + np.roll(g, 1, axis=axis) + np.roll(g, -1, axis=axis)
-        elif mode == "dirichlet":
-            lo = [slice(None)] * psi.box.d
-            hi = [slice(None)] * psi.box.d
-            lo[axis] = slice(0, s - 1)
-            hi[axis] = slice(1, s)
-            out[tuple(lo)] += g[tuple(hi)]
-            out[tuple(hi)] += g[tuple(lo)]
-        else:
-            raise ValueError(f"unknown boundary mode {mode!r}")
+    _add_neighbours(out, g, psi.box.d, mode)
     return Wavefunction.from_grid(psi.box, out)
 
 

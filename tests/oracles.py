@@ -69,6 +69,25 @@ def loop_write_json(report, path) -> Path:
     return path
 
 
+# -- adjacency ----------------------------------------------------------------
+
+def roll_adjacency(psi: Wavefunction, mode: str) -> np.ndarray:
+    """Nearest-neighbour sum of ``psi`` as a grid, by ``np.roll`` sums or boundary-clipped slices."""
+    g = psi.grid()
+    out = np.zeros_like(g)
+    for axis, s in enumerate(psi.box.sides):
+        if mode == "periodic":
+            out = out + np.roll(g, 1, axis=axis) + np.roll(g, -1, axis=axis)
+        else:
+            lo = [slice(None)] * psi.box.d
+            hi = [slice(None)] * psi.box.d
+            lo[axis] = slice(0, s - 1)
+            hi[axis] = slice(1, s)
+            out[tuple(lo)] += g[tuple(hi)]
+            out[tuple(hi)] += g[tuple(lo)]
+    return out
+
+
 # -- embedding ----------------------------------------------------------------
 
 def embed_by_reflections(psi: Wavefunction) -> Wavefunction:

@@ -1,9 +1,12 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latticeqe.cli import build_parser, main
@@ -193,6 +196,45 @@ class TestOutputs:
         assert main(base) == 1
         assert main(base + ["--exploratory"]) == 0
 
+    @pytest.mark.parametrize("text, named", [
+        (json.dumps({"vals": [0.5, 0.5, 0.5, 0.5]}), "'values'"),
+        (json.dumps([0.5, 0.5, 0.5, 0.5]), "'values'"),
+        (json.dumps({"values": ["x", 0.5, 0.5, 0.5]}), "'values'"),
+        ('{"values": [0.5,', "Expecting value"),
+    ])
+    def test_bad_observable_file_is_usage_error(self, tmp_path, capsys, text, named):
+        path = tmp_path / "obs.json"
+        path.write_text(text)
+        code = main(["var-scan", "--d", "1", "--N", "4", "--obs", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latticeqe: error:") and str(path) in err and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "var-scan.csv").exists()
+
+    @pytest.mark.parametrize("content, named", [
+        ({"d": 1, "values": [0.0, 30.0]}, "'q'"),
+        ({"d": 1, "q": [2], "values": [0.0, float("nan")]}, "finite"),
+        ({"d": 1, "q": 2, "values": [0.0, 30.0]}, "'q'"),
+        ([0.0, 30.0], "JSON object"),
+    ])
+    def test_bad_potential_file_is_usage_error(self, tmp_path, capsys, content, named):
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(content))
+        code = main(["schrodinger", "--task", "partial-qe", "--potential", str(path),
+                     "--N", "4", "--obs", "block-constant", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latticeqe: error:") and str(path) in err and named in err
+        assert not (tmp_path / "schrodinger.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--bound", "nan"], ["--M", "inf"]])
+    def test_non_finite_float_flag_is_usage_error(self, tmp_path, capsys, flags):
+        code = main(["var-scan", "--d", "1", "--N", "4"] + flags + ["--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("latticeqe: error: config field")
+        assert not (tmp_path / "var-scan.csv").exists()
+
     def test_missing_potential_file_is_usage_error(self, tmp_path):
         code = main(
             ["schrodinger", "--task", "partial-qe", "--potential", str(tmp_path / "nope.json"),
@@ -289,9 +331,78 @@ class TestConfigFile:
         path.write_text(json.dumps({"nn_values": [2]}))
         assert main(["bessel", "--config", str(path), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("content", [{"validate": 1}, {"canonical": 1}, [1, 2], "d", 4])
+    def test_non_field_keys_and_non_objects_rejected(self, tmp_path, monkeypatch, capsys, content):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(content))
+        assert main(["var-scan", "--config", "cfg.json", "--N", "4"]) == 1
+        assert "cfg.json" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_lists_become_tuples_and_integers_stay_as_given(self, tmp_path):
+        cfg = {"d": 1, "n_values": [4, 8], "obs": ["half-indicator"], "mass": 100, "tol": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bessel", "--config", str(path), "--out", str(tmp_path)]) == 0
+        text = read(tmp_path / "bessel.json")
+        assert '"mass": 100,' in text and '"tol": 1,' in text
+        assert json.loads(text)["metadata"]["config"]["n_values"] == [4, 8]
+
+    def test_numpy_integers_accepted(self):
+        cfg = ExperimentConfig(experiment="var-scan", d=np.int64(2), n_values=[np.int32(4), 8])
+        cfg.validate()
+        assert type(cfg.d) is int and cfg.n_values == (4, 8)
+        assert all(type(N) is int for N in cfg.n_values)
+
+    def test_subcommand_names_the_experiment(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "bessel", "n_values": [4]}))
+        assert main(["var-scan", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "var-scan.csv").exists() and not (tmp_path / "bessel.csv").exists()
+
     def test_env_thread_cap_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QE_THREADS", "2")
         assert main(["correspond", "--d", "1", "--N", "2,3,4", "--out", str(tmp_path)]) == 0
+
+
+def _mistyped(annotation: str) -> list:
+    """JSON values of the wrong type for a field annotated ``annotation``."""
+    if annotation.startswith("tuple"):
+        bad = ["2", 2.5, True, 4, [2.5]]  # a bare scalar where a list is declared, or a mistyped item
+    else:
+        scalar = annotation.split(" |")[0]
+        bad = [v for v, kind in (("2", "str"), (2.5, "float"), (True, "bool")) if kind != scalar]
+        bad += [[2]]
+    return bad if "None" in annotation else bad + [None]
+
+
+_FIELD_CASES = [(f.name, value) for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"
+                for value in _mistyped(f.type)]
+
+
+class TestSingleDeclaration:
+    def test_parser_dests_are_the_config_fields(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert sub.dest == "experiment"
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for p in sub.choices.values():
+            assert {a.dest for a in p._actions if a.dest != "help"} == fields - {"experiment"} | {"config"}
+
+    def test_canonical_holds_every_field_but_out(self):
+        cfg = ExperimentConfig(experiment="var-scan", n_values=(4, 8), q=(2,))
+        canonical = cfg.canonical()
+        assert list(canonical) == [f.name for f in dataclasses.fields(cfg) if f.name != "out"]
+        assert (canonical["n_values"], canonical["q"], canonical["obs"]) == ([4, 8], [2], ["half-indicator"])
+
+    @pytest.mark.parametrize("field, value", _FIELD_CASES, ids=[f"{n}={v!r}" for n, v in _FIELD_CASES])
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys, field, value):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"n_values": [4], field: value}))
+        assert main(["var-scan", "--config", "cfg.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"latticeqe: error: config field {field!r}")
+        assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]  # no report, no output directory
 
 
 class TestReporting:

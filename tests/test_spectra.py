@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latticeqe.lattice import Wavefunction, cube
+from latticeqe.lattice import LatticeBox, Wavefunction, cube
 from latticeqe.spectra import (
     adjacency_matrix,
     apply_adjacency,
@@ -20,6 +20,7 @@ from latticeqe.spectra import (
     sine_basis,
     sine_matrix,
 )
+from oracles import roll_adjacency
 
 
 class TestDirichletEigenpairs:
@@ -89,6 +90,24 @@ class TestApplyAdjacency:
         for mode in ("dirichlet", "periodic"):
             A = adjacency_matrix(box, mode)
             assert np.allclose(A @ psi.values, apply_adjacency(psi, mode).values)
+
+    @pytest.mark.parametrize("mode", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("sides", [(1,), (2,), (7,), (1, 2), (2, 5), (3, 1, 2), (2, 2, 2), (4, 3, 5)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bitwise_equal_to_roll_and_slice_sums(self, mode, sides, dtype):
+        rng = np.random.default_rng(len(sides) * 31 + sum(sides))
+        box = LatticeBox(sides)
+        values = rng.normal(size=box.volume)
+        if dtype is complex:
+            values = values + 1j * rng.normal(size=box.volume)
+        psi = Wavefunction(box, values)
+        got = apply_adjacency(psi, mode).grid()
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, roll_adjacency(psi, mode))
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="boundary mode"):
+            apply_adjacency(Wavefunction(cube(3, 1), [1.0, 0.0, 0.0]), "twisted")
 
     def test_periodic_small_sides(self):
         # side 2 wraps onto the single neighbor twice, side 1 onto itself
