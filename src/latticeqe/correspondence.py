@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import LatticeBox, Observable, UnsupportedPeriodError, Wavefunction, shift_set
-from .spectra import SpectralData, _add_neighbours, apply_adjacency, bloch_basis, default_deg_tol
+from .spectra import SpectralData, _add_neighbours, bloch_basis, default_deg_tol
 
 __all__ = [
     "reflect",
@@ -128,13 +128,12 @@ def verify_correspondence(psi: Wavefunction, lam: float, norm_tol: float = 1e-8)
     """Eigen-residual of the embedded function under the wraparound adjacency.
 
     The input must be a normalized eigenfunction for eigenvalue lam; returns
-    ||A_periodic (embed psi) - lam * embed psi||.
+    ||A_periodic (embed psi) - lam * embed psi||, the residual that
+    :func:`verify_correspondence_family` gives the one-column family.
     """
     if abs(psi.norm() - 1.0) > norm_tol:
         raise ValueError(f"input not normalized: ||psi|| = {psi.norm()}")
-    image = embed(psi)
-    residual = apply_adjacency(image, "periodic").values - lam * image.values
-    return float(np.linalg.norm(residual))
+    return verify_correspondence_family(SpectralData(psi.box, np.array([lam]), psi.values[:, None], [[0]]))[0]
 
 
 # Columns per chunk of the eigenvalue subtraction.
@@ -147,10 +146,10 @@ def verify_correspondence_family(basis: SpectralData):
     Embeds every basis column at once: one gather of the ``sides + (n,)``
     block, scaled in place by the sign tensor, then the wraparound adjacency
     on the whole doubled block as the in-place neighbour sum behind
-    :func:`apply_adjacency`, and the eigenvalues subtracted in column chunks.
-    Each column gets the same floating-point operations as :func:`embed` and
-    :func:`apply_adjacency` would give it, and no more than two blocks are
-    alive at once. Returns ``(max_residual, gram_error)``: the largest
+    ``spectra.apply_adjacency``, and the eigenvalues subtracted in column
+    chunks. Each column gets the same floating-point operations as
+    :func:`embed` and ``apply_adjacency`` would give it, and no more than two
+    blocks are alive at once. Returns ``(max_residual, gram_error)``: the largest
     eigen-residual norm over the columns, and the max-norm deviation of the
     embedded family's Gram matrix from the identity.
     """
@@ -223,11 +222,5 @@ def complete_to_periodic_basis(
     if np.any(assigned < 0):
         bad = np.where(assigned < 0)[0]
         raise ValueError(f"embedded eigenvalues {eigenvalues[bad]} match no wraparound class")
-    vectors = np.column_stack(columns)
-    eigs = np.array(out_eigs)
-    classes = []
-    start = 0
-    for cls in bloch.classes:
-        classes.append(list(range(start, start + len(cls))))
-        start += len(cls)
-    return SpectralData(bloch.box, eigs, vectors, classes)
+    # every class keeps its size, so the Bloch partition is the partition of the columns
+    return SpectralData(bloch.box, np.array(out_eigs), np.column_stack(columns), bloch.classes)

@@ -25,6 +25,7 @@ from .schrodinger import (
 )
 from .spectra import (
     _grid_points,
+    _sign_pairs,
     bloch_basis,
     dirichlet_eigenvalues,
     lemma_c1_bins,
@@ -95,6 +96,11 @@ class ExperimentConfig:
                               f"got {self.random_count!r}")
         if self.mode not in ("dirichlet", "periodic"):
             raise ConfigError(f"unknown boundary mode {self.mode!r}")
+        if self.mode == "periodic" and self.experiment not in ("var-scan", "degeneracy"):
+            raise ConfigError(f"config field 'mode': {self.experiment} has zero boundary conditions only; "
+                              "'periodic' applies to var-scan and degeneracy")
+        if any(c < 1 for c in self.q or ()):
+            raise ConfigError(f"config field 'q' (--q) needs periods of at least 1, got {self.q}")
         if self.task not in ("counterexample", "partial-qe"):
             raise ConfigError(f"unknown schrodinger task {self.task!r}")
         if self.potential is not None and not Path(self.potential).is_file():
@@ -170,9 +176,10 @@ def _run_degeneracy(cfg: ExperimentConfig):
 def _run_lemma_c1(cfg: ExperimentConfig):
     d = cfg.d
     table = {name: [] for name in ("N", "theta", "t", "eps", "epsp", "count", "bound", "pass")}
-    # Every cell string is formatted once per value: per sign vector, and per
-    # grid point from per-axis lookup tables.
-    signs = np.array([";".join(map(str, eps)) for eps in itertools.product((1, -1), repeat=d)], dtype=object)
+    # Every cell string is formatted once per value: per sign vector (the first
+    # 2^d eps' of the sign pairs, in index order), and per grid point from
+    # per-axis lookup tables.
+    signs = np.array([";".join(map(str, eps)) for eps in _sign_pairs(d)[1][: 2**d].tolist()], dtype=object)
     for N in cfg.n_values:
         s, t, count = lemma_c1_bins(N, d)
         # sorted((t, eps, eps')) order: t ascending is grid index ascending,
@@ -201,8 +208,10 @@ def _run_lemma_c1(cfg: ExperimentConfig):
 def _spectral_inclusion_error(N: int, d: int) -> float:
     dir_eigs = dirichlet_eigenvalues(N, d)
     per_eigs = periodic_eigenvalues(2 * N + 2, d)
-    gaps = np.min(np.abs(dir_eigs[:, None] - per_eigs[None, :]), axis=1)
-    return float(np.max(gaps))
+    # fl(a - b) is monotone in b, so the nearest value is a neighbour of a's place in the sorted spectrum
+    above = np.searchsorted(per_eigs, dir_eigs)
+    gaps = [np.abs(dir_eigs - per_eigs[np.clip(i, 0, per_eigs.size - 1)]) for i in (above - 1, above)]
+    return float(np.max(np.minimum(*gaps)))
 
 
 def _run_correspond(cfg: ExperimentConfig):

@@ -355,16 +355,12 @@ def lc_deviation(a: Observable, q) -> float:
     sum at every position.
     """
     q = tuple(int(c) for c in q)
-    diag = a.require_diagonal().reshape(a.box.sides)
+    diag = a.require_diagonal()
     if any(s % c != 0 for s, c in zip(a.box.sides, q)):
         raise ValueError(f"box sides {a.box.sides} are not multiples of periods {q}")
-    d = a.box.d
-    blocked = diag
-    for l in range(d):
-        s = a.box.sides[l]
-        blocked = blocked.reshape(blocked.shape[: 2 * l] + (s // q[l], q[l]) + blocked.shape[2 * l + 1 :])
-    # axes now alternate (orbit_1, pos_1, orbit_2, pos_2, ...)
-    sums = blocked.sum(axis=tuple(range(0, 2 * d, 2))).reshape(-1)
+    # axes (orbit_1, pos_1, orbit_2, pos_2, ...), the residue reshape of spectra.sine_square_sums
+    blocked = diag.reshape(sum(((s // c, c) for s, c in zip(a.box.sides, q)), ()))
+    sums = blocked.sum(axis=tuple(range(0, 2 * a.box.d, 2))).reshape(-1)
     return float(np.max(np.abs(sums[:, None] - sums[None, :])))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -54,45 +54,49 @@ def default_deg_tol(d: int) -> float:
     return 1e-9 * 2 * d
 
 
-def _check_dirichlet_freq(N: int, d: int, k):
+_FIRST_FREQ = {"dirichlet": 1, "periodic": 0}  # the frequency of the 1-D factor's column 0
+
+
+def _factor_columns(mode: str, N: int, cols) -> np.ndarray:
+    """Columns ``cols`` (0-based) of the 1-D eigenvector matrix, sine or Bloch."""
+    x, k = np.arange(1, N + 1), np.asarray(cols) + _FIRST_FREQ[mode]
+    if mode == "dirichlet":
+        return np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(x, k) * np.pi / (N + 1))
+    return np.exp(2j * np.pi * np.outer(x, k) / N) / np.sqrt(N)
+
+
+def _frequency(mode: str, N: int, d: int, k) -> tuple[np.ndarray, float]:
+    """Factor columns and eigenvalue (summed as ``ProductBasis.eigs``) of frequency k, else ``IndexError``."""
+    first = _FIRST_FREQ[mode]
     k = tuple(int(c) for c in k)
-    if len(k) != d or not all(1 <= c <= N for c in k):
-        raise IndexError(f"frequency {k} outside [[1,{N}]]^{d}")
-    return k
+    if len(k) != d or not all(first <= c < first + N for c in k):
+        raise IndexError(f"frequency {k} outside [[{first},{first + N - 1}]]^{d}")
+    cols = np.subtract(k, first)
+    return cols, float(_lam1(mode, N)[cols].sum())
+
+
+def _eigenpair(mode: str, N: int, d: int, k):
+    """The eigenvalue and the Kronecker product of k's factor columns, as in ``ProductBasis.matrix``."""
+    cols, lam = _frequency(mode, N, d, k)
+    return lam, Wavefunction(cube(N, d), reduce(np.kron, _factor_columns(mode, N, cols).T))
 
 
 def dirichlet_eigenvalue(N: int, d: int, k) -> float:
-    k = _check_dirichlet_freq(N, d, k)
-    return float(sum(2.0 * np.cos(c * np.pi / (N + 1)) for c in k))
+    return _frequency("dirichlet", N, d, k)[1]
 
 
 def dirichlet_eigenpair(N: int, d: int, k):
     """Analytic eigenvalue and normalized sine vector for frequency k."""
-    k = _check_dirichlet_freq(N, d, k)
-    x = np.arange(1, N + 1)
-    factor = np.sqrt(2.0 / (N + 1))
-    vec = np.array([1.0])
-    for c in k:
-        vec = np.multiply.outer(vec, factor * np.sin(c * np.pi * x / (N + 1)))
-    return dirichlet_eigenvalue(N, d, k), Wavefunction(cube(N, d), vec.reshape(-1))
+    return _eigenpair("dirichlet", N, d, k)
 
 
 def periodic_eigenvalue(N: int, d: int, k) -> float:
-    k = tuple(int(c) for c in k)
-    if len(k) != d or not all(0 <= c <= N - 1 for c in k):
-        raise IndexError(f"frequency {k} outside [[0,{N - 1}]]^{d}")
-    return float(sum(2.0 * np.cos(2.0 * np.pi * c / N) for c in k))
+    return _frequency("periodic", N, d, k)[1]
 
 
 def periodic_eigenpair(N: int, d: int, k):
     """Eigenvalue and normalized Bloch vector for frequency k."""
-    lam = periodic_eigenvalue(N, d, k)
-    k = tuple(int(c) for c in k)
-    x = np.arange(1, N + 1)
-    vec = np.array([1.0 + 0.0j])
-    for c in k:
-        vec = np.multiply.outer(vec, np.exp(2j * np.pi * c * x / N) / np.sqrt(N))
-    return lam, Wavefunction(cube(N, d), vec.reshape(-1))
+    return _eigenpair("periodic", N, d, k)
 
 
 def _product_eigenvalues(lam1: np.ndarray, d: int) -> np.ndarray:
@@ -136,24 +140,16 @@ class ProductBasis:
 
     def freqs(self) -> list[tuple[int, ...]]:
         """Frequency multi-indices in row-major order."""
-        first = 1 if self.mode == "dirichlet" else 0
+        first = _FIRST_FREQ[self.mode]
         return list(itertools.product(range(first, first + self.N), repeat=self.d))
 
     def factor(self) -> np.ndarray:
         """The 1-D eigenvector matrix: column k is the factor for frequency k."""
-        N = self.N
-        x = np.arange(1, N + 1)
-        if self.mode == "dirichlet":
-            return np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(x, x) * np.pi / (N + 1))
-        return np.exp(2j * np.pi * np.outer(x, np.arange(0, N)) / N) / np.sqrt(N)
+        return _factor_columns(self.mode, self.N, np.arange(self.N))
 
     def matrix(self) -> np.ndarray:
         """Dense ``N^d x N^d`` Kronecker power, columns in row-major frequency order."""
-        F1 = self.factor()
-        F = F1
-        for _ in range(self.d - 1):
-            F = np.kron(F, F1)
-        return F
+        return reduce(np.kron, [self.factor()] * self.d)
 
     def vectors(self) -> np.ndarray:
         """Dense eigenvectors in eigenvalue order, via ``sine_matrix``/``bloch_matrix``."""
@@ -383,26 +379,15 @@ def _theta_to_int(N: int, d: int, theta):
 def lemma_c1_count(N: int, d: int, theta, eps, eps_prime, tol: float | None = None) -> int:
     """Count pairs (k, m) with equal eigenvalues and (k.eps + m.eps')/(N+1) = theta.
 
-    For fixed sign vectors the offset constraint determines k from m, so the
-    enumeration walks m over the cube and solves for k, an O(N^d) pass.
-    The count never exceeds ``2 N^(d-1)`` for nonzero theta.
+    Reads the one bin of :func:`lemma_c1_counts` (0 when it is absent). The
+    count never exceeds ``2 N^(d-1)`` for nonzero theta.
     """
     eps = _check_signs(eps, d)
     epp = _check_signs(eps_prime, d)
     t = _theta_to_int(N, d, theta)
     if all(c == 0 for c in t):
         raise ValueError("theta = 0 is excluded (zero-frequency diagonal branch)")
-    tol = default_deg_tol(d) if tol is None else tol
-
-    m = np.indices((N,) * d).reshape(d, -1) + 1
-    k = np.empty_like(m)
-    for l in range(d):
-        k[l] = eps[l] * t[l] - eps[l] * epp[l] * m[l]
-    valid = np.all((k >= 1) & (k <= N), axis=0)
-    table = 2.0 * np.cos(np.arange(0, N + 1) * np.pi / (N + 1))
-    lam_m = table[m].sum(axis=0)
-    lam_k = table[np.where(valid, k, 0)].sum(axis=0)
-    return int(np.count_nonzero(valid & (np.abs(lam_k - lam_m) <= tol)))
+    return lemma_c1_counts(N, d, tol).get((t, eps, epp), 0)
 
 
 def _sign_pairs(d: int):

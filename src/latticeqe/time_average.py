@@ -162,17 +162,15 @@ def _require_cube(a: Observable):
 
 
 def fourier_coefficient(a: Observable, t) -> complex:
-    """Discrete Fourier coefficient e_theta . a at theta = t/(N+1)."""
+    """Discrete Fourier coefficient e_theta . a at theta = t/(N+1), |t_l| <= 2N.
+
+    The entry ``t + 2N`` of :func:`fourier_coefficients`.
+    """
     N, d = _require_cube(a)
     t = tuple(int(c) for c in t)
-    if len(t) != d:
-        raise ValueError(f"frequency index {t} has wrong dimension")
-    g = a.require_diagonal().reshape(a.box.sides).astype(complex)
-    x = np.arange(1, N + 1)
-    for tl in t:
-        phase = np.exp(-1j * np.pi * tl * x / (N + 1))
-        g = np.tensordot(g, phase, axes=([0], [0]))
-    return complex(g)
+    if len(t) != d or any(abs(c) > 2 * N for c in t):
+        raise ValueError(f"frequency index {t} not in [[-2N, 2N]]^{d} for N = {N}")
+    return complex(fourier_coefficients(a)[tuple(c + 2 * N for c in t)])
 
 
 def fourier_phases(N: int) -> np.ndarray:

@@ -58,6 +58,28 @@ class TestExitCodes:
         path.write_text(json.dumps({field: None}))
         assert main(["var-scan", "--config", str(path), "--N", "4", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("q", ["0", "-2", "2,0"])
+    def test_non_positive_period_rejected(self, tmp_path, capsys, q):
+        code = main(["var-scan", "--d", "1", "--N", "4", "--obs", "block-constant", "--q", q,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "latticeqe: error:" in err and "'q'" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["correspond", "--d", "1", "--N", "3"],
+        ["bessel", "--d", "1", "--N", "4"],
+        ["lemma-c1", "--d", "1", "--N", "4"],
+        ["correlator", "--N", "10"],
+        ["schrodinger", "--N", "4"],
+    ])
+    def test_periodic_mode_on_zero_boundary_experiment_rejected(self, tmp_path, capsys, argv):
+        assert main(argv + ["--mode", "periodic", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "latticeqe: error:" in err and "'mode'" in err and argv[0] in err
+        assert not list(tmp_path.iterdir())
+
     def test_no_experiment_given(self):
         assert main([]) == 1
 

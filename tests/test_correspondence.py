@@ -14,6 +14,7 @@ from latticeqe.correspondence import (
     verify_correspondence,
     verify_correspondence_family,
 )
+from latticeqe.experiments import _spectral_inclusion_error
 from latticeqe.lattice import LatticeBox, Observable, UnsupportedPeriodError, Wavefunction, cube
 from latticeqe.spectra import (
     SpectralData,
@@ -159,6 +160,27 @@ class TestCorrespondence:
         per_eigs = periodic_eigenvalues(2 * N + 2, d)
         for lam in dir_eigs:
             assert np.min(np.abs(per_eigs - lam)) <= 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_inclusion_error_bitwise_equal_to_dense_formula(self, d, N):
+        dir_eigs = dirichlet_eigenvalues(N, d)
+        per_eigs = periodic_eigenvalues(2 * N + 2, d)
+        dense = float(np.max(np.min(np.abs(dir_eigs[:, None] - per_eigs[None, :]), axis=1)))
+        assert _spectral_inclusion_error(N, d) == dense
+
+    @pytest.mark.parametrize("make,d,N", [(sine_basis, 1, 6), (sine_basis, 2, 3), (sine_basis, 3, 2),
+                                          (bloch_basis, 1, 5), (bloch_basis, 2, 3)])
+    def test_single_residual_is_the_family_residual(self, make, d, N):
+        # each column against the per-column embed/apply_adjacency oracle, and
+        # the worst column against the batched family
+        basis = make(N, d)
+        single = []
+        for j in range(basis.n):
+            column = SpectralData(basis.box, basis.eigenvalues[j:j + 1], basis.vectors[:, j:j + 1], [[0]])
+            single.append(verify_correspondence(Wavefunction(basis.box, basis.vectors[:, j]), basis.eigenvalues[j]))
+            assert single[-1] == loop_correspondence_family(column)[0]
+        assert max(single) == verify_correspondence_family(basis)[0]
 
 
 def random_sides(data, max_side=5):

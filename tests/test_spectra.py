@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from latticeqe.lattice import LatticeBox, Wavefunction, cube
 from latticeqe.spectra import (
+    ProductBasis,
     adjacency_matrix,
     apply_adjacency,
     bloch_basis,
@@ -17,6 +19,7 @@ from latticeqe.spectra import (
     lemma_c1_count,
     lemma_c1_counts,
     periodic_eigenpair,
+    periodic_eigenvalue,
     sine_basis,
     sine_matrix,
 )
@@ -58,6 +61,30 @@ class TestPeriodicEigenpairs:
         vecs = np.column_stack([periodic_eigenpair(4, 1, (k,))[1].values for k in range(4)])
         gram = vecs.conj().T @ vecs
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+
+    def test_frequency_out_of_range(self):
+        with pytest.raises(IndexError):
+            periodic_eigenpair(4, 1, (4,))
+        with pytest.raises(IndexError):
+            periodic_eigenvalue(3, 2, (0, -1))
+
+
+class TestEigenpairsAreFactorViews:
+    @pytest.mark.parametrize("mode,pair,value", [
+        ("dirichlet", dirichlet_eigenpair, dirichlet_eigenvalue),
+        ("periodic", periodic_eigenpair, periodic_eigenvalue),
+    ])
+    @pytest.mark.parametrize("d,N", [(1, 1), (1, 7), (2, 1), (2, 4), (3, 3)])
+    def test_bitwise_equal_to_factor_columns(self, mode, pair, value, d, N):
+        # the vector is the Kronecker product of the 1-D factor's columns,
+        # the dense basis column, and the eigenvalue is the basis's own
+        pb = ProductBasis(mode, N, d)
+        F, dense, first = pb.factor(), pb.matrix(), pb.freqs()[0][0]
+        for idx, k in enumerate(pb.freqs()):
+            lam, vec = pair(N, d, k)
+            kron = functools.reduce(np.kron, [F[:, c - first] for c in k])
+            assert np.array_equal(vec.values, kron) and np.array_equal(vec.values, dense[:, idx])
+            assert lam == value(N, d, k) == pb.eigs[idx]
 
 
 class TestApplyAdjacency:
@@ -260,6 +287,20 @@ class TestLemmaC1:
         assert lemma_c1_count(N, d, (1 / (N + 1), 2 / (N + 1)), (1, 1), (1, 1)) == counts.get(
             ((1, 2), (1, 1), (1, 1)), 0
         )
+
+    @pytest.mark.parametrize("d,N", [(1, 1), (1, 4), (1, 6), (2, 2), (2, 3), (3, 2)])
+    def test_single_query_reads_its_bin(self, d, N):
+        # every key of the exhaustive map, and every other nonzero t (at d = 3
+        # for two sign pairs) must count zero
+        counts = lemma_c1_counts(N, d)
+        signs = list(itertools.product((1, -1), repeat=d))
+        pairs = list(itertools.product(signs, signs)) if d < 3 else [(signs[0], signs[0]), (signs[2], signs[5])]
+        grid = [t for t in itertools.product(range(-2 * N, 2 * N + 1), repeat=d) if any(t)]
+        queries = set(counts) | {(t, eps, epp) for t in grid for eps, epp in pairs}
+        assert len(queries) > len(counts)
+        for t, eps, epp in queries:
+            theta = tuple(c / (N + 1) for c in t)
+            assert lemma_c1_count(N, d, theta, eps, epp) == counts.get((t, eps, epp), 0)
 
     def test_exhaustive_bound_2d(self):
         for N in range(2, 9):

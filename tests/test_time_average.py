@@ -273,6 +273,20 @@ class TestThetaDecomposition:
         grid = fourier_coefficients(a)
         assert grid[2 * 3 + 2] == pytest.approx(-1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("d,N", [(1, 1), (1, 5), (2, 3), (3, 2)])
+    def test_single_coefficient_is_its_grid_entry(self, d, N):
+        rng = np.random.default_rng(10 * d + N)
+        a = Observable.diagonal(cube(N, d), rng.uniform(-1, 1, N**d))
+        grid = fourier_coefficients(a)
+        for t in itertools.product(range(-2 * N, 2 * N + 1), repeat=d):
+            assert fourier_coefficient(a, t) == grid[tuple(c + 2 * N for c in t)]
+
+    def test_single_coefficient_outside_grid_rejected(self):
+        a = Observable.diagonal(cube(3, 2), np.ones(9))
+        for t in [(7, 0), (0, -7), (1,), (1, 2, 3)]:
+            with pytest.raises(ValueError, match="frequency index"):
+                fourier_coefficient(a, t)
+
     def test_sparsity_bound(self):
         rng = np.random.default_rng(11)
         for d, n_max in [(1, 10), (2, 10)]:
