@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -172,7 +173,8 @@ def write_json(report: ExperimentReport, path) -> Path:
     """JSON with sorted keys and ``indent=2``, as ``json.dumps`` would write it.
 
     The header is ``json.dumps`` output; the rows, whose key is the last in
-    sorted order, are rendered from one template per report and spliced in.
+    sorted order, are spliced in. Each row is the join of every key's
+    separator with that column's cell text, built for all rows in one pass.
     """
     path = Path(path)
     names = sorted(report.columns)
@@ -184,9 +186,13 @@ def write_json(report: ExperimentReport, path) -> Path:
         "passed": report.passed,
     }
     text = json.dumps(head, sort_keys=True, indent=2, ensure_ascii=False)
-    fields = (encode_basestring(name).replace("%", "%%") for name in names)
-    template = "    {\n" + ",\n".join(f"      {key}: %s" for key in fields) + "\n    }"
-    body = ",\n".join(map(template.__mod__, zip(*texts)))
+    n = len(texts[0]) if texts else 0
+    parts = []
+    for i, (name, column) in enumerate(zip(names, texts)):
+        sep = ",\n" if i else "    {\n"
+        parts += [itertools.repeat(f"{sep}      {encode_basestring(name)}: ", n), column]
+    parts.append(itertools.repeat("\n    }", n))
+    body = ",\n".join(map("".join, zip(*parts)))
     body = "[\n" + body + "\n  ]" if body else "[]"
     text = text[: -len("\n}")] + ',\n  "rows": ' + body + "\n}\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:

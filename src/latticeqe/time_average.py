@@ -50,7 +50,8 @@ __all__ = [
 
 def hs_norm(M) -> float:
     """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of squared entries."""
-    return float(np.sqrt(np.sum(np.abs(np.asarray(M)) ** 2)))
+    M = np.asarray(M)
+    return float(np.sqrt(np.vdot(M, M).real))
 
 
 def expectations(basis: SpectralData, T) -> np.ndarray:
@@ -94,21 +95,69 @@ def time_averaged_observable(basis: SpectralData, a: Observable) -> np.ndarray:
     Equals the sum over degeneracy classes of P a P with P the orthogonal
     projector onto the class. In the eigenbasis that is the center matrix
     C = V* a V with the entries between different classes set to zero, so
-    the average is V C V*: three dense products, O(V^3) time, and at most
-    four V x V arrays alive at once. The classes are taken as given; they
-    need not be contiguous, and a column in no class contributes nothing.
+    the average is V C V*. The classes are taken as given; they need not be
+    contiguous, and a column in no class contributes nothing.
+
+    On a sine or Bloch basis (a :class:`ProductBasis`) V is the d-fold
+    tensor power of the 1-D factor F: C is formed axis by axis as in
+    :func:`center_matrix`, and V C V* as 2d products with F, one per axis,
+    alternating between two V x V buffers. Time is O(d N^(2d+1)), and the
+    dense eigenvectors are never built. Any other basis takes three dense
+    products, O(V^3) time, with at most four V x V arrays alive at once.
     """
     if a.box != basis.box:
         raise BoxMismatchError("observable and basis live on different boxes")
     diag = a.require_diagonal()
-    V = basis.vectors
-    label = np.full(V.shape[1], -1)
+    pb = basis.product
+    factored = isinstance(pb, ProductBasis)
+    label = np.full(basis.n, -1)
     for i, cls in enumerate(basis.classes):
-        label[cls] = i
-    C = V.conj().T @ (diag[:, None] * V)
+        label[pb.order[cls] if factored else cls] = i  # product classes index sorted columns
+    if factored:
+        C = _product_center(pb, diag)
+    else:
+        V = basis.vectors
+        C = V.conj().T @ (diag[:, None] * V)
     C[(label[:, None] != label) | (label < 0)[:, None]] = 0
+    if factored:
+        return _expand_product(pb, C)
     C = V @ C  # rebinding frees the masked C before the last product
     return C @ V.conj().T
+
+
+def _product_center(pb: ProductBasis, diag: np.ndarray) -> np.ndarray:
+    """C = V* a V for V the tensor power of ``pb``, rows and columns in row-major frequency order.
+
+    Contracts one site axis at a time with ``P[x, k, m] = conj(F[x, k]) F[x, m]``,
+    F the 1-D factor.
+    """
+    N, d = pb.N, pb.d
+    F = pb.factor()
+    P = F.conj()[:, :, None] * F[:, None, :]
+    C = diag.reshape((N,) * d)
+    for _ in range(d):
+        C = np.tensordot(C, P, axes=([0], [0]))  # site axis x_l -> frequency axes (k_l, m_l)
+    C = C.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2)))
+    return C.reshape(N**d, N**d)
+
+
+def _expand_product(pb: ProductBasis, C: np.ndarray) -> np.ndarray:
+    """V C V* for V the tensor power of ``pb``, as 2d per-axis products into two buffers.
+
+    Axis j of ``C`` viewed as ``(N,) * 2d`` is contracted with F for the d
+    row axes and with conj(F) for the d column axes. ``C`` is overwritten.
+    """
+    N, d = pb.N, pb.d
+    F = pb.factor()
+    X, Y = C, np.empty_like(C)
+    for j, M in enumerate([F] * d + [F.conj()] * d):
+        if j < 2 * d - 1:
+            shape = (N**j, N, N ** (2 * d - 1 - j))
+            np.matmul(M, X.reshape(shape), out=Y.reshape(shape))
+        else:
+            np.matmul(X.reshape(-1, N), M.T, out=Y.reshape(-1, N))
+        X, Y = Y, X
+    return X
 
 
 def _trapezoid_phase_average(omega: np.ndarray, T: float, steps: int, chunk_elems: int = 2_000_000):
@@ -206,13 +255,7 @@ def center_matrix(a: Observable):
     """
     N, d = _require_cube(a)
     pb = ProductBasis("dirichlet", N, d)
-    S1 = pb.factor()
-    P = S1[:, :, None] * S1[:, None, :]
-    C = a.require_diagonal().reshape((N,) * d)
-    for _ in range(d):
-        C = np.tensordot(C, P, axes=([0], [0]))  # site axis x_l -> frequency axes (k_l, m_l)
-    C = C.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2)))
-    return C.reshape(N**d, N**d), pb.freqs(), pb.eigs
+    return _product_center(pb, a.require_diagonal()), pb.freqs(), pb.eigs
 
 
 @dataclass(eq=False)

@@ -16,7 +16,7 @@ import numpy as np
 
 from latticeqe.correspondence import embed, embedding_target
 from latticeqe.lattice import Wavefunction
-from latticeqe.spectra import apply_adjacency
+from latticeqe.spectra import ProductBasis, apply_adjacency
 
 
 # -- report writers: the row-by-row serializers the columnar ones replaced ----
@@ -141,6 +141,20 @@ def infinite_chebyshev(n: int, N: int) -> np.ndarray:
         return np.eye(N)
     x = np.arange(N)
     return np.where(np.abs(x[:, None] - x[None, :]) == n, 0.5, 0.0)
+
+
+# -- center matrix ------------------------------------------------------------
+
+def sine_axis_center_matrix(a) -> np.ndarray:
+    """C = S* a S over the sine basis, one site axis at a time, as ``center_matrix`` first did it."""
+    N, d = a.box.sides[0], a.box.d
+    S1 = ProductBasis("dirichlet", N, d).factor()
+    P = S1[:, :, None] * S1[:, None, :]
+    C = a.require_diagonal().reshape((N,) * d)
+    for _ in range(d):
+        C = np.tensordot(C, P, axes=([0], [0]))
+    C = C.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2)))
+    return C.reshape(N**d, N**d)
 
 
 # -- Fourier classes ----------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Factored product eigenbasis: lazy fields, dense oracle, and scale."""
+"""Factored product eigenbasis: lazy fields, dense oracle, time average, and scale."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latticeqe import spectra
 from latticeqe.lattice import Observable, cube
 from latticeqe.spectra import ProductBasis, SpectralData, bloch_basis, sine_basis
-from latticeqe.time_average import expectations, quantum_variance
+from latticeqe.time_average import expectations, hs_norm, quantum_variance, time_averaged_observable
 
 BASES = {"dirichlet": sine_basis, "periodic": bloch_basis}
 
@@ -54,6 +56,61 @@ class TestFactoredContraction:
         assert "vectors" not in vars(basis)
         assert np.allclose(expectations(basis, K), 1.0, atol=1e-12)
         assert "vectors" in vars(basis)
+
+
+class TestFactoredTimeAverage:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(sorted(BASES)),
+        dN=st.sampled_from([(1, n) for n in range(1, 30)] + [(2, n) for n in range(1, 13)]
+                           + [(3, n) for n in range(1, 6)]),
+        seed=st.integers(0, 2**32 - 1),
+        complex_values=st.booleans(),
+    )
+    # d = 2, N = 11 has classes of accidentally equal eigenvalues
+    @example(mode="dirichlet", dN=(2, 11), seed=0, complex_values=False)
+    @example(mode="periodic", dN=(2, 11), seed=1, complex_values=True)
+    @example(mode="dirichlet", dN=(3, 1), seed=2, complex_values=True)
+    @example(mode="periodic", dN=(3, 2), seed=3, complex_values=False)
+    def test_matches_dense_path(self, mode, dN, seed, complex_values):
+        d, N = dN
+        basis = BASES[mode](N, d)
+        a = random_diagonal(N, d, seed, complex_values)
+        fast = time_averaged_observable(basis, a)
+        assert "vectors" not in vars(basis)
+        dense = time_averaged_observable(dense_copy(basis), a)
+        assert fast.dtype == dense.dtype
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * a.sup_norm
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_two_volume_squared_buffers(self, complex_values):
+        basis = sine_basis(32, 2)
+        a = random_diagonal(32, 2, 4, complex_values)
+        tracemalloc.start()
+        try:
+            out = time_averaged_observable(basis, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * out.size * out.itemsize
+
+    @pytest.mark.parametrize("d,N", [(2, 64), (3, 16)])
+    def test_scale_without_dense_vectors(self, d, N, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense eigenvectors built")
+
+        for name in ("vectors", "matrix"):
+            monkeypatch.setattr(ProductBasis, name, refuse)
+        monkeypatch.setattr(spectra, "sine_matrix", refuse)
+        a = random_diagonal(N, d, N, False)
+        start = time.perf_counter()
+        T = time_averaged_observable(sine_basis(N, d), a)
+        elapsed = time.perf_counter() - start
+        assert T.shape == (N**d, N**d)
+        assert np.trace(T) == pytest.approx(np.sum(a.diag()), abs=1e-10)
+        # the average pinches a onto the classes, which cannot raise the norm
+        assert hs_norm(T) <= hs_norm(a.diag()) * (1 + 1e-12)
+        assert elapsed <= 5.0
 
 
 def old_sine_matrix(N, d):

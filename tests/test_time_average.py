@@ -35,6 +35,16 @@ class TestHsNorm:
     def test_complex_entries(self):
         assert hs_norm(np.array([[3j, 4]])) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_matches_entry_sum(self, complex_values):
+        rng = np.random.default_rng(7)
+        M = rng.normal(size=(12, 30))
+        if complex_values:
+            M = M + 1j * rng.normal(size=M.shape)
+        for view in (M, M.T, M[::2, 1::3], M.reshape(6, 2, 30)[:, 1]):
+            expected = np.sqrt(np.sum(np.abs(view) ** 2))
+            assert abs(hs_norm(view) - expected) <= 1e-14 * expected
+
 
 class TestQuantumVariance:
     def test_centered_constant_vanishes(self):

@@ -31,6 +31,7 @@ from latticeqe.time_average import (
     time_averaged_observable,
 )
 
+from oracles import sine_axis_center_matrix
 
 # -- oracles: the loops the vectorized code replaced --------------------------
 
@@ -211,6 +212,17 @@ class TestCenterMatrix:
             S, dense_freqs, dense_eigs = sine_matrix(N, d)
             assert freqs == dense_freqs and np.array_equal(eigs, dense_eigs)
             assert np.max(np.abs(C - S.T @ (a.diag()[:, None] * S))) <= 1e-12 * a.sup_norm
+
+    @pytest.mark.parametrize("d,Ns", [(1, [1, 2, 7, 40]), (2, [1, 2, 8, 11]), (3, [1, 2, 5])])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_bitwise_equal_to_axis_loop(self, d, Ns, complex_values):
+        # the kernel shared with the factored time average, against the code it was lifted from
+        rng = np.random.default_rng(10 + d)
+        for N in Ns:
+            a = random_diagonal(cube(N, d), rng, complex_values)
+            C, oracle = center_matrix(a)[0], sine_axis_center_matrix(a)
+            assert C.dtype == oracle.dtype and C.shape == oracle.shape
+            assert C.tobytes() == oracle.tobytes()
 
     def test_scale_without_dense_basis(self, monkeypatch):
         def refuse(self):
