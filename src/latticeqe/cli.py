@@ -52,7 +52,7 @@ def build_parser() -> _Parser:
         p.add_argument("--M", dest="mass", type=float, help="staggered potential gap")
         p.add_argument("--task", choices=("counterexample", "partial-qe"))
         p.add_argument("--R", dest="max_offset", type=int, help="max kernel offset")
-        p.add_argument("--tol", type=float)
+        p.add_argument("--tol", type=float, help="correspond only: bound on residual, Gram error and inclusion")
         p.add_argument("--bound", type=float)
         p.add_argument("--random", dest="random_count", type=int,
                        help="number of seeded random diagonals to add")

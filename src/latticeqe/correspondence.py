@@ -100,7 +100,7 @@ def embed_block(psi: Wavefunction, q, N: int) -> Wavefunction:
     return embed(psi)
 
 
-def extend_observable(a: Observable, target: LatticeBox | None = None) -> Observable:
+def extend_observable(a: Observable) -> Observable:
     """Zero extension of an observable to the doubled box.
 
     Keeps every entry K(x, y) with both sites in the source block and sets
@@ -108,10 +108,7 @@ def extend_observable(a: Observable, target: LatticeBox | None = None) -> Observ
     ratio and quadratic forms match those of embedded wavefunctions up to
     the factor 2^d.
     """
-    if target is None:
-        target = embedding_target(a.box)
-    if target.d != a.box.d or any(t < s for t, s in zip(target.sides, a.box.sides)):
-        raise ValueError(f"target sides {target.sides} do not contain source {a.box.sides}")
+    target = embedding_target(a.box)
     offsets = {}
     src_block = tuple(slice(0, n) for n in a.box.sides)
     for z, vals in a.offsets.items():
@@ -124,16 +121,17 @@ def extend_observable(a: Observable, target: LatticeBox | None = None) -> Observ
     return Observable(target, offsets)
 
 
-def verify_correspondence(psi: Wavefunction, lam: float, norm_tol: float = 1e-8) -> float:
+def verify_correspondence(psi: Wavefunction, lam: float) -> float:
     """Eigen-residual of the embedded function under the wraparound adjacency.
 
-    The input must be a normalized eigenfunction for eigenvalue lam; returns
-    ||A_periodic (embed psi) - lam * embed psi||, the residual that
-    :func:`verify_correspondence_family` gives the one-column family.
+    The input must be an eigenfunction for eigenvalue lam, normalized to
+    within 1e-8; returns ||A_periodic (embed psi) - lam * embed psi||, the
+    residual that :func:`verify_correspondence_family` gives the one-column
+    family.
     """
-    if abs(psi.norm() - 1.0) > norm_tol:
+    if abs(psi.norm() - 1.0) > 1e-8:
         raise ValueError(f"input not normalized: ||psi|| = {psi.norm()}")
-    return verify_correspondence_family(SpectralData(psi.box, np.array([lam]), psi.values[:, None], [[0]]))[0]
+    return verify_correspondence_family(SpectralData(psi.box, np.array([lam]), psi.values[:, None]))[0]
 
 
 # Columns per chunk of the eigenvalue subtraction.
@@ -175,13 +173,7 @@ def verify_correspondence_family(basis: SpectralData):
     return float(max_residual), gram_error
 
 
-def complete_to_periodic_basis(
-    embedded: np.ndarray,
-    eigenvalues,
-    N: int,
-    d: int,
-    tol: float | None = None,
-) -> SpectralData:
+def complete_to_periodic_basis(embedded: np.ndarray, eigenvalues, N: int, d: int) -> SpectralData:
     """Extend an embedded eigenfamily to a full wraparound eigenbasis.
 
     Works classwise on the Bloch spectrum of the doubled cube: within each
@@ -190,8 +182,7 @@ def complete_to_periodic_basis(
     re-orthonormalized, so the returned basis contains the embedded family
     and diagonalizes the wraparound adjacency.
     """
-    tol = default_deg_tol(d) if tol is None else tol
-    match_tol = max(tol, 1e-8)
+    match_tol = max(default_deg_tol(d), 1e-8)
     side = 2 * N + 2
     bloch = bloch_basis(side, d)
     embedded = np.asarray(embedded, dtype=complex)

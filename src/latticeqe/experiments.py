@@ -103,6 +103,9 @@ class ExperimentConfig:
             raise ConfigError(f"config field 'q' (--q) needs periods of at least 1, got {self.q}")
         if self.task not in ("counterexample", "partial-qe"):
             raise ConfigError(f"unknown schrodinger task {self.task!r}")
+        needs_obs = {"var-scan": True, "schrodinger": self.task == "partial-qe", "bessel": not self.random_count}
+        if not self.obs and needs_obs.get(self.experiment, False):
+            raise ConfigError(f"config field 'obs' (--obs): {self.experiment} needs at least one observable")
         if self.potential is not None and not Path(self.potential).is_file():
             raise ConfigError(f"potential file not found: {self.potential}")
         for spec in self.obs:

@@ -200,13 +200,9 @@ def write_json(report: ExperimentReport, path) -> Path:
     return path
 
 
-def emit_report(report: ExperimentReport, out_dir, formats=("csv", "json")) -> list[Path]:
+def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
+    """Write ``<experiment>.csv`` and ``<experiment>.json`` into ``out_dir``; returns both paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    writers = {"csv": write_csv, "json": write_json}
-    paths = []
-    for fmt in formats:
-        if fmt not in writers:
-            raise ValueError(f"unknown report format {fmt!r}")
-        paths.append(writers[fmt](report, out_dir / f"{report.experiment}.{fmt}"))
-    return paths
+    return [write_csv(report, out_dir / f"{report.experiment}.csv"),
+            write_json(report, out_dir / f"{report.experiment}.json")]

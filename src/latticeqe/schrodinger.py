@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticeBox, Observable, UnsupportedPeriodError
-from .spectra import SpectralData, adjacency_matrix, default_deg_tol, degeneracy_classes, sine_square_sums
+from .spectra import SpectralData, adjacency_matrix, sine_square_sums
 from .time_average import centered, quantum_variance
 
 __all__ = [
@@ -140,25 +140,25 @@ class EigenSolveResult:
     residual: float
     gram_error: float
 
-    def basis(self, box: LatticeBox, tol: float | None = None) -> SpectralData:
+    def basis(self, box: LatticeBox) -> SpectralData:
         """The solved eigenbasis on a box, with degeneracy classes."""
-        tol = default_deg_tol(box.d) if tol is None else tol
-        return SpectralData(box, self.eigenvalues, self.vectors, degeneracy_classes(self.eigenvalues, tol))
+        return SpectralData(box, self.eigenvalues, self.vectors)
 
 
-def eigensolve_symmetric(H: np.ndarray, sym_tol: float = 1e-10) -> EigenSolveResult:
+def eigensolve_symmetric(H: np.ndarray) -> EigenSolveResult:
     """Full spectral decomposition of a real symmetric matrix.
 
     Orthogonal reduction to tridiagonal form followed by implicitly shifted
-    iteration, via LAPACK. Eigenvalues come back ascending; each eigenvector
-    is normalized with its first significant component positive so repeated
-    runs are bitwise reproducible.
+    iteration, via LAPACK. A matrix whose asymmetry exceeds ``1e-10`` times
+    ``max(1, max|H|)`` is refused. Eigenvalues come back ascending; each
+    eigenvector is normalized with its first significant component positive
+    so repeated runs are bitwise reproducible.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     scale = max(1.0, float(np.max(np.abs(H))))
-    if np.max(np.abs(H - H.T)) > sym_tol * scale:
+    if np.max(np.abs(H - H.T)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
     try:
         eigs, vecs = np.linalg.eigh(H)
@@ -173,9 +173,9 @@ def eigensolve_symmetric(H: np.ndarray, sym_tol: float = 1e-10) -> EigenSolveRes
     return EigenSolveResult(eigs, vecs, residual, gram_error)
 
 
-def eigenbasis(op: TruncatedOperator, tol: float | None = None) -> SpectralData:
+def eigenbasis(op: TruncatedOperator) -> SpectralData:
     """Numeric eigenbasis of a truncated operator with degeneracy classes."""
-    return eigensolve_symmetric(op.matrix).basis(op.box, tol)
+    return eigensolve_symmetric(op.matrix).basis(op.box)
 
 
 @dataclass(eq=False)
@@ -273,7 +273,7 @@ class FloquetBasis:
 def floquet_eigenbasis(potential: PeriodicPotential, N: int) -> SpectralData:
     """Floquet block eigenbasis of the zero-boundary operator, eigenvalues ascending."""
     fb = FloquetBasis(potential, N)
-    return SpectralData(fb.box, fb.eigs[fb.order], product=fb, tol=default_deg_tol(fb.box.d))
+    return SpectralData(fb.box, fb.eigs[fb.order], product=fb)
 
 
 def counterexample_potential(M: float) -> PeriodicPotential:
@@ -381,12 +381,12 @@ def partial_qe_experiment(
     a: Observable,
     enforce_lc: bool = True,
     exploratory: bool = False,
-    lc_tol: float = 1e-12,
 ) -> PartialQeResult:
     """Quantum variance of a centered observable over an eigenbasis of the block operator.
 
     The observable must have sup-norm at most 1 and satisfy the block-orbit
-    sum condition; violations raise :class:`LcViolationError` with the
+    sum condition up to ``1e-12 max(1, sup|a|) V``, V the block volume;
+    violations raise :class:`LcViolationError` with the
     measured deviation unless ``enforce_lc`` is off (useful to exhibit the
     failure mode). Both are checked before any operator is built. Periods
     above 2 are admitted only in exploratory mode, where nothing is asserted
@@ -410,11 +410,11 @@ def partial_qe_experiment(
     if a.sup_norm > 1.0 + 1e-12:
         raise ValueError(f"observable sup-norm {a.sup_norm} exceeds 1")
     deviation = lc_deviation(a, q)
-    scale = max(1.0, float(np.max(np.abs(a.diag())))) * box.volume
-    checked = deviation <= lc_tol * scale
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(a.diag())))) * box.volume
+    checked = deviation <= tol
     if enforce_lc and not checked:
         raise LcViolationError(
-            f"block-orbit sums differ by {deviation:.3e} (tolerance {lc_tol * scale:.3e}); "
+            f"block-orbit sums differ by {deviation:.3e} (tolerance {tol:.3e}); "
             "rerun with enforce_lc=False to measure the failing observable"
         )
     if dense:

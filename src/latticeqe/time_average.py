@@ -27,7 +27,7 @@ from .spectra import (
     _equal_pairs,
     _grid_points,
     _sign_pairs,
-    default_deg_tol,
+    sine_basis,
 )
 
 __all__ = [
@@ -160,14 +160,14 @@ def _expand_product(pb: ProductBasis, C: np.ndarray) -> np.ndarray:
     return X
 
 
-def _trapezoid_phase_average(omega: np.ndarray, T: float, steps: int, chunk_elems: int = 2_000_000):
+def _trapezoid_phase_average(omega: np.ndarray, T: float, steps: int):
     """Trapezoid average over [0, T] of exp(i omega t), elementwise in omega."""
     t = np.linspace(0.0, T, steps + 1)
     w = np.full(steps + 1, 1.0 / steps)
     w[0] *= 0.5
     w[-1] *= 0.5
     avg = np.zeros(omega.shape, dtype=complex)
-    chunk = max(1, chunk_elems // max(1, omega.size))
+    chunk = max(1, 2_000_000 // max(1, omega.size))  # time steps per block of about 2e6 phases
     for i0 in range(0, steps + 1, chunk):
         tc = t[i0 : i0 + chunk]
         wc = w[i0 : i0 + chunk]
@@ -322,22 +322,22 @@ class ThetaDecomposition:
         return out
 
 
-def theta_decompose(a: Observable, tol: float | None = None) -> ThetaDecomposition:
+def theta_decompose(a: Observable) -> ThetaDecomposition:
     """Split the class-masked center matrix into frequency components.
 
     Every entry of C = S* a S expands into a signed combination of at most
     4^d Fourier coefficients; restricted to equal-eigenvalue pairs, binning
     the terms by their frequency t = k.eps + m.eps' yields components that
     sum back to the masked center matrix. The zero component is exactly
-    (N/(N+1))^d <a> Id. The pairs and their frequencies t come from
+    (N/(N+1))^d <a> Id. The pairs (inside the classes of
+    :func:`~latticeqe.spectra.sine_basis`) and their frequencies t come from
     ``spectra._equal_pairs``, the enumerator shared with
     :func:`~latticeqe.spectra.lemma_c1_counts`; each entry adds its terms in
     sign-pair order, starting from zero.
     """
     N, d = _require_cube(a)
-    tol = default_deg_tol(d) if tol is None else tol
-    pb = ProductBasis("dirichlet", N, d)
-    i, j, t = _equal_pairs(pb, tol)
+    basis = sine_basis(N, d)
+    i, j, t = _equal_pairs(basis)
     eps, epp = _sign_pairs(d)
     coeffs = fourier_coefficients(a).reshape(-1)
     terms = coeffs[t] * (np.prod(-eps * epp, axis=1) / (2 * (N + 1)) ** d)
@@ -366,7 +366,7 @@ def theta_decompose(a: Observable, tol: float | None = None) -> ThetaDecompositi
             cols=cols[lo:hi],
             values=values[lo:hi],
         )
-    return ThetaDecomposition(N, d, pb.freqs(), pb.eigs, components)
+    return ThetaDecomposition(N, d, basis.product.freqs(), basis.product.eigs, components)
 
 
 def bessel_bound_check(a: Observable, phases: np.ndarray | None = None):

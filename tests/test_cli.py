@@ -80,6 +80,34 @@ class TestExitCodes:
         assert "latticeqe: error:" in err and "'mode'" in err and argv[0] in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["var-scan", "--d", "1", "--N", "4"],
+        ["bessel", "--d", "1", "--N", "4"],
+        ["schrodinger", "--task", "partial-qe", "--N", "4"],
+    ])
+    def test_empty_observable_list_rejected(self, tmp_path, capsys, argv):
+        assert main(argv + ["--obs", ",", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "latticeqe: error:" in err and "'obs'" in err and argv[0] in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["var-scan"], ["bessel"], ["schrodinger", "--task", "partial-qe"]])
+    def test_empty_observable_list_in_config_rejected(self, tmp_path, capsys, argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"d": 1, "n_values": [4], "obs": []}))
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 1
+        assert "'obs'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,rows", [
+        (["bessel", "--d", "1", "--N", "4", "--random", "2"], 2),
+        (["schrodinger", "--task", "counterexample", "--N", "4"], 1),
+    ])
+    def test_empty_observable_list_allowed_where_unread(self, tmp_path, argv, rows):
+        assert main(argv + ["--obs", ",", "--out", str(tmp_path)]) == 0
+        assert len(read(tmp_path / f"{argv[0]}.csv").splitlines()) == rows + 1
+
     def test_no_experiment_given(self):
         assert main([]) == 1
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from latticeqe import spectra
 from latticeqe.lattice import Observable, cube
-from latticeqe.spectra import ProductBasis, SpectralData, bloch_basis, sine_basis
+from latticeqe.schrodinger import PeriodicPotential, build_operator, eigensolve_symmetric, floquet_eigenbasis
+from latticeqe.spectra import ProductBasis, SpectralData, bloch_basis, default_deg_tol, degeneracy_classes, sine_basis
 from latticeqe.time_average import expectations, hs_norm, quantum_variance, time_averaged_observable
 
 BASES = {"dirichlet": sine_basis, "periodic": bloch_basis}
@@ -179,6 +180,31 @@ class TestLazyFields:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ProductBasis("neumann", 4, 1)
+
+
+class TestDerivedClasses:
+    """Every basis takes its classes from one rule: neighbours chained within ``default_deg_tol(d)``."""
+
+    @pytest.mark.parametrize("d,N", [(1, 9), (2, 6), (2, 11), (3, 4)])
+    @pytest.mark.parametrize("build", [sine_basis, bloch_basis])
+    def test_numeric_basis_derives_the_product_partition(self, build, d, N):
+        basis = build(N, d)
+        numeric = SpectralData(basis.box, basis.eigenvalues, basis.vectors)
+        expected = degeneracy_classes(basis.eigenvalues, default_deg_tol(d))
+        assert numeric.classes == expected
+        assert basis.classes == expected
+        assert numeric.classes is numeric.classes
+        assert d == 1 or max(map(len, expected)) > 1
+
+    @pytest.mark.parametrize("N", [3, 4, 6])
+    def test_floquet_and_dense_solve_derive_the_same_partition(self, N):
+        potential = PeriodicPotential((2, 2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        floquet = floquet_eigenbasis(potential, N)
+        dense = eigensolve_symmetric(build_operator(potential, N).matrix).basis(floquet.box)
+        for basis in (floquet, dense):
+            assert basis.classes == degeneracy_classes(basis.eigenvalues, default_deg_tol(2))
+        assert floquet.classes == dense.classes
+        assert max(map(len, floquet.classes)) > 1
 
 
 class TestScale:
