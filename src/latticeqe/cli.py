@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run
+from .experiments import EXPERIMENTS, READS, ConfigError, ExperimentConfig, run
 from .reporting import emit_report
 
 
@@ -35,6 +35,31 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _add_flags(p: _Parser) -> dict[str, str]:
+    """Add the shared flag set to ``p``; returns the flag of each config field."""
+    actions = [
+        p.add_argument("--config", help="JSON config file; flags override it"),
+        p.add_argument("--d", type=int, help="lattice dimension"),
+        p.add_argument("--N", dest="n_values", type=_int_list, help="comma-separated ascending box sizes"),
+        p.add_argument("--obs", type=_str_list, help="observable names or .json files, comma-separated"),
+        p.add_argument("--mode", choices=("dirichlet", "periodic")),
+        p.add_argument("--q", type=_int_list, help="periods, comma-separated"),
+        p.add_argument("--potential", help="potential JSON file"),
+        p.add_argument("--M", dest="mass", type=float, help="staggered potential gap"),
+        p.add_argument("--task", choices=("counterexample", "partial-qe")),
+        p.add_argument("--R", dest="max_offset", type=int, help="max kernel offset"),
+        p.add_argument("--tol", type=float, help="bound on residual, Gram error and inclusion"),
+        p.add_argument("--bound", type=float),
+        p.add_argument("--random", dest="random_count", type=int, help="number of seeded random diagonals to add"),
+        p.add_argument("--seed", type=int),
+        p.add_argument("--unchecked", action="store_true", help="run inadmissible observables anyway (report only)"),
+        p.add_argument("--exploratory", action="store_true",
+                       help="allow periods above 2 in partial-qe scans (nothing asserted)"),
+        p.add_argument("--out", help="output directory for CSV/JSON"),
+    ]
+    return {a.dest: a.option_strings[0] for a in actions}
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built on first use and shared by later calls."""
@@ -42,26 +67,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="experiment", metavar="|".join(EXPERIMENTS), parser_class=_Parser)
     for name in EXPERIMENTS:
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)  # absent flags stay unset
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--d", type=int, help="lattice dimension")
-        p.add_argument("--N", dest="n_values", type=_int_list, help="comma-separated ascending box sizes")
-        p.add_argument("--obs", type=_str_list, help="observable names or .json files, comma-separated")
-        p.add_argument("--mode", choices=("dirichlet", "periodic"))
-        p.add_argument("--q", type=_int_list, help="periods, comma-separated")
-        p.add_argument("--potential", help="potential JSON file")
-        p.add_argument("--M", dest="mass", type=float, help="staggered potential gap")
-        p.add_argument("--task", choices=("counterexample", "partial-qe"))
-        p.add_argument("--R", dest="max_offset", type=int, help="max kernel offset")
-        p.add_argument("--tol", type=float, help="correspond only: bound on residual, Gram error and inclusion")
-        p.add_argument("--bound", type=float)
-        p.add_argument("--random", dest="random_count", type=int,
-                       help="number of seeded random diagonals to add")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--unchecked", action="store_true",
-                       help="run inadmissible observables anyway (report only)")
-        p.add_argument("--exploratory", action="store_true",
-                       help="allow periods above 2 in partial-qe scans (nothing asserted)")
-        p.add_argument("--out", help="output directory for CSV/JSON")
+        flag = _add_flags(p)
+        p.description = (f"{name} reads {', '.join(map(flag.get, READS[name]))}; --config, --seed and --out "
+                         "are accepted by every experiment. Any other flag or config key must keep its default.")
     return parser
 
 

@@ -35,7 +35,7 @@ from .spectra import (
 from .time_average import bessel_bound_check, centered, fourier_phases, quantum_variance
 from .correlators import wucha_error_scan
 
-__all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "run"]
+__all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "READS", "run"]
 
 _VERSION = "0.1.0"
 
@@ -72,7 +72,8 @@ class ExperimentConfig:
                 for f in fields(self) if f.compare}
 
     def validate(self):
-        """Check each field against its annotation, then the values; ``ConfigError`` (exit 1) if bad."""
+        """Check each field against its annotation, that the fields the experiment does not read (``READS``)
+        keep their defaults, then the values; ``ConfigError`` (exit 1) if bad."""
         for f in fields(self):
             value = getattr(self, f.name)
             try:
@@ -81,6 +82,12 @@ class ExperimentConfig:
                 raise ConfigError(f"config field {f.name!r} expects {f.type}, got {value!r}") from None
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        reads = READS[self.experiment]
+        for f in fields(self):
+            value = getattr(self, f.name)  # same type as well as value: a run records what it was given
+            if f.name not in reads + _READ_BY_ALL and (type(value) is not type(f.default) or value != f.default):
+                raise ConfigError(f"config field {f.name!r}: {self.experiment} reads only {', '.join(reads)} "
+                                  f"(and seed, out), so {f.name!r} must keep its default {f.default!r}")
         if not self.n_values:
             raise ConfigError("need at least one box size (--N)")
         if list(self.n_values) != sorted(self.n_values) or len(set(self.n_values)) != len(self.n_values):
@@ -94,11 +101,10 @@ class ExperimentConfig:
         if self.random_count < 0:
             raise ConfigError(f"random observable count (--random) must be a nonnegative integer, "
                               f"got {self.random_count!r}")
+        if self.seed < 0:
+            raise ConfigError(f"config field 'seed' (--seed) must be a nonnegative integer, got {self.seed!r}")
         if self.mode not in ("dirichlet", "periodic"):
             raise ConfigError(f"unknown boundary mode {self.mode!r}")
-        if self.mode == "periodic" and self.experiment not in ("var-scan", "degeneracy"):
-            raise ConfigError(f"config field 'mode': {self.experiment} has zero boundary conditions only; "
-                              "'periodic' applies to var-scan and degeneracy")
         if any(c < 1 for c in self.q or ()):
             raise ConfigError(f"config field 'q' (--q) needs periods of at least 1, got {self.q}")
         if self.task not in ("counterexample", "partial-qe"):
@@ -106,6 +112,8 @@ class ExperimentConfig:
         needs_obs = {"var-scan": True, "schrodinger": self.task == "partial-qe", "bessel": not self.random_count}
         if not self.obs and needs_obs.get(self.experiment, False):
             raise ConfigError(f"config field 'obs' (--obs): {self.experiment} needs at least one observable")
+        if self.experiment == "var-scan" and len(self.obs) > 1:
+            raise ConfigError(f"config field 'obs' (--obs): var-scan scans one observable, got {list(self.obs)}")
         if self.potential is not None and not Path(self.potential).is_file():
             raise ConfigError(f"potential file not found: {self.potential}")
         for spec in self.obs:
@@ -295,6 +303,20 @@ EXPERIMENTS = {
     "correlator": _run_correlator,
     "bessel": _run_bessel,
 }
+
+# The config fields each runner reads. Every other field must keep its default,
+# except those in _READ_BY_ALL: ``seed`` too is accepted everywhere, so one seed
+# can be passed to every job whether or not its observables are random.
+READS = {name: tuple(names.split()) for name, names in {
+    "var-scan": "d n_values obs mode q bound",
+    "degeneracy": "d n_values mode",
+    "lemma-c1": "d n_values",
+    "correspond": "d n_values tol",
+    "schrodinger": "n_values task mass potential obs unchecked exploratory",
+    "correlator": "n_values max_offset bound",
+    "bessel": "d n_values obs q random_count",
+}.items()}
+_READ_BY_ALL = ("experiment", "seed", "out")
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from latticeqe.cli import build_parser, main
-from latticeqe.experiments import ExperimentConfig
+from latticeqe.experiments import EXPERIMENTS, READS, ExperimentConfig
 from latticeqe.reporting import ExperimentReport, config_hash, emit_report, write_csv
 
 
@@ -299,17 +299,17 @@ class TestSharedParser:
 
     def test_back_to_back_calls_do_not_leak_flags(self, tmp_path, capsys):
         flagged = ["bessel", "--d", "1", "--N", "4,6", "--obs", "half-indicator",
-                   "--random", "2", "--seed", "7", "--bound", "1e9", "--out", str(tmp_path / "a")]
+                   "--random", "2", "--seed", "7", "--q", "1", "--out", str(tmp_path / "a")]
         plain = ["bessel", "--d", "1", "--N", "4,6", "--obs", "half-indicator",
                  "--out", str(tmp_path / "b")]
         assert main(flagged) == 0
         assert main(plain) == 0
         a = json.loads(read(tmp_path / "a" / "bessel.json"))["metadata"]["config"]
         b = json.loads(read(tmp_path / "b" / "bessel.json"))["metadata"]["config"]
-        assert (a["seed"], a["random_count"], a["bound"]) == (7, 2, 1e9)
+        assert (a["seed"], a["random_count"], a["q"]) == (7, 2, [1])
         defaults = ExperimentConfig(experiment="bessel").canonical()
-        assert (b["seed"], b["random_count"], b["bound"]) == (
-            defaults["seed"], defaults["random_count"], defaults["bound"])
+        assert (b["seed"], b["random_count"], b["q"]) == (
+            defaults["seed"], defaults["random_count"], defaults["q"])
 
     def test_store_true_flag_does_not_stick(self, tmp_path):
         argv = ["schrodinger", "--task", "partial-qe", "--N", "4", "--obs", "parity",
@@ -390,13 +390,15 @@ class TestConfigFile:
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_lists_become_tuples_and_integers_stay_as_given(self, tmp_path):
-        cfg = {"d": 1, "n_values": [4, 8], "obs": ["half-indicator"], "mass": 100, "tol": 1}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["bessel", "--config", str(path), "--out", str(tmp_path)]) == 0
-        text = read(tmp_path / "bessel.json")
-        assert '"mass": 100,' in text and '"tol": 1,' in text
-        assert json.loads(text)["metadata"]["config"]["n_values"] == [4, 8]
+        # each integer sits in a float field of an experiment that reads it
+        for experiment, cfg, given in (("schrodinger", {"task": "counterexample", "mass": 100}, '"mass": 100,'),
+                                       ("correspond", {"d": 1, "tol": 1}, '"tol": 1,')):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"n_values": [4, 8], **cfg}))
+            assert main([experiment, "--config", str(path), "--out", str(tmp_path)]) == 0
+            text = read(tmp_path / f"{experiment}.json")
+            assert given in text
+            assert json.loads(text)["metadata"]["config"]["n_values"] == [4, 8]
 
     def test_numpy_integers_accepted(self):
         cfg = ExperimentConfig(experiment="var-scan", d=np.int64(2), n_values=[np.int32(4), 8])
@@ -453,6 +455,133 @@ class TestSingleDeclaration:
         err = capsys.readouterr().err
         assert err.startswith(f"latticeqe: error: config field {field!r}")
         assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]  # no report, no output directory
+
+
+_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+class _Recording(ExperimentConfig):
+    """A config that notes, in ``read``, each field read while ``read`` is a set."""
+
+    read = None
+
+    def __getattribute__(self, name):
+        read = object.__getattribute__(self, "read")
+        if read is not None and name in _FIELDS:
+            read.add(name)
+        return object.__getattribute__(self, name)
+
+
+# Tiny runs of every branch that reads a field: both schrodinger tasks, with and
+# without a potential file, block-constant (reads q) and random (reads seed)
+# observables, and bessel with random diagonals. "POT" stands for a potential file.
+_READ_CASES = {
+    "var-scan": [dict(d=1, n_values=(4,)), dict(d=1, n_values=(4,), obs=("block-constant",), q=(2,)),
+                 dict(d=2, n_values=(2,), obs=("random-diagonal",), mode="periodic")],
+    "degeneracy": [dict(d=2, n_values=(2, 3)), dict(d=1, n_values=(4,), mode="periodic")],
+    "lemma-c1": [dict(d=2, n_values=(3,))],
+    "correspond": [dict(d=1, n_values=(3,))],
+    "schrodinger": [dict(n_values=(4,)),
+                    dict(task="partial-qe", n_values=(4,), obs=("block-constant", "random-diagonal"), unchecked=True),
+                    dict(task="partial-qe", n_values=(2,), obs=("block-constant",), potential="POT")],
+    "correlator": [dict(n_values=(10,), max_offset=1)],
+    "bessel": [dict(d=1, n_values=(4,)), dict(d=1, n_values=(4,), obs=("block-constant",), q=(2,), random_count=2)],
+}
+
+# A valid value away from the default, for each field an experiment may leave unread.
+_AWAY = {"d": 2, "obs": ["parity"], "mode": "periodic", "q": [2], "potential": "pot.json", "mass": 50.0,
+         "task": "partial-qe", "max_offset": 2, "tol": 0.5, "bound": 1e9, "random_count": 1, "unchecked": True,
+         "exploratory": True}
+_UNREAD = [(name, f) for name in EXPERIMENTS for f in _AWAY if f not in READS[name]]
+
+
+class TestDeclaredReads:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_declared_fields_are_the_fields_read(self, tmp_path, experiment):
+        pot = tmp_path / "pot.json"
+        pot.write_text(json.dumps({"d": 1, "q": [2], "values": [0.0, 30.0]}))
+        read = set()
+        for case in _READ_CASES[experiment]:
+            cfg = _Recording(experiment, **{k: str(pot) if v == "POT" else v for k, v in case.items()})
+            cfg.validate()
+            cfg.read = set()
+            EXPERIMENTS[experiment](cfg)
+            read |= cfg.read
+        assert read == set(READS[experiment]) | (read & {"seed"})
+
+    def test_settable_pairs(self):
+        user_fields = _FIELDS - {"experiment", "out"}
+        assert set(_AWAY) == user_fields - {"n_values", "seed"}  # read by every experiment / accepted everywhere
+        assert len(EXPERIMENTS) * len(user_fields) - len(_UNREAD) == 36
+
+    @pytest.mark.parametrize("experiment, field", _UNREAD, ids=[f"{e}-{f}" for e, f in _UNREAD])
+    def test_unread_field_away_from_default_rejected(self, tmp_path, monkeypatch, capsys, experiment, field):
+        monkeypatch.chdir(tmp_path)
+        Path("pot.json").write_text(json.dumps({"d": 1, "q": [2], "values": [0.0, 30.0]}))
+        Path("cfg.json").write_text(json.dumps({"n_values": [4], field: _AWAY[field]}))
+        assert main([experiment, "--config", "cfg.json", "--out", "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"latticeqe: error: config field {field!r}: {experiment} reads only")
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["correspond", "--d", "1", "--N", "2", "--q", "2"],
+        ["schrodinger", "--N", "4", "--q", "3"],
+        ["lemma-c1", "--d", "1", "--N", "4", "--tol", "0.5"],
+        ["correlator", "--N", "10", "--d", "3"],
+        ["var-scan", "--d", "1", "--N", "4", "--unchecked", "--exploratory", "--M", "7", "--R", "9",
+         "--random", "5"],
+    ])
+    def test_unread_flag_rejected(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert "config field" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_default_kept_means_same_type_and_value(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for mass, code in ((100, 1), (100.0, 0)):
+            path.write_text(json.dumps({"d": 1, "n_values": [4], "mass": mass}))
+            assert main(["lemma-c1", "--config", str(path), "--out", str(tmp_path / "a")]) == code
+        assert main(["lemma-c1", "--d", "1", "--N", "4", "--out", str(tmp_path / "b")]) == 0
+        for name in ("lemma-c1.csv", "lemma-c1.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_descriptions_name_the_flags_read(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, p in sub.choices.items():
+            flags = {a.dest: a.option_strings[0] for a in p._actions}
+            named = p.description.split(";")[0].removeprefix(f"{name} reads ").split(", ")
+            assert named == [flags[f] for f in READS[name]]
+
+    @pytest.mark.parametrize("argv", [
+        ["correspond", "--d", "1", "--N", "2"],
+        ["bessel", "--d", "1", "--N", "4", "--random", "1"],
+    ])
+    def test_negative_seed_rejected(self, tmp_path, capsys, argv):
+        assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert "config field 'seed' (--seed)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_in_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"d": 1, "n_values": [4], "random_count": 1, "seed": -1}))
+        assert main(["bessel", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "config field 'seed' (--seed)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_var_scan_takes_one_observable(self, tmp_path, capsys, source):
+        argv = ["var-scan", "--d", "2", "--N", "4,6", "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += ["--obs", "half-indicator,parity"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"obs": ["half-indicator", "parity"]}))
+            argv += ["--config", str(path)]
+        assert main(argv) == 1
+        assert "config field 'obs' (--obs): var-scan scans one observable" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReporting:

@@ -23,7 +23,7 @@ GOLDEN = Path(__file__).with_name("golden_reports.json")
 
 JOBS = [
     "var-scan --d 1 --N 8,16,33 --obs centered-half",
-    "var-scan --d 2 --N 4,6 --obs half-indicator,parity",
+    "var-scan --d 2 --N 4,6 --obs half-indicator",
     "var-scan --d 1 --N 8,16 --obs centered-half --mode periodic",
     "var-scan --d 3 --N 2,3 --obs centered-half",
     "degeneracy --d 2 --N 2,4,6",
