@@ -68,8 +68,9 @@ def build_parser() -> _Parser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)  # absent flags stay unset
         flag = _add_flags(p)
-        p.description = (f"{name} reads {', '.join(map(flag.get, READS[name]))}; --config, --seed and --out "
-                         "are accepted by every experiment. Any other flag or config key must keep its default.")
+        reads = [f"{key} reads {', '.join(map(flag.get, READS[key]))}" for key in READS if key.split()[0] == name]
+        p.description = ("; ".join(reads) + "; --config, --seed and --out are accepted by every experiment. "
+                         "Any other flag or config key must keep its default.")
     return parser
 
 

@@ -134,7 +134,7 @@ def verify_correspondence(psi: Wavefunction, lam: float) -> float:
     return verify_correspondence_family(SpectralData(psi.box, np.array([lam]), psi.values[:, None]))[0]
 
 
-# Columns per chunk of the eigenvalue subtraction.
+# Columns per chunk of the residual.
 _CHUNK = 16
 
 
@@ -142,14 +142,14 @@ def verify_correspondence_family(basis: SpectralData):
     """Batch certification of an embedded orthonormal eigenfamily.
 
     Embeds every basis column at once: one gather of the ``sides + (n,)``
-    block, scaled in place by the sign tensor, then the wraparound adjacency
-    on the whole doubled block as the in-place neighbour sum behind
-    ``spectra.apply_adjacency``, and the eigenvalues subtracted in column
-    chunks. Each column gets the same floating-point operations as
-    :func:`embed` and ``apply_adjacency`` would give it, and no more than two
-    blocks are alive at once. Returns ``(max_residual, gram_error)``: the largest
-    eigen-residual norm over the columns, and the max-norm deviation of the
-    embedded family's Gram matrix from the identity.
+    block, scaled in place by the sign tensor. The residual is then built
+    in column chunks: the wraparound adjacency of the chunk as the in-place
+    neighbour sum behind ``spectra.apply_adjacency``, minus its eigenvalues
+    times the chunk. Each column gets the same floating-point operations as
+    :func:`embed` and ``apply_adjacency`` would give it, and the embedded
+    block is the only block-sized array. Returns ``(max_residual, gram_error)``:
+    the largest eigen-residual norm over the columns, and the max-norm
+    deviation of the embedded family's Gram matrix from the identity.
     """
     box, n = basis.box, basis.n
     vectors = basis.vectors
@@ -158,19 +158,20 @@ def verify_correspondence_family(basis: SpectralData):
     index, sign = _embedding_maps(box.sides)
     images = vectors.reshape(box.sides + (n,))[index]
     images *= sign[..., None]
-    residual = np.zeros_like(images)
-    _add_neighbours(residual, images, box.d, "periodic")
+    max_residual = 0.0
     for c in range(0, n, _CHUNK):
         cols = slice(c, c + _CHUNK)
-        residual[..., cols] -= basis.eigenvalues[cols] * images[..., cols]
-    # np.linalg.norm copies each strided column to a contiguous vector first,
-    # so every norm sums in the order of the one-column computation.
-    max_residual = max(map(np.linalg.norm, residual.reshape(-1, n).T))
-    del residual
+        chunk = images[..., cols]
+        residual = np.zeros_like(chunk)
+        _add_neighbours(residual, chunk, box.d, "periodic")
+        residual -= basis.eigenvalues[cols] * chunk
+        # np.linalg.norm copies each strided column to a contiguous vector first,
+        # so every norm sums in the order of the one-column computation.
+        max_residual = max(max_residual, *map(np.linalg.norm, residual.reshape(-1, residual.shape[-1]).T))
     E = images.reshape(-1, n)
     gram = E.conj().T @ E
-    gram_error = float(np.max(np.abs(gram - np.eye(n))))
-    return float(max_residual), gram_error
+    gram[np.diag_indices(n)] -= 1  # in place, the same subtraction as gram - eye(n)
+    return float(max_residual), float(np.max(np.abs(gram)))
 
 
 def complete_to_periodic_basis(embedded: np.ndarray, eigenvalues, N: int, d: int) -> SpectralData:

@@ -35,7 +35,7 @@ from .spectra import (
 from .time_average import bessel_bound_check, centered, fourier_phases, quantum_variance
 from .correlators import wucha_error_scan
 
-__all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "READS", "run"]
+__all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "READS", "reader", "run"]
 
 _VERSION = "0.1.0"
 
@@ -72,8 +72,8 @@ class ExperimentConfig:
                 for f in fields(self) if f.compare}
 
     def validate(self):
-        """Check each field against its annotation, that the fields the experiment does not read (``READS``)
-        keep their defaults, then the values; ``ConfigError`` (exit 1) if bad."""
+        """Check each field against its annotation, that the fields the run does not read (``READS``, by
+        experiment and schrodinger task) keep their defaults, then the values; ``ConfigError`` (exit 1) if bad."""
         for f in fields(self):
             value = getattr(self, f.name)
             try:
@@ -82,11 +82,14 @@ class ExperimentConfig:
                 raise ConfigError(f"config field {f.name!r} expects {f.type}, got {value!r}") from None
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        reads = READS[self.experiment]
+        key = reader(self.experiment, self.task)
+        if key not in READS:
+            raise ConfigError(f"unknown schrodinger task {self.task!r}")
+        reads = READS[key]
         for f in fields(self):
             value = getattr(self, f.name)  # same type as well as value: a run records what it was given
             if f.name not in reads + _READ_BY_ALL and (type(value) is not type(f.default) or value != f.default):
-                raise ConfigError(f"config field {f.name!r}: {self.experiment} reads only {', '.join(reads)} "
+                raise ConfigError(f"config field {f.name!r}: {key} reads only {', '.join(reads)} "
                                   f"(and seed, out), so {f.name!r} must keep its default {f.default!r}")
         if not self.n_values:
             raise ConfigError("need at least one box size (--N)")
@@ -107,8 +110,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown boundary mode {self.mode!r}")
         if any(c < 1 for c in self.q or ()):
             raise ConfigError(f"config field 'q' (--q) needs periods of at least 1, got {self.q}")
-        if self.task not in ("counterexample", "partial-qe"):
-            raise ConfigError(f"unknown schrodinger task {self.task!r}")
         needs_obs = {"var-scan": True, "schrodinger": self.task == "partial-qe", "bessel": not self.random_count}
         if not self.obs and needs_obs.get(self.experiment, False):
             raise ConfigError(f"config field 'obs' (--obs): {self.experiment} needs at least one observable")
@@ -304,19 +305,26 @@ EXPERIMENTS = {
     "bessel": _run_bessel,
 }
 
-# The config fields each runner reads. Every other field must keep its default,
-# except those in _READ_BY_ALL: ``seed`` too is accepted everywhere, so one seed
-# can be passed to every job whether or not its observables are random.
+# The config fields each run reads, by experiment and, for schrodinger, by task:
+# a run looks up ``reader(experiment, task)``. Every other field must keep its
+# default, except those in _READ_BY_ALL: ``seed`` too is accepted everywhere, so
+# one seed can be passed to every job whether or not its observables are random.
 READS = {name: tuple(names.split()) for name, names in {
     "var-scan": "d n_values obs mode q bound",
     "degeneracy": "d n_values mode",
     "lemma-c1": "d n_values",
     "correspond": "d n_values tol",
-    "schrodinger": "n_values task mass potential obs unchecked exploratory",
+    "schrodinger --task counterexample": "n_values task mass",
+    "schrodinger --task partial-qe": "n_values task mass potential obs unchecked exploratory",
     "correlator": "n_values max_offset bound",
     "bessel": "d n_values obs q random_count",
 }.items()}
 _READ_BY_ALL = ("experiment", "seed", "out")
+
+
+def reader(experiment: str, task: str) -> str:
+    """The key of ``READS`` for a run: the experiment, and for schrodinger its task too."""
+    return f"{experiment} --task {task}" if experiment == "schrodinger" else experiment
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:

@@ -101,16 +101,18 @@ def time_averaged_observable(basis: SpectralData, a: Observable) -> np.ndarray:
     On a sine or Bloch basis (a :class:`ProductBasis`) V is the d-fold
     tensor power of the 1-D factor F: C is formed axis by axis as in
     :func:`center_matrix`, and V C V* as 2d products with F, one per axis,
-    alternating between two V x V buffers. Time is O(d N^(2d+1)), and the
-    dense eigenvectors are never built. Any other basis takes three dense
-    products, O(V^3) time, with at most four V x V arrays alive at once.
+    each applied to C in place. Time is O(d N^(2d+1)); one V x V array is
+    alive, with scratch of about V^2/N entries, and the dense eigenvectors
+    are never built. Any other basis takes three dense products, O(V^3)
+    time, with at most four V x V arrays alive at once.
     """
     if a.box != basis.box:
         raise BoxMismatchError("observable and basis live on different boxes")
     diag = a.require_diagonal()
     pb = basis.product
     factored = isinstance(pb, ProductBasis)
-    label = np.full(basis.n, -1)
+    n = basis.n
+    label = np.full(n, -1)
     for i, cls in enumerate(basis.classes):
         label[pb.order[cls] if factored else cls] = i  # product classes index sorted columns
     if factored:
@@ -118,18 +120,34 @@ def time_averaged_observable(basis: SpectralData, a: Observable) -> np.ndarray:
     else:
         V = basis.vectors
         C = V.conj().T @ (diag[:, None] * V)
-    C[(label[:, None] != label) | (label < 0)[:, None]] = 0
+    rows = max(1, _chunk_entries(C) // n)  # row blocks keep the boolean mask small
+    for r in range(0, n, rows):
+        own = label[r : r + rows, None]
+        C[r : r + rows][(own != label) | (own < 0)] = 0
     if factored:
         return _expand_product(pb, C)
     C = V @ C  # rebinding frees the masked C before the last product
     return C @ V.conj().T
 
 
+# Bytes of one block of in-place work on a V x V array: small enough to stay in cache
+# between its copy to scratch and its product, large enough that small boxes take few blocks.
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunk_entries(C: np.ndarray) -> int:
+    """Entries of C in one block of in-place work: ``_CHUNK_BYTES`` worth, or all of C if less."""
+    return min(C.size, _CHUNK_BYTES // C.itemsize)
+
+
 def _product_center(pb: ProductBasis, diag: np.ndarray) -> np.ndarray:
     """C = V* a V for V the tensor power of ``pb``, rows and columns in row-major frequency order.
 
     Contracts one site axis at a time with ``P[x, k, m] = conj(F[x, k]) F[x, m]``,
-    F the 1-D factor.
+    F the 1-D factor, which leaves the axes in the order (k_1, m_1, ..., k_d, m_d).
+    They are permuted to (k_1, ..., k_d, m_1, ..., m_d) in place, a run of k_1
+    slabs at a time through scratch: each slab spans the same entries in
+    both orders.
     """
     N, d = pb.N, pb.d
     F = pb.factor()
@@ -137,27 +155,50 @@ def _product_center(pb: ProductBasis, diag: np.ndarray) -> np.ndarray:
     C = diag.reshape((N,) * d)
     for _ in range(d):
         C = np.tensordot(C, P, axes=([0], [0]))  # site axis x_l -> frequency axes (k_l, m_l)
-    C = C.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2)))
+    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
+    step = max(1, _chunk_entries(C) // C[0].size)
+    buf = np.empty((step,) + C.shape[1:], C.dtype)
+    for k in range(0, N, step):
+        src = C[k : k + step]
+        tmp = buf[: len(src)]
+        np.copyto(tmp, src)
+        np.copyto(src, tmp.transpose(perm))
     return C.reshape(N**d, N**d)
 
 
+def _blocks(X: np.ndarray, size: int) -> list[np.ndarray]:
+    """Views covering X, shaped (lead, N, width), that a product along the middle axis maps to themselves.
+
+    Each holds at most ``size`` entries: a run of leading slabs, or a column run of one slab.
+    """
+    lead, N, width = X.shape
+    if N * width <= size:
+        step = size // (N * width)
+        return [X[i : i + step] for i in range(0, lead, step)]
+    step = max(1, size // N)
+    return [X[i : i + 1, :, c : c + step] for i in range(lead) for c in range(0, width, step)]
+
+
 def _expand_product(pb: ProductBasis, C: np.ndarray) -> np.ndarray:
-    """V C V* for V the tensor power of ``pb``, as 2d per-axis products into two buffers.
+    """V C V* for V the tensor power of ``pb``, as 2d per-axis products applied to C in place.
 
     Axis j of ``C`` viewed as ``(N,) * 2d`` is contracted with F for the d
-    row axes and with conj(F) for the d column axes. ``C`` is overwritten.
+    row axes and with conj(F) for the d column axes. Each product runs over
+    blocks of C that it maps to themselves: each block is copied to scratch
+    and multiplied back into its place. ``C`` is overwritten and returned.
     """
     N, d = pb.N, pb.d
     F = pb.factor()
-    X, Y = C, np.empty_like(C)
+    buf = np.empty(_chunk_entries(C), C.dtype)
     for j, M in enumerate([F] * d + [F.conj()] * d):
-        if j < 2 * d - 1:
-            shape = (N**j, N, N ** (2 * d - 1 - j))
-            np.matmul(M, X.reshape(shape), out=Y.reshape(shape))
-        else:
-            np.matmul(X.reshape(-1, N), M.T, out=Y.reshape(-1, N))
-        X, Y = Y, X
-    return X
+        for block in _blocks(C.reshape(N**j, N, -1), buf.size):
+            tmp = buf[: block.size].reshape(block.shape)
+            np.copyto(tmp, block)
+            if j < 2 * d - 1:
+                np.matmul(M, tmp, out=block)
+            else:  # blocks (rows, N, 1) of the last axis: rows of C times M^T, in one product
+                np.matmul(tmp.reshape(-1, N), M.T, out=block.reshape(-1, N))
+    return C
 
 
 def _trapezoid_phase_average(omega: np.ndarray, T: float, steps: int):
@@ -250,8 +291,9 @@ def center_matrix(a: Observable):
     Returns ``(C, freqs, eigs)`` with frequencies and eigenvalues aligned to
     the rows/columns of C. The sine basis is a tensor power of the 1-D
     factor S1, so C contracts one axis at a time with
-    ``P[x, k, m] = S1[x, k] S1[x, m]``: time O(d N^(2d+1)), without the dense
-    sine matrix.
+    ``P[x, k, m] = S1[x, k] S1[x, m]`` and has its axes permuted in place:
+    time O(d N^(2d+1)), one V x V array and scratch of about V^2/N entries,
+    without the dense sine matrix.
     """
     N, d = _require_cube(a)
     pb = ProductBasis("dirichlet", N, d)

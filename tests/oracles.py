@@ -1,8 +1,8 @@
-"""Test-only reference implementations.
+"""Test-only reference implementations, and a memory probe.
 
-Each one is an independent, slower construction of something the library
-computes faster; tests compare the library against them. None of them is
-part of the package.
+Each reference is an independent, slower construction of something the
+library computes faster; tests compare the library against them. None of
+them is part of the package.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -181,3 +182,15 @@ def theta_classes(N: int, d: int) -> dict:
         parities = tuple(c % 2 for c in t)
         out.setdefault((signs, parities), []).append(t)
     return out
+
+
+# -- memory -------------------------------------------------------------------
+
+def peak_bytes(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from latticeqe.cli import build_parser, main
-from latticeqe.experiments import EXPERIMENTS, READS, ExperimentConfig
+from latticeqe.experiments import EXPERIMENTS, READS, ExperimentConfig, reader
 from latticeqe.reporting import ExperimentReport, config_hash, emit_report, write_csv
 
 
@@ -102,7 +102,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,rows", [
         (["bessel", "--d", "1", "--N", "4", "--random", "2"], 2),
-        (["schrodinger", "--task", "counterexample", "--N", "4"], 1),
     ])
     def test_empty_observable_list_allowed_where_unread(self, tmp_path, argv, rows):
         assert main(argv + ["--obs", ",", "--out", str(tmp_path)]) == 0
@@ -472,18 +471,20 @@ class _Recording(ExperimentConfig):
         return object.__getattribute__(self, name)
 
 
-# Tiny runs of every branch that reads a field: both schrodinger tasks, with and
-# without a potential file, block-constant (reads q) and random (reads seed)
-# observables, and bessel with random diagonals. "POT" stands for a potential file.
+# Tiny runs of every branch that reads a field, by READS key: both schrodinger
+# tasks, partial-qe with and without a potential file, block-constant (reads q)
+# and random (reads seed) observables, and bessel with random diagonals. "POT"
+# stands for a potential file.
 _READ_CASES = {
     "var-scan": [dict(d=1, n_values=(4,)), dict(d=1, n_values=(4,), obs=("block-constant",), q=(2,)),
                  dict(d=2, n_values=(2,), obs=("random-diagonal",), mode="periodic")],
     "degeneracy": [dict(d=2, n_values=(2, 3)), dict(d=1, n_values=(4,), mode="periodic")],
     "lemma-c1": [dict(d=2, n_values=(3,))],
     "correspond": [dict(d=1, n_values=(3,))],
-    "schrodinger": [dict(n_values=(4,)),
-                    dict(task="partial-qe", n_values=(4,), obs=("block-constant", "random-diagonal"), unchecked=True),
-                    dict(task="partial-qe", n_values=(2,), obs=("block-constant",), potential="POT")],
+    "schrodinger --task counterexample": [dict(n_values=(4,))],
+    "schrodinger --task partial-qe": [
+        dict(task="partial-qe", n_values=(4,), obs=("block-constant", "random-diagonal"), unchecked=True),
+        dict(task="partial-qe", n_values=(2,), obs=("block-constant",), potential="POT")],
     "correlator": [dict(n_values=(10,), max_offset=1)],
     "bessel": [dict(d=1, n_values=(4,)), dict(d=1, n_values=(4,), obs=("block-constant",), q=(2,), random_count=2)],
 }
@@ -492,37 +493,59 @@ _READ_CASES = {
 _AWAY = {"d": 2, "obs": ["parity"], "mode": "periodic", "q": [2], "potential": "pot.json", "mass": 50.0,
          "task": "partial-qe", "max_offset": 2, "tol": 0.5, "bound": 1e9, "random_count": 1, "unchecked": True,
          "exploratory": True}
-_UNREAD = [(name, f) for name in EXPERIMENTS for f in _AWAY if f not in READS[name]]
+_UNREAD = [(key, f) for key in READS for f in _AWAY if f not in READS[key]]
 
 
 class TestDeclaredReads:
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
-    def test_declared_fields_are_the_fields_read(self, tmp_path, experiment):
+    @pytest.mark.parametrize("key", READS)
+    def test_declared_fields_are_the_fields_read(self, tmp_path, key):
         pot = tmp_path / "pot.json"
         pot.write_text(json.dumps({"d": 1, "q": [2], "values": [0.0, 30.0]}))
+        experiment = key.split()[0]
         read = set()
-        for case in _READ_CASES[experiment]:
+        for case in _READ_CASES[key]:
             cfg = _Recording(experiment, **{k: str(pot) if v == "POT" else v for k, v in case.items()})
             cfg.validate()
+            assert reader(cfg.experiment, cfg.task) == key
             cfg.read = set()
             EXPERIMENTS[experiment](cfg)
             read |= cfg.read
-        assert read == set(READS[experiment]) | (read & {"seed"})
+        assert read == set(READS[key]) | (read & {"seed"})
 
     def test_settable_pairs(self):
         user_fields = _FIELDS - {"experiment", "out"}
         assert set(_AWAY) == user_fields - {"n_values", "seed"}  # read by every experiment / accepted everywhere
-        assert len(EXPERIMENTS) * len(user_fields) - len(_UNREAD) == 36
+        assert {key.split()[0] for key in READS} == set(EXPERIMENTS)
+        assert len(READS) * len(user_fields) - len(_UNREAD) == 40
 
-    @pytest.mark.parametrize("experiment, field", _UNREAD, ids=[f"{e}-{f}" for e, f in _UNREAD])
-    def test_unread_field_away_from_default_rejected(self, tmp_path, monkeypatch, capsys, experiment, field):
+    @pytest.mark.parametrize("key, field", _UNREAD, ids=[f"{k}-{f}" for k, f in _UNREAD])
+    def test_unread_field_away_from_default_rejected(self, tmp_path, monkeypatch, capsys, key, field):
         monkeypatch.chdir(tmp_path)
         Path("pot.json").write_text(json.dumps({"d": 1, "q": [2], "values": [0.0, 30.0]}))
-        Path("cfg.json").write_text(json.dumps({"n_values": [4], field: _AWAY[field]}))
-        assert main([experiment, "--config", "cfg.json", "--out", "out"]) == 1
+        task = {"task": key.split()[-1]} if key.startswith("schrodinger") else {}
+        Path("cfg.json").write_text(json.dumps({"n_values": [4], **task, field: _AWAY[field]}))
+        assert main([key.split()[0], "--config", "cfg.json", "--out", "out"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"latticeqe: error: config field {field!r}: {experiment} reads only")
+        assert err.startswith(f"latticeqe: error: config field {field!r}: {key} reads only")
         assert not Path("out").exists()
+
+    @pytest.mark.parametrize("flags", [["--potential", "pot.json"], ["--obs", "parity"], ["--obs", ","],
+                                       ["--unchecked"], ["--exploratory"]])
+    def test_counterexample_refuses_partial_qe_flags(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        Path("pot.json").write_text(json.dumps({"d": 1, "q": [2], "values": [0.0, 30.0]}))
+        assert main(["schrodinger", "--task", "counterexample", "--N", "4", *flags, "--out", "out"]) == 1
+        field = flags[0].removeprefix("--")
+        err = capsys.readouterr().err
+        assert err.startswith(f"latticeqe: error: config field {field!r}: schrodinger --task counterexample reads only")
+        assert not Path("out").exists()
+
+    def test_unknown_task_in_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_values": [4], "task": "bands"}))
+        assert main(["schrodinger", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "unknown schrodinger task 'bands'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["correspond", "--d", "1", "--N", "2", "--q", "2"],
@@ -551,8 +574,10 @@ class TestDeclaredReads:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         for name, p in sub.choices.items():
             flags = {a.dest: a.option_strings[0] for a in p._actions}
-            named = p.description.split(";")[0].removeprefix(f"{name} reads ").split(", ")
-            assert named == [flags[f] for f in READS[name]]
+            keys = [key for key in READS if key.split()[0] == name]
+            clauses = p.description.split("; ")
+            assert clauses[: len(keys)] == [f"{key} reads {', '.join(flags[f] for f in READS[key])}" for key in keys]
+            assert clauses[len(keys)].startswith("--config, --seed and --out")
 
     @pytest.mark.parametrize("argv", [
         ["correspond", "--d", "1", "--N", "2"],

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from latticeqe.correlators import (
 from latticeqe.lattice import Observable, Wavefunction, cube, shift_set, translate
 from latticeqe.spectra import adjacency_matrix, dirichlet_eigenpair, sine_matrix
 
-from oracles import dense_shift_overlaps, infinite_chebyshev
+from oracles import dense_shift_overlaps, infinite_chebyshev, peak_bytes
 
 
 class TestSpherical:
@@ -326,13 +325,7 @@ class TestStreamedKernel:
 
     def test_scan_peak_memory_without_dense_factor(self):
         # the dense 1600 x 1600 factor alone is 20 MB
-        tracemalloc.start()
-        try:
-            wucha_error_scan([1600], 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10e6
+        assert peak_bytes(lambda: wucha_error_scan([1600], 3)) < 10e6
 
     def test_scan_at_scale_builds_no_factor(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +24,7 @@ from latticeqe.spectra import (
 )
 from latticeqe.time_average import expectations
 
-from oracles import embed_by_reflections, loop_correspondence_family
+from oracles import embed_by_reflections, loop_correspondence_family, peak_bytes
 
 
 class TestReflect:
@@ -232,13 +230,14 @@ class TestEmbeddedFamily:
         # (a rolled copy or eigenvalues * images) would pass 3 blocks
         basis = make(N, d)
         block = (2 * N + 2) ** d * basis.n * basis.vectors.itemsize
-        tracemalloc.start()
-        try:
-            verify_correspondence_family(basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * block
+        assert peak_bytes(lambda: verify_correspondence_family(basis)) < 2.5 * block
+
+    def test_builds_the_residual_one_chunk_at_a_time(self):
+        # the embedded block, and of the residual only a chunk of columns; a
+        # whole-block residual would pass 2 blocks
+        basis = sine_basis(8, 3)
+        block = 18**3 * basis.n * basis.vectors.itemsize
+        assert peak_bytes(lambda: verify_correspondence_family(basis)) < 1.5 * block
 
     def test_non_finite_vectors_rejected(self):
         basis = sine_basis(3, 1)

@@ -1,7 +1,6 @@
 """Factored product eigenbasis: lazy fields, dense oracle, time average, and scale."""
 
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,8 @@ from latticeqe.lattice import Observable, cube
 from latticeqe.schrodinger import PeriodicPotential, build_operator, eigensolve_symmetric, floquet_eigenbasis
 from latticeqe.spectra import ProductBasis, SpectralData, bloch_basis, default_deg_tol, degeneracy_classes, sine_basis
 from latticeqe.time_average import expectations, hs_norm, quantum_variance, time_averaged_observable
+
+from oracles import peak_bytes
 
 BASES = {"dirichlet": sine_basis, "periodic": bloch_basis}
 
@@ -83,17 +84,26 @@ class TestFactoredTimeAverage:
         assert fast.dtype == dense.dtype
         assert np.max(np.abs(fast - dense)) <= 1e-12 * a.sup_norm
 
+    @pytest.mark.parametrize("mode", sorted(BASES))
+    @pytest.mark.parametrize("d,N", [(2, 24), (3, 8)])
     @pytest.mark.parametrize("complex_values", [False, True])
-    def test_two_volume_squared_buffers(self, complex_values):
-        basis = sine_basis(32, 2)
-        a = random_diagonal(32, 2, 4, complex_values)
-        tracemalloc.start()
-        try:
-            out = time_averaged_observable(basis, a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.1 * out.size * out.itemsize
+    def test_matches_dense_path_in_many_blocks(self, mode, d, N, complex_values):
+        # boxes whose V x V array spans many blocks of the in-place products
+        basis = BASES[mode](N, d)
+        a = random_diagonal(N, d, N, complex_values)
+        fast = time_averaged_observable(basis, a)
+        dense = time_averaged_observable(dense_copy(basis), a)
+        assert fast.dtype == dense.dtype
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * a.sup_norm
+
+    @pytest.mark.parametrize("d,N", [(2, 32), (3, 8)])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_one_volume_squared_buffer(self, d, N, complex_values):
+        # the average itself and scratch of a V^2/N share; a second V x V buffer would pass 2
+        basis = sine_basis(N, d)
+        a = random_diagonal(N, d, 4, complex_values)
+        itemsize = np.dtype(complex if complex_values else float).itemsize
+        assert peak_bytes(lambda: time_averaged_observable(basis, a)) <= 1.25 * N ** (2 * d) * itemsize
 
     @pytest.mark.parametrize("d,N", [(2, 64), (3, 16)])
     def test_scale_without_dense_vectors(self, d, N, monkeypatch):

@@ -2,7 +2,6 @@
 vectorized kernel matrices, each against the loop it replaced."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from latticeqe.time_average import (
     time_averaged_observable,
 )
 
-from oracles import sine_axis_center_matrix
+from oracles import peak_bytes, sine_axis_center_matrix
 
 # -- oracles: the loops the vectorized code replaced --------------------------
 
@@ -183,14 +182,9 @@ class TestTimeAverage:
         basis = make(20, 2)
         a = random_diagonal(basis.box, np.random.default_rng(3), True)
         V = basis.vectors
-        tracemalloc.start()
-        try:
-            out = time_averaged_observable(basis, a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: time_averaged_observable(basis, a))
         # V itself plus at most three arrays of its size made inside
-        assert peak <= 3 * V.shape[0] ** 2 * out.itemsize + (1 << 16)
+        assert peak <= 3 * V.shape[0] ** 2 * np.dtype(complex).itemsize + (1 << 16)
 
     def test_unclassified_column_contributes_nothing(self):
         box = cube(3, 1)
@@ -223,6 +217,21 @@ class TestCenterMatrix:
             C, oracle = center_matrix(a)[0], sine_axis_center_matrix(a)
             assert C.dtype == oracle.dtype and C.shape == oracle.shape
             assert C.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("d,N", [(2, 24), (2, 32), (3, 8), (4, 5)])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_permuted_a_slab_run_at_a_time(self, d, N, complex_values):
+        # boxes whose k_1 slabs take several runs of the in-place permutation
+        a = random_diagonal(cube(N, d), np.random.default_rng(20 + d), complex_values)
+        assert center_matrix(a)[0].tobytes() == sine_axis_center_matrix(a).tobytes()
+
+    @pytest.mark.parametrize("d,N", [(2, 32), (3, 8)])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_one_volume_squared_array(self, d, N, complex_values):
+        # C and a V^2/N share; a transposed copy of C would pass 2
+        a = random_diagonal(cube(N, d), np.random.default_rng(30 + d), complex_values)
+        itemsize = np.dtype(complex if complex_values else float).itemsize
+        assert peak_bytes(lambda: center_matrix(a)) <= 1.2 * N ** (2 * d) * itemsize
 
     def test_scale_without_dense_basis(self, monkeypatch):
         def refuse(self):
