@@ -2,7 +2,7 @@
 
 Flags may also come from a JSON config file (--config); explicit flags win.
 Exit status: 0 when every assertion row passes, 2 when at least one fails,
-1 on usage or configuration errors.
+1 on usage or configuration errors, or when the report cannot be written.
 """
 
 from __future__ import annotations
@@ -103,7 +103,11 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and LcViolationError included
         print(f"latticeqe: error: {exc}", file=sys.stderr)
         return 1
-    paths = emit_report(report, cfg.out)
+    try:
+        paths = emit_report(report, cfg.out)
+    except OSError as exc:  # no report is left behind
+        print(f"latticeqe: error: cannot write the report: {exc}", file=sys.stderr)
+        return 1
     status = "ok" if report.passed else "FAIL"
     print(
         f"{report.experiment}: {len(report.rows)} rows, {status}, "

@@ -120,6 +120,11 @@ class ExperimentConfig:
         for spec in self.obs:
             if spec.endswith(".json") and not Path(spec).is_file():
                 raise ConfigError(f"observable file not found: {spec}")
+        out = Path(self.out)
+        nearest = next(path for path in (out, *out.parents) if path.exists())  # "." or "/" at the latest
+        if not nearest.is_dir():
+            raise ConfigError(f"output directory (--out) {self.out!r} cannot be made: "
+                              f"{str(nearest)!r} is not a directory")
 
 
 _HINTS = typing.get_type_hints(ExperimentConfig)  # resolved once: the annotations are strings

@@ -5,23 +5,30 @@ shortest round-trip decimal form; JSON files use sorted keys and two-space
 indentation. Identical configs and seeds must reproduce byte-identical
 files, so volatile data (wall time) stays out of the serialized payload.
 
-A report holds its cells as one list per column, in column order. Both
-writers format each column once and join the lines, byte for byte what
-``csv.writer`` and ``json.dumps`` write for the rows. Every cell must be a
-scalar: ``None``, ``bool``, ``int``, ``float``, ``str``, or a numpy bool,
-integer or floating scalar. A column whose cells share one plain type is
-converted to text by a single ``map`` of that type's formatter; other
-columns are first converted cell by cell to plain scalars, then formatted
-with the same formatters.
+A report holds its cells as one list per column, in column order. The
+writers stream it in one pass over chunks of ``_CHUNK`` rows, so their
+memory does not grow with the row count, and write byte for byte what
+``csv.writer`` and ``json.dumps`` write for the rows. Each chunk of a column
+is formatted once and both files share the text: numbers and bools read
+the same in both, and only non-finite floats, ``None`` and strings have
+JSON forms of their own. Ints and strings are formatted once per distinct
+value in the chunk. Every cell must be a scalar: ``None``, ``bool``,
+``int``, ``float``, ``str``, or a numpy bool, integer or floating scalar. A
+chunk whose cells share one plain type is formatted by a single ``map``;
+any other chunk is converted cell by cell to plain scalars first. Each
+file is written to a sibling ``.part`` file and renamed into place once
+both are complete, so a bad cell or a failed write leaves no report behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import itertools
 import json
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
@@ -92,6 +99,7 @@ _SCALARS = (((bool, np.bool_), bool), ((int, np.integer), int), ((float, np.floa
 _BOOL = {True: "true", False: "false"}
 # json writes the non-finite floats by these names (allow_nan=True).
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CHUNK = 2048  # rows formatted and written at a time
 
 
 def _scalar(value):
@@ -102,26 +110,6 @@ def _scalar(value):
         if isinstance(value, accepted):
             return plain(value)
     raise TypeError(f"report cell {value!r} of type {type(value).__name__} is not a scalar")
-
-
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _JSON_FLOAT.get(text, text)
-
-
-# Cell text by exact plain type, as the csv module and json.dumps write them.
-_CSV_TEXT = {float: float.__repr__, int: int.__repr__, bool: _BOOL.__getitem__, str: str,
-             type(None): lambda value: ""}
-_JSON_TEXT = {float: _json_float, int: int.__repr__, bool: _BOOL.__getitem__, str: encode_basestring,
-              type(None): lambda value: "null"}
-
-
-def _column_texts(column: list, formats: dict) -> list[str]:
-    """One column's cells as text: one ``map`` when they share a plain type."""
-    kinds = set(map(type, column))
-    if len(kinds) == 1 and (kind := kinds.pop()) in formats:
-        return list(map(formats[kind], column))
-    return [formats[type(value)](value) for value in map(_scalar, column)]
 
 
 def _probe_csv(char: str) -> bool:
@@ -144,8 +132,45 @@ def _csv_fields(texts: list[str]) -> list[str]:
             for text in texts]
 
 
-def _cell_texts(report: ExperimentReport, order: list[int], formats: dict) -> list[list[str]]:
-    """The text of each column in ``order``, after checking the report's shape."""
+def _each_distinct(format, cells: list) -> list[str]:
+    """``format`` of each cell, called once per distinct cell; not for floats (``-0.0 == 0.0``, ``nan != nan``)."""
+    unique = set(cells)
+    return list(map(dict(zip(unique, map(format, unique))).__getitem__, cells))
+
+
+def _texts(cells: list) -> tuple[list[str], list[str]]:
+    """A chunk of one column as (CSV, JSON) texts: one ``map`` when the cells share a plain type."""
+    kinds = set(map(type, cells))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        texts = list(map(float.__repr__, cells))
+        return texts, list(map(_JSON_FLOAT.get, texts, texts)) if "n" in "".join(texts) else texts
+    if kind is int or kind is bool:
+        texts = _each_distinct(int.__repr__ if kind is int else _BOOL.__getitem__, cells)
+        return texts, texts
+    if kind is str:
+        return _csv_fields(cells), _each_distinct(encode_basestring, cells)
+    if kind is type(None):
+        return [""] * len(cells), ["null"] * len(cells)
+    pairs = [_texts([value]) for value in map(_scalar, cells)]
+    return [text for (text,), _ in pairs], [text for _, (text,) in pairs]
+
+
+def _csv_lines(columns: list[list[str]]) -> str:
+    """CSV fields, one list per column, as LF-terminated lines."""
+    if len(columns) == 1:  # csv.writer quotes a record made of one empty field
+        columns = [['""' if text == "" else text for text in columns[0]]]
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _pieces(report: ExperimentReport):
+    """The report as (CSV, JSON) text pairs: the heads, one pair per chunk of rows, then the tails.
+
+    The report's shape is checked before the first pair. The JSON head is
+    ``json.dumps`` output; the rows, whose key is the last in sorted order,
+    are spliced in, each the join of every key's separator with that
+    column's cell text.
+    """
     columns = list(report.columns)
     if len(set(columns)) != len(columns):
         raise ValueError(f"duplicate report columns in {columns}")
@@ -154,55 +179,64 @@ def _cell_texts(report: ExperimentReport, order: list[int], formats: dict) -> li
     lengths = sorted(set(map(len, report.cells)))
     if len(lengths) > 1:
         raise ValueError(f"report columns of unequal lengths {lengths}")
-    return [_column_texts(report.cells[i], formats) for i in order]
+    n = lengths[0] if lengths else 0
+    head = {"experiment": report.experiment, "metadata": _plain(report.metadata), "columns": columns,
+            "passed": report.passed}
+    text = json.dumps(head, sort_keys=True, indent=2, ensure_ascii=False)
+    yield _csv_lines([[name] for name in _csv_fields(columns)]), text[: -len("\n}")] + ',\n  "rows": ['
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    keys = [(",\n" if i else "    {\n") + f"      {encode_basestring(columns[j])}: " for i, j in enumerate(order)]
+    for start in range(0, n, _CHUNK):
+        texts = [_texts(column[start:start + _CHUNK]) for column in report.cells]
+        m = len(texts[0][0])
+        parts = []
+        for key, j in zip(keys, order):
+            parts += [itertools.repeat(key, m), texts[j][1]]
+        parts.append(itertools.repeat("\n    }", m))
+        yield (_csv_lines([csv_texts for csv_texts, _ in texts]),
+               (",\n" if start else "\n") + ",\n".join(map("".join, zip(*parts))))
+    yield "", ("\n  ]" if n else "]") + "\n}\n"
+
+
+def _write(report: ExperimentReport, csv_path, json_path) -> list[Path]:
+    """Write the report's CSV and JSON files (a path of ``None`` is skipped) in one pass; returns the paths.
+
+    Each file is written to a sibling ``.part`` file and renamed into place
+    once both are complete; on any failure neither report file is left.
+    """
+    pieces = _pieces(report)
+    first = next(pieces)  # checks the shape before a file is opened
+    targets = [(k, Path(path)) for k, path in enumerate((csv_path, json_path)) if path is not None]
+    temps = [path.with_name(path.name + ".part") for _, path in targets]
+    files, placed = [], []
+    try:
+        with contextlib.ExitStack() as stack:
+            for temp in temps:
+                files.append(stack.enter_context(open(temp, "w", encoding="utf-8", newline="")))
+            for texts in itertools.chain([first], pieces):
+                for (k, _), fh in zip(targets, files):
+                    fh.write(texts[k])
+        for (_, path), temp in zip(targets, temps):
+            os.replace(temp, path)
+            placed.append(path)
+    except BaseException:
+        for path in temps[: len(files)] + placed:
+            path.unlink(missing_ok=True)
+        raise
+    return [path for _, path in targets]
 
 
 def write_csv(report: ExperimentReport, path) -> Path:
-    path = Path(path)
-    texts = _cell_texts(report, range(len(report.columns)), _CSV_TEXT)
-    columns = [_csv_fields([name, *column]) for name, column in zip(report.columns, texts)]
-    if len(columns) == 1:  # csv.writer quotes a record made of one empty field
-        columns = [['""' if text == "" else text for text in columns[0]]]
-    lines = list(map(",".join, zip(*columns))) or [""]  # no columns: an empty header line
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write(report, path, None)[0]
 
 
 def write_json(report: ExperimentReport, path) -> Path:
-    """JSON with sorted keys and ``indent=2``, as ``json.dumps`` would write it.
-
-    The header is ``json.dumps`` output; the rows, whose key is the last in
-    sorted order, are spliced in. Each row is the join of every key's
-    separator with that column's cell text, built for all rows in one pass.
-    """
-    path = Path(path)
-    names = sorted(report.columns)
-    texts = _cell_texts(report, [report.columns.index(name) for name in names], _JSON_TEXT)
-    head = {
-        "experiment": report.experiment,
-        "metadata": _plain(report.metadata),
-        "columns": list(report.columns),
-        "passed": report.passed,
-    }
-    text = json.dumps(head, sort_keys=True, indent=2, ensure_ascii=False)
-    n = len(texts[0]) if texts else 0
-    parts = []
-    for i, (name, column) in enumerate(zip(names, texts)):
-        sep = ",\n" if i else "    {\n"
-        parts += [itertools.repeat(f"{sep}      {encode_basestring(name)}: ", n), column]
-    parts.append(itertools.repeat("\n    }", n))
-    body = ",\n".join(map("".join, zip(*parts)))
-    body = "[\n" + body + "\n  ]" if body else "[]"
-    text = text[: -len("\n}")] + ',\n  "rows": ' + body + "\n}\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return path
+    """JSON with sorted keys and ``indent=2``, as ``json.dumps`` would write it."""
+    return _write(report, None, path)[0]
 
 
 def emit_report(report: ExperimentReport, out_dir) -> list[Path]:
     """Write ``<experiment>.csv`` and ``<experiment>.json`` into ``out_dir``; returns both paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return [write_csv(report, out_dir / f"{report.experiment}.csv"),
-            write_json(report, out_dir / f"{report.experiment}.json")]
+    return _write(report, out_dir / f"{report.experiment}.csv", out_dir / f"{report.experiment}.json")

@@ -107,6 +107,23 @@ class TestExitCodes:
         assert main(argv + ["--obs", ",", "--out", str(tmp_path)]) == 0
         assert len(read(tmp_path / f"{argv[0]}.csv").splitlines()) == rows + 1
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_that_is_not_a_directory_is_usage_error(self, tmp_path, capsys, below):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("kept")
+        out = blocker / below if below else blocker
+        assert main(["degeneracy", "--d", "1", "--N", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latticeqe: error: output directory (--out)") and str(blocker) in err
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept"
+
+    def test_write_failure_is_an_error_and_leaves_no_report(self, tmp_path, capsys):
+        (tmp_path / "degeneracy.json").mkdir()  # the CSV is written, the JSON cannot replace a directory
+        assert main(["degeneracy", "--d", "1", "--N", "3", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("latticeqe: error: cannot write the report")
+        assert [p.name for p in tmp_path.iterdir()] == ["degeneracy.json"]
+        assert not any((tmp_path / "degeneracy.json").iterdir())
+
     def test_no_experiment_given(self):
         assert main([]) == 1
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeqe import cli
+from latticeqe import cli, reporting
 from latticeqe.reporting import ExperimentReport, emit_report, write_csv, write_json
 
-from oracles import loop_write_csv, loop_write_json
+from oracles import loop_write_csv, loop_write_json, peak_bytes
+
+CHUNK = reporting._CHUNK
 
 FLOAT_EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
                1.7976931348623157e308, 1e16, 1e-7, 0.1 + 0.2, 1.0, -123456789.125]
@@ -134,6 +136,94 @@ def test_non_scalar_cell_raises(writer, cell, tmp_path):
     report = ExperimentReport("bad", ["a"], [[1.0, cell]], {})
     with pytest.raises(TypeError):
         writer(report, tmp_path / "bad")
+
+
+MIXED = [1, 2.5, None, True, "s", np.float64(-0.0), np.int64(7), np.bool_(False), math.nan, -math.inf,
+         np.float32(0.1), np.uint8(255), 'a,"b"', "é\n☃", ""]
+STRINGS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rlf", "tab\tback\\slash", "ctrl\x01\x1f",
+           "café ☃ \U0001f600", "", "100%"]
+
+
+def chunked_report(n: int) -> ExperimentReport:
+    """``n`` rows whose columns change kind, distinct values and quoting from one chunk to the next."""
+    rows = range(n)
+    columns = {
+        "int": [i * (-1) ** i * 10**(i % 25) for i in rows],
+        "float": [math.nan if i == CHUNK + 1 else i / 3 - 1e6 for i in rows],  # non-finite in one chunk
+        "edges": [FLOAT_EDGES[i % len(FLOAT_EDGES)] for i in rows],
+        "mixed": [MIXED[i % len(MIXED)] for i in rows],
+        "str": [STRINGS[i % len(STRINGS)] + str(i // 3) for i in rows],
+        "quote-late": ["x,y" if i == 2 * CHUNK + 4 else "x" for i in rows],
+        "np.float64": [np.float64(i / 7) for i in rows],
+        "float-then-none": [float(i) if i < CHUNK else None for i in rows],
+        "none": [None] * n,
+        "pass": [i % 5 != 3 for i in rows],
+    }
+    return ExperimentReport("chunked", list(columns), list(columns.values()), {"rows": n, "note": "é"})
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_chunk_boundaries_match_row_by_row_bytes(n, tmp_path):
+    report = chunked_report(n)
+    assert_same_bytes(report, tmp_path)
+    one = ExperimentReport("one", [""], [[None if i % 3 else "" if i % 2 else "é" for i in range(n)]], {})
+    assert_same_bytes(one, tmp_path)
+    for path, oracle in zip(emit_report(report, tmp_path / "out"), (loop_write_csv, loop_write_json)):
+        assert path.read_bytes() == oracle(report, tmp_path / "oracle").read_bytes()
+
+
+def assert_no_report(report, tmp_path):
+    """Every writer raises on ``report`` and leaves the directory as it was."""
+    (tmp_path / "earlier.csv").write_text("kept")
+    for write in (write_csv, write_json):
+        with pytest.raises((TypeError, ValueError, OSError)):
+            write(report, tmp_path / f"{report.experiment}.{write.__name__}")
+    with pytest.raises((TypeError, ValueError, OSError)):
+        emit_report(report, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["earlier.csv"]
+    assert (tmp_path / "earlier.csv").read_text() == "kept"
+
+
+@pytest.mark.parametrize("cells", [
+    [[1.0] * (3 * CHUNK + 5), [True] * (3 * CHUNK + 4) + [[1]]],  # a bad cell in the last chunk
+    [[1.0] * (3 * CHUNK + 5), [True] * (3 * CHUNK + 4)],  # columns of unequal lengths
+])
+def test_bad_report_leaves_no_file(cells, tmp_path):
+    assert_no_report(ExperimentReport("bad", ["x", "pass"], cells, {}), tmp_path)
+
+
+def test_write_error_leaves_no_file(tmp_path, monkeypatch):
+    """A disk that fills up after the first chunk: the writers raise and leave nothing behind."""
+    class Full:
+        def __init__(self, fh):
+            self.fh, self.left = fh, 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.left -= 1
+            if not self.left:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(reporting, "open", lambda *args, **kwargs: Full(open(*args, **kwargs)), raising=False)
+    assert_no_report(chunked_report(3 * CHUNK + 5), tmp_path)
+
+
+def test_emission_memory_does_not_grow_with_rows(tmp_path):
+    def emit(n):
+        rows = range(n)
+        cells = [[8] * n, [f"{i};{-i}" for i in rows], [str(i % 8) for i in rows], [i % 25 for i in rows],
+                 [i / 9 for i in rows], [True] * n]
+        report = ExperimentReport("big", ["N", "t", "eps", "count", "x", "pass"], cells, {})
+        return peak_bytes(lambda: emit_report(report, tmp_path))
+
+    small, large = emit(4 * CHUNK), emit(16 * CHUNK)
+    assert large <= 1.1 * small, (small, large)
 
 
 CLI_JOBS = [
