@@ -2,7 +2,7 @@
 
 Flags may also come from a JSON config file (--config); explicit flags win.
 Exit status: 0 when every assertion row passes, 2 when at least one fails,
-1 on usage or configuration errors, or when the report cannot be written.
+1 on usage, configuration or allocation errors, or when the report cannot be written.
 """
 
 from __future__ import annotations
@@ -102,6 +102,10 @@ def main(argv=None) -> int:
         report = run(cfg)
     except ValueError as exc:  # ConfigError and LcViolationError included
         print(f"latticeqe: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # no report is written yet
+        reason = str(exc) or "allocation failed"
+        print(f"latticeqe: error: {args.experiment} ran out of memory: {reason}", file=sys.stderr)
         return 1
     try:
         paths = emit_report(report, cfg.out)

@@ -188,31 +188,23 @@ def complete_to_periodic_basis(embedded: np.ndarray, eigenvalues, N: int, d: int
     bloch = bloch_basis(side, d)
     embedded = np.asarray(embedded, dtype=complex)
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    assigned = np.full(eigenvalues.size, -1, dtype=int)
+    matched = np.zeros(eigenvalues.size, dtype=bool)
     columns, out_eigs = [], []
-    for ci, cls in enumerate(bloch.classes):
+    for cls in np.split(np.arange(bloch.n), np.flatnonzero(np.diff(bloch.labels)) + 1):
         rep = float(np.mean(bloch.eigenvalues[cls]))
-        sel = np.where(np.abs(eigenvalues - rep) <= match_tol)[0]
-        assigned[sel] = ci
+        sel = np.abs(eigenvalues - rep) <= match_tol
+        matched |= sel
         E = embedded[:, sel]
-        B = bloch.vectors[:, cls]
         need = len(cls) - E.shape[1]
         if need < 0:
             raise ValueError(f"class at eigenvalue {rep} too small for embedded family")
-        if E.shape[1]:
-            B = B - E @ (E.conj().T @ B)
-        if need > 0:
-            U, s, _ = np.linalg.svd(B, full_matrices=False)
-            if s[need - 1] < 1e-6:
-                raise ValueError(f"rank collapse completing class at eigenvalue {rep}")
-            comp = U[:, :need]
-        else:
-            comp = np.zeros((B.shape[0], 0), dtype=complex)
-        block = np.column_stack([E, comp]) if E.shape[1] else comp
-        columns.append(block)
-        out_eigs.extend([rep] * block.shape[1])
-    if np.any(assigned < 0):
-        bad = np.where(assigned < 0)[0]
-        raise ValueError(f"embedded eigenvalues {eigenvalues[bad]} match no wraparound class")
-    # every class keeps its size, so the Bloch partition is the partition of the columns
-    return SpectralData(bloch.box, np.array(out_eigs), np.column_stack(columns), bloch.classes)
+        B = bloch.vectors[:, cls]
+        U, s, _ = np.linalg.svd(B - E @ (E.conj().T @ B), full_matrices=False)  # the class's complement of E
+        if need and s[need - 1] < 1e-6:
+            raise ValueError(f"rank collapse completing class at eigenvalue {rep}")
+        columns.append(np.column_stack([E, U[:, :need]]))
+        out_eigs.extend([rep] * len(cls))
+    if not matched.all():
+        raise ValueError(f"embedded eigenvalues {eigenvalues[~matched]} match no wraparound class")
+    # every class keeps its size and its eigenvalues become their mean: the rule gives the Bloch partition again
+    return SpectralData(bloch.box, np.array(out_eigs), np.column_stack(columns))

@@ -99,13 +99,10 @@ class ExperimentConfig:
             raise ConfigError("box sizes must be positive")
         if self.d < 1:
             raise ConfigError("dimension must be positive")
-        if self.max_offset < 0:
-            raise ConfigError(f"max kernel offset (--R) must be a nonnegative integer, got {self.max_offset!r}")
-        if self.random_count < 0:
-            raise ConfigError(f"random observable count (--random) must be a nonnegative integer, "
-                              f"got {self.random_count!r}")
-        if self.seed < 0:
-            raise ConfigError(f"config field 'seed' (--seed) must be a nonnegative integer, got {self.seed!r}")
+        for name, flag in (("max_offset", "R"), ("random_count", "random"), ("seed", "seed"), ("bound", "bound"),
+                           ("tol", "tol")):
+            if (value := getattr(self, name)) is not None and value < 0:
+                raise ConfigError(f"config field {name!r} (--{flag}) must be nonnegative, got {value!r}")
         if self.mode not in ("dirichlet", "periodic"):
             raise ConfigError(f"unknown boundary mode {self.mode!r}")
         if any(c < 1 for c in self.q or ()):
@@ -179,12 +176,14 @@ def _run_var_scan(cfg: ExperimentConfig):
 def _run_degeneracy(cfg: ExperimentConfig):
     def one(N):
         basis = _basis(cfg, N)
-        sizes = [len(c) for c in basis.classes]
-        cls_of = {basis.freqs[j]: ci for ci, cls in enumerate(basis.classes) for j in cls}
-        perm_ok = all(cls_of[tuple(sorted(freq))] == ci for freq, ci in cls_of.items())
-        singles = all(s == 1 for s in sizes)
+        sizes = np.bincount(basis.labels)
+        label = np.empty((N,) * cfg.d, dtype=basis.labels.dtype)
+        label.flat[basis.product.order] = basis.labels  # the class of each frequency
+        # a frequency and its axis-sorted permutation share a class
+        perm_ok = bool(np.array_equal(label, label[tuple(np.sort(np.indices(label.shape), axis=0))]))
+        singles = bool(np.all(sizes == 1))
         ok = perm_ok and (singles if cfg.d == 1 and cfg.mode == "dirichlet" else True)
-        return N, len(sizes), max(sizes), sum(s * s for s in sizes), singles, perm_ok, ok
+        return N, sizes.size, int(sizes.max()), int(sizes @ sizes), singles, perm_ok, ok
 
     return _columns("N n_classes max_class_size sum_sq_sizes all_singletons perm_consistent pass",
                     map(one, cfg.n_values))

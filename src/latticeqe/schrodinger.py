@@ -244,10 +244,6 @@ class FloquetBasis:
         c = self.potential.q[l]
         return np.pi * np.arange(1, self.N + 1) / (c * self.N + 1)
 
-    def freqs(self) -> None:
-        """Floquet modes carry no frequency multi-index of the cube."""
-        return None
-
     def expectations(self, diag: np.ndarray) -> np.ndarray:
         """<psi, a psi> for a diagonal a, in eigenvalue order.
 

@@ -231,31 +231,28 @@ def periodic_eigenvalues(N: int, d: int) -> np.ndarray:
 class SpectralData:
     """Eigenvalues (ascending), orthonormal eigenvectors, degeneracy classes.
 
-    ``vectors[:, j]`` is the eigenvector for ``eigenvalues[j]``; ``classes``
-    partitions column indices into maximal groups of eigenvalues chained by
-    neighbour gaps of at most :func:`default_deg_tol`, the package's one
-    rule for equal eigenvalues. ``freqs`` carries the analytic frequency
-    multi-indices when the basis has them, else None.
+    ``vectors[:, j]`` is the eigenvector for ``eigenvalues[j]`` and
+    ``labels[j]`` its degeneracy class, numbered in eigenvalue order: maximal
+    runs chained by neighbour gaps of at most :func:`default_deg_tol`, the
+    package's one rule for equal eigenvalues. ``classes`` (columns per class)
+    and ``freqs`` (analytic frequencies per column, else None) are list views.
 
     A basis built on a factored form (``product``) stores only that form and
     the sorted eigenvalues. The form is a :class:`ProductBasis` or a
     :class:`~latticeqe.schrodinger.FloquetBasis`; it provides the stable sort
-    ``order``, ``vectors()`` and ``expectations(diag)`` in eigenvalue order,
-    and ``freqs()`` in its own order (None without frequency labels). The
-    basis's ``vectors``, ``classes`` and ``freqs`` are computed on first
-    access and cached; ``n`` and ``eigenvalues`` never build them. A numeric
-    basis needs ``vectors``; ``classes`` and ``freqs`` are optional.
+    ``order``, ``vectors()`` and ``expectations(diag)`` in eigenvalue order.
+    Every other field is computed on first access and cached; ``n`` and
+    ``eigenvalues`` never build one. A numeric basis needs ``vectors``.
     """
 
-    def __init__(self, box: LatticeBox, eigenvalues, vectors=None, classes=None, freqs=None, *, product=None):
+    def __init__(self, box: LatticeBox, eigenvalues, vectors=None, *, product=None):
         if product is None and vectors is None:
             raise TypeError("a basis without a product form needs vectors")
         self.box = box
         self.eigenvalues = eigenvalues
         self.product = product
-        for name, value in (("vectors", vectors), ("classes", classes), ("freqs", freqs)):
-            if value is not None:
-                vars(self)[name] = value
+        if vectors is not None:
+            self.vectors = vectors
 
     @property
     def n(self) -> int:
@@ -266,13 +263,19 @@ class SpectralData:
         return self.product.vectors()
 
     @cached_property
+    def labels(self) -> np.ndarray:
+        return _class_labels(self.eigenvalues, default_deg_tol(self.box.d))
+
+    @cached_property
     def classes(self) -> list[list[int]]:
-        return degeneracy_classes(self.eigenvalues, default_deg_tol(self.box.d))
+        return _class_lists(self.labels)
 
     @cached_property
     def freqs(self) -> list[tuple[int, ...]] | None:
-        freqs = None if self.product is None else self.product.freqs()
-        return None if freqs is None else [freqs[i] for i in self.product.order]
+        if not isinstance(self.product, ProductBasis):
+            return None
+        freqs = self.product.freqs()
+        return [freqs[i] for i in self.product.order]
 
 
 def _product_spectral_data(mode: str, N: int, d: int) -> SpectralData:
@@ -342,21 +345,24 @@ def adjacency_matrix(box: LatticeBox, mode: str = "dirichlet") -> np.ndarray:
     return A
 
 
-def degeneracy_classes(eigenvalues, tol: float) -> list[list[int]]:
-    """Partition ascending eigenvalues into maximal near-degenerate groups.
-
-    Consecutive values within ``tol`` share a class; the gap between
-    adjacent classes exceeds ``tol``.
-    """
-    vals = np.asarray(eigenvalues, dtype=float)
-    if vals.size == 0:
-        return []
-    gaps = np.diff(vals)
+def _class_labels(eigenvalues, tol: float) -> np.ndarray:
+    """The class of each ascending eigenvalue, numbered from 0: a neighbour gap above ``tol`` starts a class."""
+    gaps = np.diff(np.asarray(eigenvalues, dtype=float))
     if np.any(gaps < -1e-15):
         raise ValueError("eigenvalues must be sorted ascending")
-    bounds = [0, *(np.flatnonzero(gaps > tol) + 1).tolist(), vals.size]
-    idx = list(range(vals.size))
-    return [idx[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return np.concatenate(([0], np.cumsum(gaps > tol)))[: len(eigenvalues)]
+
+
+def _class_lists(labels: np.ndarray) -> list[list[int]]:
+    """The positions of each class of ``labels`` (contiguous, numbered in order), as lists."""
+    idx = list(range(labels.size))
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [idx[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def degeneracy_classes(eigenvalues, tol: float) -> list[list[int]]:
+    """The positions of ascending eigenvalues in maximal runs chained by neighbour gaps within ``tol``."""
+    return _class_lists(_class_labels(eigenvalues, tol))
 
 
 def _check_signs(eps, d: int):
@@ -412,9 +418,8 @@ def _equal_pairs(basis: SpectralData):
     """
     pb = basis.product
     N, d = pb.N, pb.d
-    sizes = np.array([len(c) for c in basis.classes], dtype=int)
-    size = np.repeat(sizes, sizes)  # class size at each sorted position
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # class start at each sorted position
+    size = np.bincount(basis.labels)[basis.labels]  # class size at each sorted position
+    start = np.searchsorted(basis.labels, basis.labels)  # class start at each sorted position
     u = np.repeat(np.arange(size.size), size)
     v = np.arange(u.size) + np.repeat(start - (np.cumsum(size) - size), size)
     i, j = pb.order[u], pb.order[v]

@@ -95,8 +95,7 @@ def time_averaged_observable(basis: SpectralData, a: Observable) -> np.ndarray:
     Equals the sum over degeneracy classes of P a P with P the orthogonal
     projector onto the class. In the eigenbasis that is the center matrix
     C = V* a V with the entries between different classes set to zero, so
-    the average is V C V*. The classes are taken as given; they need not be
-    contiguous, and a column in no class contributes nothing.
+    the average is V C V*. The classes are the basis's ``labels``.
 
     On a sine or Bloch basis (a :class:`ProductBasis`) V is the d-fold
     tensor power of the 1-D factor F: C is formed axis by axis as in
@@ -112,10 +111,10 @@ def time_averaged_observable(basis: SpectralData, a: Observable) -> np.ndarray:
     pb = basis.product
     factored = isinstance(pb, ProductBasis)
     n = basis.n
-    label = np.full(n, -1)
-    for i, cls in enumerate(basis.classes):
-        label[pb.order[cls] if factored else cls] = i  # product classes index sorted columns
+    label = basis.labels
     if factored:
+        label = np.empty_like(label)
+        label[pb.order] = basis.labels  # labels index sorted columns, the factored C is row-major
         C = _product_center(pb, diag)
     else:
         V = basis.vectors
@@ -123,7 +122,7 @@ def time_averaged_observable(basis: SpectralData, a: Observable) -> np.ndarray:
     rows = max(1, _chunk_entries(C) // n)  # row blocks keep the boolean mask small
     for r in range(0, n, rows):
         own = label[r : r + rows, None]
-        C[r : r + rows][(own != label) | (own < 0)] = 0
+        C[r : r + rows][own != label] = 0
     if factored:
         return _expand_product(pb, C)
     C = V @ C  # rebinding frees the masked C before the last product

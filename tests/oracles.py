@@ -184,6 +184,18 @@ def theta_classes(N: int, d: int) -> dict:
     return out
 
 
+# -- degeneracy report: class lists and a dict keyed by frequency tuples -------
+
+def loop_degeneracy_row(N: int, d: int, mode: str, classes, freqs) -> tuple:
+    """One ``degeneracy`` report row from class lists and the sorted columns' frequencies."""
+    sizes = [len(c) for c in classes]
+    cls_of = {freqs[j]: ci for ci, cls in enumerate(classes) for j in cls}
+    perm_ok = all(cls_of[tuple(sorted(freq))] == ci for freq, ci in cls_of.items())
+    singles = all(s == 1 for s in sizes)
+    ok = perm_ok and (singles if d == 1 and mode == "dirichlet" else True)
+    return N, len(sizes), max(sizes), sum(s * s for s in sizes), singles, perm_ok, ok
+
+
 # -- memory -------------------------------------------------------------------
 
 def peak_bytes(fn) -> int:

@@ -52,6 +52,50 @@ class TestExitCodes:
         assert "--random" in capsys.readouterr().err
         assert not (tmp_path / "bessel.csv").exists()
 
+    @pytest.mark.parametrize("argv,field", [
+        (["correlator", "--N", "5", "--R", "2", "--bound", "-1"], "bound"),
+        (["var-scan", "--d", "1", "--N", "4", "--bound=-1e-9"], "bound"),
+        (["correspond", "--d", "1", "--N", "3", "--tol=-1e-3"], "tol"),
+    ])
+    def test_negative_bound_or_tolerance_is_usage_error(self, tmp_path, capsys, argv, field):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"latticeqe: error: config field {field!r}") and "nonnegative" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("field", ["bound", "tol"])
+    def test_negative_bound_or_tolerance_in_config_rejected(self, tmp_path, capsys, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_values": [5], field: -0.5}))
+        experiment = "correlator" if field == "bound" else "correspond"
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(path), "--out", str(out)]) == 1
+        assert f"config field {field!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_bound_allowed(self, tmp_path):
+        assert main(["correlator", "--N", "5", "--R", "1", "--bound", "0", "--out", str(tmp_path)]) in (0, 2)
+
+    def test_allocation_failure_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setitem(EXPERIMENTS, "degeneracy", exhausted)
+        assert main(["degeneracy", "--d", "40", "--N", "2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latticeqe: error: degeneracy ran out of memory: Unable to allocate")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_bare_allocation_failure_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError
+
+        monkeypatch.setitem(EXPERIMENTS, "lemma-c1", exhausted)
+        assert main(["lemma-c1", "--d", "2", "--N", "3", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "latticeqe: error: lemma-c1 ran out of memory: allocation failed\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("field", ["max_offset", "random_count"])
     def test_non_integer_count_in_config_rejected(self, tmp_path, field):
         path = tmp_path / "cfg.json"

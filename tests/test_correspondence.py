@@ -175,7 +175,7 @@ class TestCorrespondence:
         basis = make(N, d)
         single = []
         for j in range(basis.n):
-            column = SpectralData(basis.box, basis.eigenvalues[j:j + 1], basis.vectors[:, j:j + 1], [[0]])
+            column = SpectralData(basis.box, basis.eigenvalues[j:j + 1], basis.vectors[:, j:j + 1])
             single.append(verify_correspondence(Wavefunction(basis.box, basis.vectors[:, j]), basis.eigenvalues[j]))
             assert single[-1] == loop_correspondence_family(column)[0]
         assert max(single) == verify_correspondence_family(basis)[0]
@@ -212,7 +212,7 @@ class TestEmbeddedFamily:
         box = random_sides(data)
         Q, _ = np.linalg.qr(random_columns(data, box, box.volume))
         eigs = np.sort(np.random.default_rng(box.volume).uniform(-4, 4, size=box.volume))
-        basis = SpectralData(box, eigs, Q, [[j] for j in range(box.volume)])
+        basis = SpectralData(box, eigs, Q)
         assert verify_correspondence_family(basis) == loop_correspondence_family(basis)
 
     @pytest.mark.parametrize("d,N", [(1, 64), (2, 8), (2, 12), (2, 16), (3, 5)])
@@ -243,7 +243,7 @@ class TestEmbeddedFamily:
         basis = sine_basis(3, 1)
         vectors = basis.vectors.copy()
         vectors[1, 2] = np.nan
-        broken = SpectralData(basis.box, basis.eigenvalues, vectors, basis.classes)
+        broken = SpectralData(basis.box, basis.eigenvalues, vectors)
         with pytest.raises(ValueError, match="finite"):
             verify_correspondence_family(broken)
 
@@ -311,6 +311,26 @@ class TestBasisCompletion:
             psi = Wavefunction(full.box, full.vectors[:, j])
             err = apply_adjacency(psi, "periodic").values - full.eigenvalues[j] * psi.values
             assert np.max(np.abs(err)) < 1e-9
+
+    @pytest.mark.parametrize("d,N", [(1, 3), (2, 2), (2, 3), (3, 1)])
+    def test_completion_keeps_the_bloch_partition(self, d, N):
+        # its columns take their classes from their eigenvalues, by the rule the Bloch basis uses
+        basis = sine_basis(N, d)
+        embedded = np.column_stack(
+            [embed(Wavefunction(basis.box, basis.vectors[:, j])).values for j in range(basis.n)]
+        )
+        full = complete_to_periodic_basis(embedded, basis.eigenvalues, N, d)
+        bloch = bloch_basis(2 * N + 2, d)
+        assert np.array_equal(full.labels, bloch.labels)
+        assert max(map(len, full.classes)) > 1
+
+    @pytest.mark.parametrize("d,side", [(1, 4), (2, 4)])
+    def test_family_filling_its_classes_is_returned_unchanged(self, d, side):
+        # every class is full, so nothing is completed and no rank check applies
+        bloch = bloch_basis(side, d)
+        full = complete_to_periodic_basis(bloch.vectors, bloch.eigenvalues, side // 2 - 1, d)
+        assert np.array_equal(full.vectors, bloch.vectors)
+        assert np.array_equal(full.labels, bloch.labels)
 
     def test_contains_embedded_family(self):
         N, d = 3, 1

@@ -33,7 +33,7 @@ def scale_of(potential: PeriodicPotential) -> float:
 
 def dense_copy(basis: SpectralData) -> SpectralData:
     """The same basis without its factored form, so every contraction is dense."""
-    return SpectralData(basis.box, basis.eigenvalues, basis.vectors, basis.classes)
+    return SpectralData(basis.box, basis.eigenvalues, basis.vectors)
 
 
 @st.composite

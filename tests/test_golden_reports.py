@@ -28,9 +28,12 @@ JOBS = [
     "var-scan --d 3 --N 2,3 --obs centered-half",
     "degeneracy --d 2 --N 2,4,6",
     "degeneracy --d 1 --N 4,9 --mode periodic",
+    "degeneracy --d 2 --N 11,23",
+    "degeneracy --d 3 --N 4,6 --mode periodic",
     "lemma-c1 --d 1 --N 2,5,9",
     "lemma-c1 --d 2 --N 3,4",
     "lemma-c1 --d 3 --N 2,3",
+    "lemma-c1 --d 2 --N 11",
     "correspond --d 2 --N 2,3,4",
     "correspond --d 1 --N 5,8",
     "schrodinger --task counterexample --M 100 --N 10,20",

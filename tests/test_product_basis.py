@@ -20,7 +20,7 @@ BASES = {"dirichlet": sine_basis, "periodic": bloch_basis}
 
 def dense_copy(basis: SpectralData) -> SpectralData:
     """The same basis without its product form, so every contraction is dense."""
-    return SpectralData(basis.box, basis.eigenvalues, basis.vectors, basis.classes, basis.freqs)
+    return SpectralData(basis.box, basis.eigenvalues, basis.vectors)
 
 
 def random_diagonal(N, d, seed, complex_values):
@@ -168,11 +168,12 @@ class TestLazyFields:
     def test_n_and_eigenvalues_build_nothing(self):
         basis = sine_basis(6, 2)
         assert basis.n == 36 and basis.eigenvalues.shape == (36,)
-        assert not {"vectors", "classes", "freqs"} & set(vars(basis))
+        assert not {"vectors", "labels", "classes", "freqs"} & set(vars(basis))
 
     def test_fields_cached(self):
         basis = bloch_basis(4, 2)
         assert basis.vectors is basis.vectors
+        assert basis.labels is basis.labels
         assert basis.classes is basis.classes
         assert basis.freqs is basis.freqs
 

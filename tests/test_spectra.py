@@ -3,12 +3,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeqe import experiments
+from latticeqe.experiments import EXPERIMENTS, ExperimentConfig
 from latticeqe.lattice import LatticeBox, Wavefunction, cube
+from latticeqe.schrodinger import PeriodicPotential, eigensolve_symmetric, floquet_eigenbasis
 from latticeqe.spectra import (
     ProductBasis,
+    SpectralData,
     adjacency_matrix,
     apply_adjacency,
     bloch_basis,
@@ -23,7 +27,7 @@ from latticeqe.spectra import (
     sine_basis,
     sine_matrix,
 )
-from oracles import roll_adjacency
+from oracles import loop_degeneracy_row, roll_adjacency
 
 
 class TestDirichletEigenpairs:
@@ -230,6 +234,118 @@ class TestDegeneracyClasses:
             gaps = np.diff(vals)
             gaps = gaps[gaps > default_deg_tol(2)]
             assert gaps.min() > 1e-3
+
+
+def labels_of(classes):
+    """The label array of a list of classes: the class of each position."""
+    labels = np.empty(sum(map(len, classes)), dtype=int)
+    for ci, cls in enumerate(classes):
+        labels[cls] = ci
+    return labels
+
+
+@st.composite
+def ascending_values(draw):
+    """Ascending arrays whose neighbour gaps are exact ties, ``tol`` and one ulp either side, or wide."""
+    tol = default_deg_tol(draw(st.integers(1, 3), label="d"))
+    vals = [draw(st.floats(-6.0, 6.0), label="start")]
+    for step in draw(st.lists(st.sampled_from(["tie", "below", "at", "above", "wide"]), max_size=40)):
+        v = vals[-1]
+        if step == "tie":
+            vals.append(v)
+        elif step == "wide":
+            vals.append(v + draw(st.floats(1e-6, 1.0)))
+        else:
+            # the value whose computed gap to v is the largest within tol, then one ulp on
+            w = v + tol
+            while w - v > tol:
+                w = np.nextafter(w, -np.inf)
+            while np.nextafter(w, np.inf) - v <= tol:
+                w = np.nextafter(w, np.inf)
+            vals.append({"below": np.nextafter(w, -np.inf), "at": w, "above": np.nextafter(w, np.inf)}[step])
+    return tol, np.array(vals[: draw(st.integers(0, len(vals)), label="size")])
+
+
+@st.composite
+def analytic_and_numeric_bases(draw):
+    kind = draw(st.sampled_from(["sine", "bloch", "floquet", "eigh"]))
+    if kind == "floquet":
+        d = draw(st.integers(1, 2))
+        q = tuple(draw(st.sampled_from((1, 2))) for _ in range(d))
+        values = [draw(st.sampled_from((0.0, 1.0, 100.0))) for _ in range(int(np.prod(q)))]
+        return floquet_eigenbasis(PeriodicPotential(q, values), draw(st.integers(1, {1: 20, 2: 5}[d])))
+    d = draw(st.integers(1, 3))
+    N = draw(st.integers(1, {1: 30, 2: 12, 3: 5}[d]))
+    if kind == "eigh":
+        box = cube(N, d)
+        return eigensolve_symmetric(adjacency_matrix(box, draw(st.sampled_from(["dirichlet", "periodic"])))).basis(box)
+    return (sine_basis if kind == "sine" else bloch_basis)(N, d)
+
+
+class TestClassLabels:
+    """``SpectralData.labels`` against the class lists of ``degeneracy_classes``."""
+
+    @settings(max_examples=300)
+    @given(case=ascending_values())
+    def test_labels_match_class_lists(self, case):
+        tol, vals = case
+        d = {default_deg_tol(d): d for d in (1, 2, 3)}[tol]
+        labels = SpectralData(cube(1, d), vals, np.zeros((1, vals.size))).labels  # labels read eigenvalues and d
+        classes = degeneracy_classes(vals, tol)
+        assert labels.dtype.kind == "i" and np.array_equal(labels, labels_of(classes))
+        chained = [0]  # the chaining rule, one neighbour at a time
+        for lo, hi in zip(vals[:-1], vals[1:]):
+            chained.append(chained[-1] + int(hi - lo > tol))
+        assert labels.tolist() == chained[: vals.size]
+
+    @settings(max_examples=60, deadline=None)
+    @given(basis=analytic_and_numeric_bases())
+    def test_bases_label_by_the_class_lists(self, basis):
+        classes = degeneracy_classes(basis.eigenvalues, default_deg_tol(basis.box.d))
+        assert np.array_equal(basis.labels, labels_of(classes))
+        assert basis.classes == classes
+
+    @pytest.mark.parametrize("vals", [[1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, -1e-14]])
+    def test_unsorted_rejected(self, vals):
+        basis = SpectralData(cube(len(vals), 1), np.array(vals), np.eye(len(vals)))
+        with pytest.raises(ValueError, match="sorted ascending"):
+            basis.labels
+        with pytest.raises(ValueError, match="sorted ascending"):
+            basis.classes
+
+    @pytest.mark.parametrize("mode", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("d,Ns", [(1, (1, 2, 5, 9, 16)), (2, (1, 2, 3, 11, 23, 24)), (3, (1, 2, 4, 5, 6, 8))])
+    def test_degeneracy_rows_match_loop(self, mode, d, Ns):
+        table = EXPERIMENTS["degeneracy"](ExperimentConfig("degeneracy", d=d, n_values=Ns, mode=mode))
+        rows = list(zip(*table.values()))
+        expected = []
+        for N in Ns:
+            pb = ProductBasis(mode, N, d)
+            freqs = [pb.freqs()[i] for i in pb.order]
+            classes = degeneracy_classes(pb.eigs[pb.order], default_deg_tol(d))
+            expected.append(loop_degeneracy_row(N, d, mode, classes, freqs))
+        assert rows == expected
+        assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, r)) for r in expected]
+
+    @pytest.mark.parametrize("mode", ["dirichlet", "periodic"])
+    def test_split_class_fails_the_permutation_check(self, mode, monkeypatch):
+        # labels that part a frequency from its axis-sorted permutation
+        real = experiments._basis
+
+        def split(cfg, N):
+            basis = real(cfg, N)
+            labels = basis.labels.copy()
+            j = next(j for j, k in enumerate(basis.freqs) if list(k) != sorted(k) and labels[j - 1] == labels[j])
+            labels[j:] += 1  # the class of column j splits in two before it
+            vars(basis)["labels"] = labels
+            return basis
+
+        monkeypatch.setattr(experiments, "_basis", split)
+        table = EXPERIMENTS["degeneracy"](ExperimentConfig("degeneracy", d=2, n_values=(4,), mode=mode))
+        basis = split(ExperimentConfig("degeneracy", d=2, n_values=(4,), mode=mode), 4)
+        expected = loop_degeneracy_row(4, 2, mode, basis.classes, basis.freqs)
+        assert list(zip(*table.values())) == [expected]
+        assert expected[5] is False and expected[6] is False
 
 
 def brute_force_pair_count(N, d, t, eps, epp, tol):

@@ -143,7 +143,7 @@ class TestTimeAveragedObservable:
             rotated[:, cls] = rotated[:, cls] @ Q
         from latticeqe.spectra import SpectralData
 
-        basis2 = SpectralData(basis.box, basis.eigenvalues, rotated, basis.classes)
+        basis2 = SpectralData(basis.box, basis.eigenvalues, rotated)
         # the variance itself is basis-dependent inside a class, but the
         # time-average identity holds for every class-consistent eigenbasis
         assert quantum_variance(basis2, ac) == pytest.approx(quantum_variance(basis2, ainf), abs=1e-10)

@@ -119,21 +119,10 @@ def random_diagonal(box, rng, complex_values):
     return Observable.diagonal(box, vals)
 
 
-def numeric_basis(N, d, rng):
-    """An eigh basis of the adjacency matrix with shuffled columns.
-
-    The classes are lists of non-contiguous columns, and the last column of
-    the largest class is in no class at all.
-    """
+def numeric_basis(N, d):
+    """An eigh basis of the adjacency matrix, which derives its classes by the package's rule."""
     box = cube(N, d)
-    vals, vecs = np.linalg.eigh(adjacency_matrix(box))
-    perm = rng.permutation(box.volume)
-    where = np.argsort(perm)  # column of sorted eigenvalue i after the shuffle
-    classes = [sorted(where[c].tolist()) for c in degeneracy_classes(vals, default_deg_tol(d))]
-    biggest = max(classes, key=len)
-    if len(biggest) > 1:
-        biggest.pop()
-    return SpectralData(box, vals[perm], vecs[:, perm], classes)
+    return SpectralData(box, *np.linalg.eigh(adjacency_matrix(box)))
 
 
 @st.composite
@@ -149,7 +138,7 @@ def bases(draw):
     d = draw(st.integers(1, 3))
     N = draw(st.integers(1, {1: 30, 2: 10, 3: 5}[d]))
     if kind == "numeric":
-        return numeric_basis(N, d, rng), rng
+        return numeric_basis(N, d), rng
     return (sine_basis if kind == "sine" else bloch_basis)(N, d), rng
 
 
@@ -161,7 +150,7 @@ def rotate_within_classes(basis, rng):
             M = M + 1j * rng.normal(size=M.shape)
         Q, _ = np.linalg.qr(M)
         V[:, cls] = V[:, cls] @ Q
-    return SpectralData(basis.box, basis.eigenvalues, V, basis.classes)
+    return SpectralData(basis.box, basis.eigenvalues, V)
 
 
 class TestTimeAverage:
@@ -185,12 +174,6 @@ class TestTimeAverage:
         peak = peak_bytes(lambda: time_averaged_observable(basis, a))
         # V itself plus at most three arrays of its size made inside
         assert peak <= 3 * V.shape[0] ** 2 * np.dtype(complex).itemsize + (1 << 16)
-
-    def test_unclassified_column_contributes_nothing(self):
-        box = cube(3, 1)
-        basis = SpectralData(box, np.zeros(3), np.eye(3), [[2], [0]])
-        a = Observable.diagonal(box, [1.0, 2.0, 3.0])
-        assert np.array_equal(time_averaged_observable(basis, a), np.diag([1.0, 0.0, 3.0]))
 
 
 # -- center matrix ------------------------------------------------------------
