@@ -2,9 +2,10 @@
 
 Analytic eigenbases of box adjacency matrices under zero-boundary and
 wraparound conditions, quantum variance and time-averaged observables,
-the eigenfunction embedding between the two boundary conditions, truncated
-periodic Schrödinger operators, eigenfunction correlators, and a
-reproducible experiment driver.
+the certification of the eigenfunction embedding between the two boundary
+conditions, truncated periodic Schrödinger operators, the shift overlaps of
+sine eigenfunctions against the spherical function, and a reproducible
+experiment driver.
 """
 
 from .lattice import (
@@ -14,22 +15,17 @@ from .lattice import (
     ShiftSet,
     UnsupportedPeriodError,
     Wavefunction,
-    averages,
     cube,
     shift_set,
-    translate,
 )
 from .spectra import (
     SpectralData,
     adjacency_matrix,
-    apply_adjacency,
     bloch_basis,
     degeneracy_classes,
-    dirichlet_eigenpair,
     lemma_c1_bins,
     lemma_c1_count,
     lemma_c1_counts,
-    periodic_eigenpair,
     sine_basis,
 )
 from .time_average import (
@@ -41,7 +37,7 @@ from .time_average import (
     theta_decompose,
     time_averaged_observable,
 )
-from .correspondence import embed, extend_observable, reflect, verify_correspondence
+from .correspondence import verify_correspondence
 from .schrodinger import (
     PeriodicPotential,
     build_operator,
@@ -49,6 +45,6 @@ from .schrodinger import (
     eigensolve_symmetric,
     partial_qe_experiment,
 )
-from .correlators import averaged_kernel, chebyshev_operator, correlator, spherical
+from .correlators import chebyshev_operator, spherical
 
 __version__ = "0.1.0"

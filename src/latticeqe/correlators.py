@@ -1,13 +1,9 @@
-"""Eigenfunction correlators and the one-dimensional universality scan.
+"""Shift overlaps of sine eigenfunctions and the one-dimensional universality scan.
 
-For a finite-range kernel K and a function psi, the reference value
-
-    <K>_psi = sum_z sum_{x in L_z} K(x, x+z) / #L_z * <psi, rho_z psi>
-
-is compared against the raw quadratic form <psi, K psi>; the wraparound
-variant averages by the box volume and uses the wrapping translation. In one
-dimension the shift overlaps of the sine eigenfunctions admit a universal
-description through the spherical function
+The zero-boundary translation ``rho_z`` of a function on ``[[1, N]]`` is
+``(rho_z psi)(x) = psi(x + z)`` where ``x + z`` stays in the box, else 0.
+The shift overlaps ``<s_j, rho_z s_j>`` of the sine eigenfunctions admit a
+universal description through the spherical function
 
     Phi_lam(n) = cos(n arccos(lam / 2)),
 
@@ -21,14 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import BoxMismatchError, Observable, Wavefunction, cube, shift_set, translate
+from .lattice import cube
 from .spectra import ProductBasis, adjacency_matrix
 
 __all__ = [
     "spherical",
     "chebyshev_operator",
-    "correlator",
-    "averaged_kernel",
     "sine_shift_overlaps",
     "wucha_error_scan",
 ]
@@ -74,45 +68,6 @@ def chebyshev_operator(n: int, N: int) -> np.ndarray:
     for _ in range(n - 1):
         prev, cur = cur, A @ cur - prev
     return cur
-
-
-def correlator(K: Observable, psi: Wavefunction, mode: str = "dirichlet") -> complex:
-    """Reference expectation of a finite-range kernel against shift overlaps."""
-    if K.box != psi.box:
-        raise BoxMismatchError("kernel and wavefunction live on different boxes")
-    if mode not in ("dirichlet", "periodic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    total = 0.0 + 0.0j
-    for z, vals in K.offsets.items():
-        count = shift_set(K.box, z).count
-        if count == 0:
-            continue
-        weight = vals.sum()
-        overlap = psi.inner(translate(psi, z, mode))
-        if mode == "dirichlet":
-            total += weight / count * overlap
-        else:
-            total += weight * overlap
-    if mode == "periodic":
-        total /= K.box.volume
-    return complex(total)
-
-
-def averaged_kernel(K: Observable) -> Observable:
-    """Replace each diagonal offset of K by its average over L_z.
-
-    Per-offset sums are preserved, so correlators of the averaged kernel
-    agree with those of the original.
-    """
-    offsets = {}
-    for z, vals in K.offsets.items():
-        mask = shift_set(K.box, z).mask
-        count = int(np.count_nonzero(mask))
-        out = np.zeros_like(vals)
-        if count:
-            out[mask] = vals.sum() / count
-        offsets[z] = out
-    return Observable(K.box, offsets)
 
 
 def sine_shift_overlaps(N: int, z: int) -> np.ndarray:

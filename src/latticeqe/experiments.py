@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from .correspondence import verify_correspondence_family
-from .lattice import cube
+from .lattice import UnsupportedPeriodError, cube
 from .observables import build_observable
 from .reporting import ExperimentReport, config_hash
 from .schrodinger import (
+    LcViolationError,
     counterexample_mass_profile,
     counterexample_potential,
     lattice_block,
@@ -259,7 +260,13 @@ def _run_schrodinger(cfg: ExperimentConfig):
     def one(spec, N):
         box = lattice_block(potential.q, N)
         a = build_observable(spec, box, q=potential.q, rng=_obs_rng(cfg, N))
-        result = partial_qe_experiment(potential, N, a, enforce_lc=not cfg.unchecked, exploratory=cfg.exploratory)
+        try:
+            result = partial_qe_experiment(potential, N, a, enforce_lc=not cfg.unchecked,
+                                           exploratory=cfg.exploratory)
+        except UnsupportedPeriodError as exc:
+            raise ConfigError(f"{exc}; pass --exploratory to scan anyway (no guarantees)") from None
+        except LcViolationError as exc:
+            raise LcViolationError(f"{exc}; rerun with --unchecked to measure the failing observable") from None
         if result.lc_checked:
             ok = result.variance <= first_var.setdefault(spec, result.variance) + 1e-15
         else:

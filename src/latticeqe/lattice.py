@@ -1,17 +1,15 @@
 """Finite boxes of the integer lattice and the objects living on them.
 
-A box is a product of 1-based integer ranges ``[[1, side_l]]``. Sites are
-addressed by multi-index or by a row-major linear index with coordinate 1
-slowest. Wavefunctions are square-summable functions on a box; observables
-are diagonal functions or finite-range kernels stored sparsely by offset.
-Translations come in a zero-boundary flavor (``rho``, values shifted past
-the boundary are dropped) and a wraparound flavor (``tau``, coordinates wrap
-modulo the sides).
+A box is a product of 1-based integer ranges ``[[1, side_l]]``. Functions on
+a box are stored flat in row-major site order, coordinate 1 slowest.
+Wavefunctions are square-summable functions on a box; observables are
+diagonal functions or finite-range kernels stored sparsely by offset
+``z``, whose entries live on the shift set ``L_z`` of sites ``x`` with
+``x + z`` still in the box.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +23,6 @@ __all__ = [
     "Observable",
     "ShiftSet",
     "shift_set",
-    "translate",
-    "averages",
 ]
 
 
@@ -63,41 +59,10 @@ class LatticeBox:
             out *= s
         return out
 
-    def contains(self, x) -> bool:
-        return len(x) == self.d and all(1 <= xl <= s for xl, s in zip(x, self.sides))
-
-    def linearize(self, x) -> int:
-        """Row-major linear index of a site, coordinate 1 slowest."""
-        if not self.contains(x):
-            raise IndexError(f"site {tuple(x)} outside box with sides {self.sides}")
-        i = 0
-        for xl, s in zip(x, self.sides):
-            i = i * s + (int(xl) - 1)
-        return i
-
-    def delinearize(self, i: int) -> tuple[int, ...]:
-        """Inverse of :meth:`linearize`."""
-        if not 0 <= i < self.volume:
-            raise IndexError(f"linear index {i} outside volume {self.volume}")
-        coords = []
-        for s in reversed(self.sides):
-            coords.append(i % s + 1)
-            i //= s
-        return tuple(reversed(coords))
-
-    def sites(self):
-        """Iterate all sites in linear-index order."""
-        return itertools.product(*(range(1, s + 1) for s in self.sides))
-
 
 def cube(N: int, d: int) -> LatticeBox:
     """The cube ``[[1, N]]^d``."""
     return LatticeBox((N,) * d)
-
-
-def _check_same_box(a: LatticeBox, b: LatticeBox):
-    if a != b:
-        raise BoxMismatchError(f"boxes differ: sides {a.sides} vs {b.sides}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +97,6 @@ class Wavefunction:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
-
-    def inner(self, other: "Wavefunction"):
-        """Inner product, antilinear in the first argument."""
-        _check_same_box(self.box, other.box)
-        return np.vdot(self.values, other.values)
 
 
 @dataclass(eq=False)
@@ -231,10 +191,6 @@ class ShiftSet:
     z: tuple[int, ...]
     mask: np.ndarray  # flat boolean, linear-index order
 
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
 
 def shift_set(box: LatticeBox, z) -> ShiftSet:
     z = tuple(int(c) for c in z)
@@ -248,47 +204,3 @@ def shift_set(box: LatticeBox, z) -> ShiftSet:
     for am in axis_masks[1:]:
         mask = np.multiply.outer(mask, am)
     return ShiftSet(box, z, mask.reshape(-1))
-
-
-def translate(psi: Wavefunction, z, mode: str = "dirichlet") -> Wavefunction:
-    """Shift a wavefunction by z.
-
-    ``dirichlet`` drops values carried past the boundary (the operator
-    ``rho_z``: output(x) = psi(x+z) when x+z is in the box, else 0).
-    ``periodic`` wraps coordinates modulo the sides (the operator ``tau_z``).
-    """
-    z = tuple(int(c) for c in z)
-    if len(z) != psi.box.d:
-        raise ValueError(f"offset {z} has wrong dimension for box {psi.box.sides}")
-    g = psi.grid()
-    if mode == "periodic":
-        out = g
-        for axis, zl in enumerate(z):
-            if zl % psi.box.sides[axis] != 0:
-                out = np.roll(out, -zl, axis=axis)
-        return Wavefunction.from_grid(psi.box, out)
-    if mode != "dirichlet":
-        raise ValueError(f"unknown translation mode {mode!r}")
-    out = np.zeros_like(g)
-    dst, src = [], []
-    for zl, s in zip(z, psi.box.sides):
-        lo, hi = max(0, -zl), min(s, s - zl)
-        if lo >= hi:
-            return Wavefunction.from_grid(psi.box, out)
-        dst.append(slice(lo, hi))
-        src.append(slice(lo + zl, hi + zl))
-    out[tuple(dst)] = g[tuple(src)]
-    return Wavefunction.from_grid(psi.box, out)
-
-
-def averages(a: Observable, psi: Wavefunction):
-    """Uniform average of a diagonal observable and its quadratic form.
-
-    Returns ``(<a>, <psi, a psi>)`` with ``<a>`` the site average of the
-    diagonal and the quadratic form ``sum_x a(x,x) |psi(x)|^2``.
-    """
-    _check_same_box(a.box, psi.box)
-    diag = a.require_diagonal()
-    uniform = diag.mean()
-    quad = np.sum(diag * np.abs(psi.values) ** 2)
-    return uniform, quad

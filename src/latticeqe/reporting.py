@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ExperimentReport", "config_hash", "write_csv", "write_json", "emit_report"]
+__all__ = ["ExperimentReport", "config_hash", "emit_report"]
 
 
 def _plain(value):
@@ -224,15 +224,6 @@ def _write(report: ExperimentReport, csv_path, json_path) -> list[Path]:
             path.unlink(missing_ok=True)
         raise
     return [path for _, path in targets]
-
-
-def write_csv(report: ExperimentReport, path) -> Path:
-    return _write(report, path, None)[0]
-
-
-def write_json(report: ExperimentReport, path) -> Path:
-    """JSON with sorted keys and ``indent=2``, as ``json.dumps`` would write it."""
-    return _write(report, None, path)[0]
 
 
 def emit_report(report: ExperimentReport, out_dir) -> list[Path]:

@@ -87,9 +87,6 @@ class PeriodicPotential:
             raise ValueError(f"key 'values' must hold {int(np.prod(q))} numbers: {exc}") from None
         return cls(q, values)
 
-    def to_dict(self) -> dict:
-        return {"d": self.d, "q": list(self.q), "values": [float(v) for v in self.values.reshape(-1)]}
-
     def on_box(self, box: LatticeBox) -> np.ndarray:
         """Periodic extension evaluated at every site of a box, flat."""
         if box.d != self.d:
@@ -397,9 +394,7 @@ def partial_qe_experiment(
     q = potential.q
     dense = any(c not in (1, 2) for c in q)
     if dense and not exploratory:
-        raise UnsupportedPeriodError(
-            f"periods {q} exceed 2; pass exploratory=True to scan anyway (no guarantees)"
-        )
+        raise UnsupportedPeriodError(f"periods {q} exceed 2 and are admitted only in exploratory scans")
     box = lattice_block(q, N)
     if a.box != box:
         raise ValueError(f"observable box {a.box.sides} does not match block {box.sides}")
@@ -409,10 +404,7 @@ def partial_qe_experiment(
     tol = 1e-12 * max(1.0, float(np.max(np.abs(a.diag())))) * box.volume
     checked = deviation <= tol
     if enforce_lc and not checked:
-        raise LcViolationError(
-            f"block-orbit sums differ by {deviation:.3e} (tolerance {tol:.3e}); "
-            "rerun with enforce_lc=False to measure the failing observable"
-        )
+        raise LcViolationError(f"block-orbit sums differ by {deviation:.3e} (tolerance {tol:.3e})")
     if dense:
         solved = eigensolve_symmetric(build_operator(potential, N, "dirichlet").matrix)
         basis = solved.basis(box)

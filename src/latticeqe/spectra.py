@@ -8,8 +8,9 @@ diagonalized by the product sine basis
 with eigenvalue ``sum_l 2 cos(k_l pi / (N+1))``. With wraparound boundary
 conditions the eigenbasis consists of Bloch exponentials
 ``N^(-d/2) exp(2 pi i <k, x> / N)`` with eigenvalue
-``sum_l 2 cos(2 pi k_l / N)``. This module provides both bases, matrix-free
-adjacency application, tolerance-based degeneracy classes, and the exact
+``sum_l 2 cos(2 pi k_l / N)``. This module provides both bases in factored
+form with dense vectors on request, the dense adjacency matrix and the
+in-place neighbour sum, tolerance-based degeneracy classes, and the exact
 enumeration of frequency pairs (k, m) that share an eigenvalue while their
 signed combination hits a prescribed frequency theta.
 """
@@ -22,14 +23,10 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .lattice import LatticeBox, Wavefunction, cube
+from .lattice import LatticeBox, cube
 
 __all__ = [
     "default_deg_tol",
-    "dirichlet_eigenvalue",
-    "dirichlet_eigenpair",
-    "periodic_eigenvalue",
-    "periodic_eigenpair",
     "dirichlet_eigenvalues",
     "periodic_eigenvalues",
     "sine_matrix",
@@ -39,7 +36,6 @@ __all__ = [
     "SpectralData",
     "sine_basis",
     "bloch_basis",
-    "apply_adjacency",
     "adjacency_matrix",
     "degeneracy_classes",
     "lemma_c1_count",
@@ -59,48 +55,6 @@ def default_deg_tol(d: int) -> float:
 
 
 _FIRST_FREQ = {"dirichlet": 1, "periodic": 0}  # the frequency of the 1-D factor's column 0
-
-
-def _factor_columns(mode: str, N: int, cols) -> np.ndarray:
-    """Columns ``cols`` (0-based) of the 1-D eigenvector matrix, sine or Bloch."""
-    x, k = np.arange(1, N + 1), np.asarray(cols) + _FIRST_FREQ[mode]
-    if mode == "dirichlet":
-        return np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(x, k) * np.pi / (N + 1))
-    return np.exp(2j * np.pi * np.outer(x, k) / N) / np.sqrt(N)
-
-
-def _frequency(mode: str, N: int, d: int, k) -> tuple[np.ndarray, float]:
-    """Factor columns and eigenvalue (summed as ``ProductBasis.eigs``) of frequency k, else ``IndexError``."""
-    first = _FIRST_FREQ[mode]
-    k = tuple(int(c) for c in k)
-    if len(k) != d or not all(first <= c < first + N for c in k):
-        raise IndexError(f"frequency {k} outside [[{first},{first + N - 1}]]^{d}")
-    cols = np.subtract(k, first)
-    return cols, float(_lam1(mode, N)[cols].sum())
-
-
-def _eigenpair(mode: str, N: int, d: int, k):
-    """The eigenvalue and the Kronecker product of k's factor columns, as in ``ProductBasis.matrix``."""
-    cols, lam = _frequency(mode, N, d, k)
-    return lam, Wavefunction(cube(N, d), reduce(np.kron, _factor_columns(mode, N, cols).T))
-
-
-def dirichlet_eigenvalue(N: int, d: int, k) -> float:
-    return _frequency("dirichlet", N, d, k)[1]
-
-
-def dirichlet_eigenpair(N: int, d: int, k):
-    """Analytic eigenvalue and normalized sine vector for frequency k."""
-    return _eigenpair("dirichlet", N, d, k)
-
-
-def periodic_eigenvalue(N: int, d: int, k) -> float:
-    return _frequency("periodic", N, d, k)[1]
-
-
-def periodic_eigenpair(N: int, d: int, k):
-    """Eigenvalue and normalized Bloch vector for frequency k."""
-    return _eigenpair("periodic", N, d, k)
 
 
 def _product_eigenvalues(lam1: np.ndarray, d: int) -> np.ndarray:
@@ -148,8 +102,12 @@ class ProductBasis:
         return list(itertools.product(range(first, first + self.N), repeat=self.d))
 
     def factor(self) -> np.ndarray:
-        """The 1-D eigenvector matrix: column k is the factor for frequency k."""
-        return _factor_columns(self.mode, self.N, np.arange(self.N))
+        """The 1-D eigenvector matrix, sine or Bloch: column k is the factor for frequency k."""
+        N = self.N
+        x, k = np.arange(1, N + 1), np.arange(N) + _FIRST_FREQ[self.mode]
+        if self.mode == "dirichlet":
+            return np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(x, k) * np.pi / (N + 1))
+        return np.exp(2j * np.pi * np.outer(x, k) / N) / np.sqrt(N)
 
     def matrix(self) -> np.ndarray:
         """Dense ``N^d x N^d`` Kronecker power, columns in row-major frequency order."""
@@ -311,14 +269,6 @@ def _add_neighbours(out: np.ndarray, g: np.ndarray, d: int, mode: str) -> None:
         lead = (slice(None),) * axis
         for dst, src in _NEIGHBOUR_SLICES[mode]:
             out[lead + (dst,)] += g[lead + (src,)]
-
-
-def apply_adjacency(psi: Wavefunction, mode: str = "dirichlet") -> Wavefunction:
-    """Matrix-free nearest-neighbor sum, cost linear in the box volume."""
-    g = psi.grid()
-    out = np.zeros_like(g)
-    _add_neighbours(out, g, psi.box.d, mode)
-    return Wavefunction.from_grid(psi.box, out)
 
 
 def adjacency_matrix(box: LatticeBox, mode: str = "dirichlet") -> np.ndarray:

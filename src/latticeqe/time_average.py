@@ -318,11 +318,6 @@ class ThetaComponent:
     values: np.ndarray
 
     @property
-    def entries(self) -> dict[tuple[int, int], complex]:
-        """The entries as a new dict ``(i, j) -> value``, in entry order."""
-        return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.values.tolist()))
-
-    @property
     def nnz(self) -> int:
         return int(np.count_nonzero(self.values))
 

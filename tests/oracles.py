@@ -1,8 +1,9 @@
 """Test-only reference implementations, and a memory probe.
 
 Each reference is an independent, slower construction of something the
-library computes faster; tests compare the library against them. None of
-them is part of the package.
+library computes faster, or the one-column form of a batched library
+computation; tests compare the library against them. None of them is part
+of the package.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from latticeqe.correspondence import embed, embedding_target
-from latticeqe.lattice import Wavefunction
-from latticeqe.spectra import ProductBasis, apply_adjacency
+from latticeqe.correspondence import _embedding_maps
+from latticeqe.lattice import LatticeBox, Wavefunction
+from latticeqe.spectra import ProductBasis, _add_neighbours
 
 
 # -- report writers: the row-by-row serializers the columnar ones replaced ----
@@ -72,6 +73,14 @@ def loop_write_json(report, path) -> Path:
 
 # -- adjacency ----------------------------------------------------------------
 
+def apply_adjacency(psi: Wavefunction, mode: str) -> Wavefunction:
+    """The nearest-neighbour sum of one function, by the in-place kernel of the correspondence check."""
+    g = psi.grid()
+    out = np.zeros_like(g)
+    _add_neighbours(out, g, psi.box.d, mode)
+    return Wavefunction.from_grid(psi.box, out)
+
+
 def roll_adjacency(psi: Wavefunction, mode: str) -> np.ndarray:
     """Nearest-neighbour sum of ``psi`` as a grid, by ``np.roll`` sums or boundary-clipped slices."""
     g = psi.grid()
@@ -91,6 +100,17 @@ def roll_adjacency(psi: Wavefunction, mode: str) -> np.ndarray:
 
 # -- embedding ----------------------------------------------------------------
 
+def doubled(box: LatticeBox) -> LatticeBox:
+    """The wraparound box with sides 2 n_l + 2."""
+    return LatticeBox(tuple(2 * s + 2 for s in box.sides))
+
+
+def embed(psi: Wavefunction) -> Wavefunction:
+    """The antisymmetric extension of one function, by the gather of the correspondence check."""
+    index, sign = _embedding_maps(psi.box.sides)
+    return Wavefunction.from_grid(doubled(psi.box), sign * psi.grid()[index])
+
+
 def embed_by_reflections(psi: Wavefunction) -> Wavefunction:
     """The antisymmetric extension built by sweeping reflections axis by axis.
 
@@ -98,7 +118,7 @@ def embed_by_reflections(psi: Wavefunction) -> Wavefunction:
     propagates with a sign flip across each coordinate reflection in turn.
     Agrees exactly with ``embed``: the extension is uniquely determined.
     """
-    target = embedding_target(psi.box)
+    target = doubled(psi.box)
     dtype = complex if np.iscomplexobj(psi.values) else float
     out = np.zeros(target.sides, dtype=dtype)
     src_block = tuple(slice(0, n) for n in psi.box.sides)

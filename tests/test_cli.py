@@ -11,7 +11,7 @@ import pytest
 
 from latticeqe.cli import build_parser, main
 from latticeqe.experiments import EXPERIMENTS, READS, ExperimentConfig, reader
-from latticeqe.reporting import ExperimentReport, config_hash, emit_report, write_csv
+from latticeqe.reporting import ExperimentReport, config_hash, emit_report
 
 
 def read(path: Path) -> str:
@@ -192,6 +192,26 @@ class TestExitCodes:
              "--M", "50", "--unchecked", "--out", str(tmp_path)]
         )
         assert code == 0
+
+    def test_inadmissible_observable_error_names_the_flag(self, tmp_path, capsys):
+        argv = ["schrodinger", "--task", "partial-qe", "--M", "100", "--N", "3", "--obs", "parity",
+                "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latticeqe: error: block-orbit sums differ by ")
+        assert "rerun with --unchecked" in err and "enforce_lc" not in err
+        assert not (tmp_path / "schrodinger.csv").exists()
+
+    def test_long_period_error_names_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps({"d": 1, "q": [3], "values": [0.0, 1.0, 2.0]}))
+        argv = ["schrodinger", "--task", "partial-qe", "--potential", str(path), "--N", "4",
+                "--obs", "block-constant", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latticeqe: error: periods (3,) exceed 2")
+        assert "pass --exploratory" in err and "exploratory=" not in err
+        assert not (tmp_path / "schrodinger.csv").exists()
 
     def test_violated_bessel_bound_is_a_fail_row(self, tmp_path):
         # An inflated Fourier coefficient breaks lhs <= rhs: the row says so
@@ -673,12 +693,12 @@ class TestDeclaredReads:
 class TestReporting:
     def test_empty_rows_gives_header_only_csv(self, tmp_path):
         report = ExperimentReport("demo", ["a", "b"], [[], []], {"version": "0"})
-        path = write_csv(report, tmp_path / "demo.csv")
+        path, _ = emit_report(report, tmp_path)
         assert read(path) == "a,b\n"
 
     def test_float_cells_round_trip(self, tmp_path):
         report = ExperimentReport("demo", ["x"], [[0.1 + 0.2]], {})
-        path = write_csv(report, tmp_path / "demo.csv")
+        path, _ = emit_report(report, tmp_path)
         cell = read(path).split("\n")[1]
         assert float(cell) == 0.1 + 0.2
 

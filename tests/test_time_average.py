@@ -315,7 +315,7 @@ class TestThetaDecomposition:
         dec = theta_decompose(a)
         for t, comp in dec.components.items():
             cap = (2 / (N + 1)) ** d * abs(comp.coefficient) + 1e-15
-            for v in comp.entries.values():
+            for v in comp.values:
                 assert abs(v) <= cap
 
 

@@ -99,10 +99,11 @@ def loop_to_matrix(K):
     vol = K.box.volume
     dtype = complex if any(v.dtype.kind == "c" for v in K.offsets.values()) else float
     M = np.zeros((vol, vol), dtype=dtype)
+    sites = np.indices(K.box.sides).reshape(K.box.d, -1).T  # 0-based, row-major
     for z, vals in K.offsets.items():
-        for i, x in enumerate(K.box.sites()):
+        for i, x in enumerate(sites):
             if vals[i] != 0:
-                M[i, K.box.linearize(tuple(xl + zl for xl, zl in zip(x, z)))] = vals[i]
+                M[i, np.ravel_multi_index(tuple(x + z), K.box.sides)] = vals[i]
     return M
 
 
@@ -257,8 +258,8 @@ class TestPairEnumerator:
         for t, (coeff, entries) in old.items():
             comp = dec.components[t]
             assert comp.coefficient == coeff
-            assert list(comp.entries) == list(entries)
-            assert np.array_equal(bits(comp.entries.values()), bits(entries.values()))
+            assert list(zip(comp.rows.tolist(), comp.cols.tolist())) == list(entries)
+            assert np.array_equal(bits(comp.values), bits(entries.values()))
             assert comp.nnz == sum(1 for v in entries.values() if v != 0)
 
     @pytest.mark.parametrize("d,N", [(1, 9), (2, 5), (2, 8), (3, 3)])
@@ -269,7 +270,7 @@ class TestPairEnumerator:
         total = np.zeros((dec.n, dec.n), dtype=complex)
         for comp in dec.components.values():
             M = np.zeros((dec.n, dec.n), dtype=complex)
-            for (i, j), v in comp.entries.items():
+            for i, j, v in zip(comp.rows.tolist(), comp.cols.tolist(), comp.values.tolist()):
                 M[i, j] = v
                 total[i, j] += v
             assert np.array_equal(bits(comp.matrix(dec.n)), bits(M))
