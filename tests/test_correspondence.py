@@ -3,12 +3,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeqe.correspondence import verify_correspondence, verify_correspondence_family
+from latticeqe.correspondence import _axis_maps, verify_correspondence, verify_correspondence_family
 from latticeqe.experiments import _spectral_inclusion_error
-from latticeqe.lattice import LatticeBox, Wavefunction, cube
+from latticeqe.lattice import LatticeBox, Observable, Wavefunction, cube
+from latticeqe.schrodinger import PeriodicPotential, build_operator, eigenbasis, lattice_block
 from latticeqe.spectra import SpectralData, bloch_basis, dirichlet_eigenvalues, periodic_eigenvalues, sine_basis
+from latticeqe.time_average import expectations
 
-from oracles import embed, embed_by_reflections, loop_correspondence_family, peak_bytes
+from oracles import doubled, embed, embed_by_reflections, loop_correspondence_family, peak_bytes
+
+
+def mirror(v: int, side: int) -> int:
+    """The reflection ``x -> -x`` (mod side) of a coordinate in ``[[1, side]]``."""
+    return (side - v) % side or side
+
+
+class TestReflect:
+    # the extension is odd under each coordinate reflection: reflected target
+    # coordinates read the same source index with the opposite sign
+    def test_side_four(self):
+        idx, sgn = _axis_maps(1)
+        assert mirror(1, 4) == 3
+        assert idx[0] == idx[2] and sgn[0] == -sgn[2] != 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_involution_side_six(self, n):
+        side = 2 * n + 2
+        idx, sgn = _axis_maps(n)
+        assert len(idx) == side
+        for v in range(1, side + 1):
+            m = mirror(v, side)
+            assert mirror(m, side) == v
+            assert idx[m - 1] == idx[v - 1] and sgn[m - 1] == -sgn[v - 1]
+
+    def test_second_coordinate(self):
+        rng = np.random.default_rng(28)
+        grid = embed(Wavefunction(cube(2, 2), rng.normal(size=4))).grid()
+        # site (2, 5) reflects to (2, 1) in coordinate 2 of the 6 x 6 target
+        assert mirror(5, 6) == 1
+        assert grid[1, 4] == -grid[1, 0] != 0
+
+    def test_fixed_points(self):
+        _, sgn = _axis_maps(2)
+        assert mirror(3, 6) == 3 and mirror(6, 6) == 6
+        # an odd function vanishes where the reflection fixes the site
+        assert sgn[2] == 0 and sgn[5] == 0
 
 
 class TestEmbed:
@@ -68,6 +107,21 @@ class TestEmbed:
         psi = Wavefunction(cube(2, 1), [1j / np.sqrt(2), 1 / np.sqrt(2)])
         out = embed(psi)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestEmbedBlock:
+    @pytest.mark.parametrize("q,N", [((1,), 5), ((2,), 3), ((1, 2), 2), ((2, 1), 3), ((2, 2), 2), ((1, 1, 2), 2)])
+    def test_mixed_periods(self, q, N):
+        # a block with sides q_l N, q_l in {1, 2}: its adjacency eigenbasis,
+        # solved densely, extends to the doubled wraparound box
+        box = lattice_block(q, N)
+        psi = Wavefunction(box, np.ones(box.volume) / np.sqrt(box.volume))
+        out = embed(psi)
+        assert out.box.sides == tuple(2 * c * N + 2 for c in q)
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        basis = eigenbasis(build_operator(PeriodicPotential(q, np.zeros(q)), N))
+        max_residual, gram_error = verify_correspondence_family(basis)
+        assert max_residual <= 1e-12 and gram_error <= 1e-12
 
 
 class TestCorrespondence:
@@ -186,3 +240,55 @@ class TestEmbeddedFamily:
         broken = SpectralData(basis.box, basis.eigenvalues, vectors)
         with pytest.raises(ValueError, match="finite"):
             verify_correspondence_family(broken)
+
+
+def zero_extension(a: Observable) -> Observable:
+    """The observable on the doubled box equal to ``a`` on the source block and zero elsewhere."""
+    target = doubled(a.box)
+    block = tuple(slice(0, n) for n in a.box.sides)
+    offsets = {}
+    for z, vals in a.offsets.items():
+        out = np.zeros(target.sides, dtype=vals.dtype)
+        out[block] = vals.reshape(a.box.sides)
+        offsets[z] = out.reshape(-1)
+    return Observable(target, offsets)
+
+
+def embedded_family(basis: SpectralData) -> SpectralData:
+    E = np.column_stack([embed(Wavefunction(basis.box, basis.vectors[:, j])).values for j in range(basis.n)])
+    return SpectralData(doubled(basis.box), basis.eigenvalues, E)
+
+
+class TestExtendObservable:
+    # the embedded family reproduces source expectations of an observable
+    # extended by zero, up to the factor 2^d of the block's share of the norm
+    def test_uniform_average_rescales(self):
+        a = Observable.diagonal(cube(3, 1), np.ones(3))
+        ext = zero_extension(a)
+        assert ext.box.sides == (8,)
+        # Bloch expectations are site means: 3/8 on the doubled box, 1 on the source
+        assert np.allclose(expectations(bloch_basis(8, 1), ext), 3 / 8)
+        assert np.allclose((8 / 3) * expectations(bloch_basis(8, 1), ext), expectations(bloch_basis(3, 1), a)[0])
+
+    def test_quadratic_form_identity(self):
+        rng = np.random.default_rng(24)
+        basis = sine_basis(3, 2)
+        big = embedded_family(basis)
+        for _ in range(20):
+            a = Observable.diagonal(basis.box, rng.uniform(-1, 1, basis.n))
+            small = expectations(basis, a)  # the factored sine contraction
+            assert np.allclose(small, 4 * expectations(big, zero_extension(a)), atol=1e-12)
+
+    def test_kernel_quadratic_form_identity(self):
+        rng = np.random.default_rng(25)
+        basis = sine_basis(4, 1)
+        offsets = {}
+        for z in (-1, 0, 1):
+            entry = rng.uniform(-1, 1, 4)
+            lo, hi = max(0, -z), min(4, 4 - z)
+            masked = np.zeros(4)
+            masked[lo:hi] = entry[lo:hi]
+            offsets[(z,)] = masked
+        K = Observable.kernel(basis.box, offsets)
+        big = embedded_family(basis)
+        assert np.allclose(expectations(basis, K), 2 * expectations(big, zero_extension(K)), atol=1e-12)

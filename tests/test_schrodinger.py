@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -54,6 +55,38 @@ class TestBuildOperator:
         V2 = load_potential(path)
         assert V2.q == V.q
         assert np.array_equal(V2.values, V.values)
+
+
+class TestPeriodicPotential:
+    @pytest.mark.parametrize("q,sides", [((2,), (5,)), ((2, 1), (4, 3)), ((3, 2), (6, 5)), ((1, 2, 2), (2, 3, 4))])
+    def test_on_box_is_the_periodic_extension(self, q, sides):
+        rng = np.random.default_rng(sum(sides))
+        V = PeriodicPotential(q, rng.normal(size=q))
+        box = LatticeBox(sides)
+        expected = [V.values[tuple((c - 1) % p for c, p in zip(x, q))]
+                    for x in itertools.product(*(range(1, s + 1) for s in sides))]
+        assert np.array_equal(V.on_box(box), expected)
+
+    def test_on_box_rejects_other_dimension(self):
+        with pytest.raises(ValueError, match="dimension"):
+            PeriodicPotential((2,), [1.0, 2.0]).on_box(LatticeBox((2, 2)))
+
+    @pytest.mark.parametrize("text,match", [
+        ("[1, 2]", "expected a JSON object"),
+        ('{"q": [2]}', "missing key 'values'"),
+        ('{"q": "ab", "values": [1, 2]}', "list of integers"),
+        ('{"d": 2, "q": [2], "values": [1, 2]}', "key 'd' must equal"),
+        ('{"q": [2], "values": [1, 2, 3]}', "must hold 2 numbers"),
+        ('{"q": [0], "values": []}', "periods must be positive"),
+        ('{"q": [1], "values": [NaN]}', "finite"),
+        ('{"q": [1], ', "potential file"),
+    ])
+    def test_malformed_file_names_the_fault(self, tmp_path, text, match):
+        path = tmp_path / "pot.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            load_potential(path)
+        assert str(path) in str(info.value)
 
 
 class TestEigensolve:

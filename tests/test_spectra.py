@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -14,6 +15,7 @@ from latticeqe.spectra import (
     SpectralData,
     adjacency_matrix,
     bloch_basis,
+    bloch_matrix,
     default_deg_tol,
     degeneracy_classes,
     lemma_c1_count,
@@ -52,6 +54,25 @@ class TestPeriodicEigenpairs:
         vecs = ProductBasis("periodic", 4, 1).factor()
         gram = vecs.conj().T @ vecs
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+
+
+class TestEigenpairsAreFactorViews:
+    @pytest.mark.parametrize("mode,dense,closed", [
+        ("dirichlet", sine_matrix, lambda k, N: 2 * np.cos(k * np.pi / (N + 1))),
+        ("periodic", bloch_matrix, lambda k, N: 2 * np.cos(2 * np.pi * k / N)),
+    ], ids=["dirichlet", "periodic"])
+    @pytest.mark.parametrize("d,N", [(1, 1), (1, 7), (2, 1), (2, 4), (3, 3)])
+    def test_bitwise_equal_to_factor_columns(self, mode, dense, closed, d, N):
+        # each dense column is the Kronecker product of the 1-D factor's
+        # columns for its frequency, and its eigenvalue the sum of theirs
+        pb = ProductBasis(mode, N, d)
+        F, first = pb.factor(), pb.freqs()[0][0]
+        M, freqs, eigs = dense(N, d)
+        assert freqs == pb.freqs() and np.array_equal(M, pb.matrix()) and np.array_equal(eigs, pb.eigs)
+        for idx, k in enumerate(freqs):
+            assert np.array_equal(M[:, idx], functools.reduce(np.kron, [F[:, c - first] for c in k]))
+            assert eigs[idx] == functools.reduce(lambda a, b: a + b, [pb.lam1[c - first] for c in k])
+            assert eigs[idx] == pytest.approx(sum(closed(c, N) for c in k), abs=1e-12)
 
 
 class TestApplyAdjacency:
