@@ -41,7 +41,7 @@ def _add_flags(p: _Parser) -> dict[str, str]:
         p.add_argument("--config", help="JSON config file; flags override it"),
         p.add_argument("--d", type=int, help="lattice dimension"),
         p.add_argument("--N", dest="n_values", type=_int_list, help="comma-separated ascending box sizes"),
-        p.add_argument("--obs", type=_str_list, help="observable names or .json files, comma-separated"),
+        p.add_argument("--obs", type=_str_list, help="observable names or .json files, comma-separated, none repeated"),
         p.add_argument("--mode", choices=("dirichlet", "periodic")),
         p.add_argument("--q", type=_int_list, help="periods, comma-separated"),
         p.add_argument("--potential", help="potential JSON file"),
@@ -51,7 +51,8 @@ def _add_flags(p: _Parser) -> dict[str, str]:
         p.add_argument("--tol", type=float, help="bound on residual, Gram error and inclusion"),
         p.add_argument("--bound", type=float),
         p.add_argument("--random", dest="random_count", type=int, help="number of seeded random diagonals to add"),
-        p.add_argument("--seed", type=int),
+        p.add_argument("--seed", type=int, help="a random-diagonal is drawn from default_rng([seed, N]), "
+                       "or [seed, N, i] in bessel, i its place in --obs then the --random draws"),
         p.add_argument("--unchecked", action="store_true", help="run inadmissible observables anyway (report only)"),
         p.add_argument("--exploratory", action="store_true",
                        help="allow periods above 2 in partial-qe scans (nothing asserted)"),

@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise ConfigError(f"config field 'obs' (--obs): {self.experiment} needs at least one observable")
         if self.experiment == "var-scan" and len(self.obs) > 1:
             raise ConfigError(f"config field 'obs' (--obs): var-scan scans one observable, got {list(self.obs)}")
+        # a repeated entry would only repeat its rows (in schrodinger even a random-diagonal's draw)
+        if repeated := next((spec for i, spec in enumerate(self.obs) if spec in self.obs[:i]), None):
+            raise ConfigError(f"config field 'obs' (--obs) lists {repeated!r} more than once")
         if self.potential is not None and not Path(self.potential).is_file():
             raise ConfigError(f"potential file not found: {self.potential}")
         for spec in self.obs:
@@ -152,10 +155,6 @@ def _basis(cfg: ExperimentConfig, N: int):
     return sine_basis(N, cfg.d)
 
 
-def _obs_rng(cfg: ExperimentConfig, *key):
-    return np.random.default_rng([cfg.seed, *key])
-
-
 def _columns(names: str, records) -> dict[str, list]:
     """A table from one tuple per row, holding the cells of the space-separated ``names`` in order."""
     records = list(records)
@@ -167,7 +166,7 @@ def _run_var_scan(cfg: ExperimentConfig):
     bound = cfg.bound if cfg.bound is not None else 1.0
 
     def one(N):
-        a = build_observable(spec, cube(N, cfg.d), q=cfg.q, rng=_obs_rng(cfg, N))
+        a = build_observable(spec, cube(N, cfg.d), q=cfg.q, seed=(cfg.seed, N))
         var = quantum_variance(_basis(cfg, N), centered(a))
         return N, var, var * N, var * N <= bound
 
@@ -259,7 +258,7 @@ def _run_schrodinger(cfg: ExperimentConfig):
 
     def one(spec, N):
         box = lattice_block(potential.q, N)
-        a = build_observable(spec, box, q=potential.q, rng=_obs_rng(cfg, N))
+        a = build_observable(spec, box, q=potential.q, seed=(cfg.seed, N))
         try:
             result = partial_qe_experiment(potential, N, a, enforce_lc=not cfg.unchecked,
                                            exploratory=cfg.exploratory)
@@ -298,7 +297,7 @@ def _run_bessel(cfg: ExperimentConfig):
             box = cube(N, cfg.d)
             phases = fourier_phases(N)  # one phase matrix per box side, shared by its observables
             for i, spec in enumerate(specs):
-                a = build_observable(spec, box, q=cfg.q, rng=_obs_rng(cfg, N, i))
+                a = build_observable(spec, box, q=cfg.q, seed=(cfg.seed, N, i))
                 lhs, rhs = bessel_bound_check(a, phases)
                 name = spec if spec != "random-diagonal" else f"random-diagonal-{i}"
                 yield N, cfg.d, name, lhs, rhs, rhs - lhs, lhs <= rhs * (1 + 1e-12)

@@ -70,9 +70,13 @@ def block_constant(box: LatticeBox, q) -> Observable:
     return Observable.diagonal(box, (block < nblocks // 2).astype(float))
 
 
-def random_diagonal(box: LatticeBox, rng: np.random.Generator) -> Observable:
-    """Seeded uniform diagonal with values in [-1, 1]."""
-    return Observable.diagonal(box, rng.uniform(-1.0, 1.0, box.volume))
+def random_diagonal(box: LatticeBox, seed: tuple[int, ...]) -> Observable:
+    """Uniform diagonal with values in [-1, 1], drawn from ``default_rng(list(seed))``.
+
+    The only place a generator is made, so a run that builds no random
+    observable never loads ``numpy.random``.
+    """
+    return Observable.diagonal(box, np.random.default_rng(list(seed)).uniform(-1.0, 1.0, box.volume))
 
 
 BUILTIN_OBSERVABLES = (
@@ -89,9 +93,15 @@ def build_observable(
     spec: str,
     box: LatticeBox,
     q=None,
-    rng: np.random.Generator | None = None,
+    seed: tuple[int, ...] | None = None,
 ) -> Observable:
-    """Resolve an observable spec: a builtin name or a JSON file of values."""
+    """Resolve an observable spec: a builtin name or a JSON file of values.
+
+    ``q`` sets the periods of ``block-constant`` (default all ones). ``seed``
+    is the key of a ``random-diagonal``, a tuple of nonnegative ints whose
+    values are drawn from ``np.random.default_rng(list(seed))``; the other
+    observables ignore it.
+    """
     if spec.endswith(".json"):
         with open(spec, "r", encoding="utf-8") as fh:
             try:
@@ -115,7 +125,7 @@ def build_observable(
     if spec == "block-constant":
         return block_constant(box, q if q is not None else (1,) * box.d)
     if spec == "random-diagonal":
-        if rng is None:
-            raise ValueError("random-diagonal needs a seeded generator")
-        return random_diagonal(box, rng)
+        if seed is None:
+            raise ValueError("random-diagonal needs a seed key")
+        return random_diagonal(box, seed)
     raise ValueError(f"unknown observable {spec!r} (builtins: {', '.join(BUILTIN_OBSERVABLES)})")

@@ -11,7 +11,11 @@ import pytest
 
 from latticeqe.cli import build_parser, main
 from latticeqe.experiments import EXPERIMENTS, READS, ExperimentConfig, reader
+from latticeqe.lattice import Observable, cube
 from latticeqe.reporting import ExperimentReport, config_hash, emit_report
+from latticeqe.schrodinger import counterexample_potential, lattice_block, partial_qe_experiment
+from latticeqe.spectra import sine_basis
+from latticeqe.time_average import bessel_bound_check, centered, fourier_phases, quantum_variance
 
 
 def read(path: Path) -> str:
@@ -432,6 +436,88 @@ class TestDeterminism:
         payload = json.loads(read(tmp_path / "correlator.json"))
         assert any(not row["pass"] for row in payload["rows"])
         assert code == 2
+
+
+def _draw(box, *key) -> Observable:
+    return Observable.diagonal(box, np.random.default_rng(list(key)).uniform(-1.0, 1.0, box.volume))
+
+
+def _rows(path: Path) -> list[dict]:
+    return json.loads(read(path))["rows"]
+
+
+class TestRandomObservables:
+    """``--seed`` draws each random-diagonal from ``default_rng([seed, N])`` (var-scan, schrodinger) or
+    ``default_rng([seed, N, i])`` (bessel, ``i`` its place in ``--obs`` then the ``--random`` draws)."""
+
+    @pytest.mark.parametrize("argv,repeated", [
+        (["schrodinger", "--task", "partial-qe", "--M", "100", "--N", "4,8",
+          "--obs", "random-diagonal,random-diagonal", "--unchecked", "--seed", "3"], "random-diagonal"),
+        (["bessel", "--d", "2", "--N", "4", "--obs", "parity,parity"], "parity"),
+    ])
+    def test_repeated_observable_is_usage_error(self, tmp_path, capsys, argv, repeated):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"config field 'obs' (--obs) lists {repeated!r} more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_var_scan_draws_from_seed_and_N(self, tmp_path):
+        assert main(["var-scan", "--d", "2", "--N", "3,5", "--obs", "random-diagonal", "--bound", "100",
+                     "--seed", "11", "--out", str(tmp_path)]) == 0
+        for row in _rows(tmp_path / "var-scan.json"):
+            N = row["N"]
+            assert row["var"] == quantum_variance(sine_basis(N, 2), centered(_draw(cube(N, 2), 11, N)))
+
+    def test_schrodinger_draws_from_seed_and_N(self, tmp_path):
+        assert main(["schrodinger", "--task", "partial-qe", "--M", "100", "--N", "4,8", "--obs",
+                     "block-constant,random-diagonal", "--unchecked", "--seed", "5", "--out", str(tmp_path)]) == 0
+        potential = counterexample_potential(100.0)
+        rows = [row for row in _rows(tmp_path / "schrodinger.json") if row["obs"] == "random-diagonal"]
+        assert [row["N"] for row in rows] == [4, 8]
+        for row in rows:
+            a = _draw(lattice_block(potential.q, row["N"]), 5, row["N"])
+            assert row["variance"] == partial_qe_experiment(potential, row["N"], a, enforce_lc=False).variance
+
+    def test_bessel_draws_from_seed_N_and_place(self, tmp_path):
+        assert main(["bessel", "--d", "2", "--N", "2,4", "--obs", "parity", "--random", "2", "--seed", "9",
+                     "--out", str(tmp_path)]) == 0
+        rows = [row for row in _rows(tmp_path / "bessel.json") if row["obs"] != "parity"]
+        assert [(row["N"], row["obs"]) for row in rows] == [
+            (N, f"random-diagonal-{i}") for N in (2, 4) for i in (1, 2)]
+        for row in rows:
+            N, i = row["N"], int(row["obs"].rsplit("-", 1)[1])
+            lhs, rhs = bessel_bound_check(_draw(cube(N, 2), 9, N, i), fourier_phases(N))
+            assert (row["lhs"], row["rhs"]) == (lhs, rhs)
+
+    def test_numpy_random_loads_only_for_a_draw(self, tmp_path):
+        script = (
+            "import json, sys\n"
+            "import numpy\n"
+            "if 'numpy.random' in sys.modules:\n"
+            "    print('eager')\n"
+            "    sys.exit(0)\n"
+            "from latticeqe.cli import main\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0\n"
+            "    loaded.append('numpy.random' in sys.modules)\n"
+            "print(json.dumps(loaded))\n"
+        )
+        runs = [
+            ["schrodinger", "--task", "partial-qe", "--M", "100", "--N", "4,8", "--obs", "block-constant"],
+            ["var-scan", "--d", "1", "--N", "8", "--obs", "centered-half"],
+            ["bessel", "--d", "1", "--N", "4", "--random", "1"],
+        ]
+        runs = [argv + ["--seed", "1", "--out", str(tmp_path)] for argv in runs]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        last = proc.stdout.splitlines()[-1]
+        if last == "eager":
+            pytest.skip("this numpy imports numpy.random with numpy")
+        assert json.loads(last) == [False, False, True]
 
 
 class TestConfigFile:

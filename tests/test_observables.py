@@ -36,10 +36,12 @@ class TestBuiltins:
 
     def test_random_diagonal_is_seeded_and_bounded(self):
         box = LatticeBox((5, 4))
-        a = build_observable("random-diagonal", box, rng=np.random.default_rng(3))
-        b = build_observable("random-diagonal", box, rng=np.random.default_rng(3))
+        a = build_observable("random-diagonal", box, seed=(3, 5))
+        b = build_observable("random-diagonal", box, seed=(3, 5))
         assert np.array_equal(a.diag(), b.diag()) and a.sup_norm <= 1.0
-        with pytest.raises(ValueError, match="seeded generator"):
+        assert np.array_equal(a.diag(), np.random.default_rng([3, 5]).uniform(-1.0, 1.0, 20))
+        assert not np.array_equal(a.diag(), build_observable("random-diagonal", box, seed=(3, 6)).diag())
+        with pytest.raises(ValueError, match="seed key"):
             build_observable("random-diagonal", box)
 
     def test_block_constant_needs_dividing_periods(self):
