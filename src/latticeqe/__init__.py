@@ -8,6 +8,8 @@ sine eigenfunctions against the spherical function, and a reproducible
 experiment driver.
 """
 
+__version__ = "0.1.0"  # first, so modules may read it while the package imports
+
 from .lattice import (
     BoxMismatchError,
     LatticeBox,
@@ -46,5 +48,3 @@ from .schrodinger import (
     partial_qe_experiment,
 )
 from .correlators import chebyshev_operator, spherical
-
-__version__ = "0.1.0"

@@ -92,11 +92,15 @@ def _shift_overlaps(N: int, offsets) -> np.ndarray:
     ``[r0, r1)`` take their rows ``x < r1`` from a contiguous copy of the
     block's transpose; earlier columns add the block's rows to their running
     sums, reading the last ``max(offsets)`` rows before the block from a
-    carried halo. Each column is summed along x in order, its running sum
-    written as the first row of the product buffer, so the overlaps equal
-    those of the dense factor bit for bit. Blocks hold at least two rows and
-    columns: a single column would be reduced along its contiguous axis,
-    where numpy sums pairwise.
+    carried halo. Each column is summed along x in order, so the overlaps
+    equal those of the dense factor bit for bit. Own columns are summed by
+    ``einsum``, which adds the products in order into a zeroed output; that
+    is the same sequence as a sum along x, as no product is ``±0`` (no sine
+    argument is an exact multiple of pi). A running sum must start from its
+    carried value, which ``einsum`` cannot, so it is written as the first
+    row of the product buffer and summed with the block's products. Blocks
+    hold at least two rows and columns: a single column would be reduced
+    along its contiguous axis, where numpy sums pairwise.
     """
     offsets = list(offsets)
     out = np.zeros((len(offsets), N))
@@ -106,7 +110,7 @@ def _shift_overlaps(N: int, offsets) -> np.ndarray:
     x = np.arange(1.0, N + 1.0)  # products x j < 2^53 are exact in floats
     scale = np.sqrt(2.0 / (N + 1))
     halo = np.empty((0, 0))  # rows [lo, r0) of the factor, columns [0, r0)
-    buf = np.empty((_BLOCK + 1) * N)  # products of one offset, running sums first
+    buf = np.empty((_BLOCK + 1) * N)  # carried sums, then the products of one offset
     for rows in np.array_split(np.arange(N), -(-N // _BLOCK)):
         r0, r1 = int(rows[0]), int(rows[-1]) + 1
         lo = r0 - len(halo)
@@ -122,12 +126,9 @@ def _shift_overlaps(N: int, offsets) -> np.ndarray:
         own = np.ascontiguousarray(block.T)  # the factor's rows [0, r1), columns [r0, r1)
         window[: r0 - lo, r0:] = own[lo:r0]  # for the next halo, when it reaches above r0
         for row, z in zip(out, offsets):
-            m = r1 - z  # pairs (x, x + z) with x + z < r1
-            if m > 0:
-                prod = buf[: m * (r1 - r0)].reshape(m, r1 - r0)
-                np.multiply(own[:m], own[z:r1], out=prod)
-                row[r0:r1] = prod.sum(axis=0)
-            m = min(r1 - r0, m)  # pairs with r0 <= x + z < r1, earlier columns
+            if r1 > z:  # pairs (x, x + z) with x + z < r1, own columns
+                np.einsum("ij,ij->j", own[: r1 - z], own[z:r1], out=row[r0:r1])
+            m = min(r1 - r0, r1 - z)  # pairs with r0 <= x + z < r1, earlier columns
             if r0 and m > 0:
                 prod = buf[: (m + 1) * r0].reshape(m + 1, r0)
                 prod[0] = row[:r0]

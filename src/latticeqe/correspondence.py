@@ -21,19 +21,11 @@ __all__ = ["verify_correspondence", "verify_correspondence_family"]
 
 
 def _axis_maps(n: int):
-    # For target coordinate v in [[1, 2n+2]]: source index (0-based) and sign.
-    side = 2 * n + 2
-    idx = np.zeros(side, dtype=int)
-    sgn = np.zeros(side)
-    for v in range(1, side + 1):
-        if v % (n + 1) == 0:
-            continue
-        if v <= n:
-            idx[v - 1] = v - 1
-            sgn[v - 1] = 1.0
-        else:
-            idx[v - 1] = (side - v) - 1
-            sgn[v - 1] = -1.0
+    """Source index (0-based) and sign for each target coordinate v in [[1, 2n+2]]; walls get 0 and 0."""
+    v = np.arange(1, 2 * n + 3)
+    wall, low = v % (n + 1) == 0, v <= n
+    idx = np.where(wall, 0, np.where(low, v - 1, 2 * n + 1 - v))
+    sgn = np.where(wall, 0.0, np.where(low, 1.0, -1.0))
     return idx, sgn
 
 

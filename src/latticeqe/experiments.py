@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .correspondence import verify_correspondence_family
 from .lattice import UnsupportedPeriodError, cube
 from .observables import build_observable
@@ -37,8 +38,6 @@ from .time_average import bessel_bound_check, centered, fourier_phases, quantum_
 from .correlators import wucha_error_scan
 
 __all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "READS", "reader", "run"]
-
-_VERSION = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -344,7 +343,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     table = EXPERIMENTS[cfg.experiment](cfg)
     wall = time.perf_counter() - start
     metadata = {
-        "version": _VERSION,
+        "version": __version__,
         "config_hash": config_hash(cfg.canonical()),
         "config": cfg.canonical(),
     }

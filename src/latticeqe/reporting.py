@@ -39,18 +39,6 @@ import numpy as np
 __all__ = ["ExperimentReport", "config_hash", "emit_report"]
 
 
-def _plain(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def config_hash(config: dict) -> str:
     canonical = json.dumps(_plain(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -110,6 +98,15 @@ def _scalar(value):
         if isinstance(value, accepted):
             return plain(value)
     raise TypeError(f"report cell {value!r} of type {type(value).__name__} is not a scalar")
+
+
+def _plain(value):
+    """Scalars as ``_scalar`` gives them, lists and tuples as lists of plain values; other values pass through."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if any(isinstance(value, accepted) for accepted, _ in _SCALARS):
+        return _scalar(value)
+    return value
 
 
 def _probe_csv(char: str) -> bool:

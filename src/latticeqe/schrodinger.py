@@ -117,8 +117,6 @@ class TruncatedOperator:
     """Dense symmetric matrix of a truncated Schrödinger operator."""
 
     box: LatticeBox
-    mode: str
-    potential: PeriodicPotential
     matrix: np.ndarray
 
 
@@ -127,7 +125,7 @@ def build_operator(potential: PeriodicPotential, N: int, mode: str = "dirichlet"
     box = lattice_block(potential.q, N)
     H = adjacency_matrix(box, mode)
     H[np.diag_indices_from(H)] += potential.on_box(box)
-    return TruncatedOperator(box, mode, potential, H)
+    return TruncatedOperator(box, H)
 
 
 @dataclass(eq=False)
@@ -278,8 +276,6 @@ def counterexample_potential(M: float) -> PeriodicPotential:
 class MassProfile:
     """Band counts and sublattice masses for the staggered potential."""
 
-    M: float
-    N: int
     eigenvalues: np.ndarray
     low_band_count: int
     high_band_count: int
@@ -324,8 +320,6 @@ def counterexample_mass_profile(M: float, N: int) -> MassProfile:
     low = int(np.count_nonzero((eigenvalues >= -2 - 1e-9) & (eigenvalues <= 2 + 1e-9)))
     high = int(np.count_nonzero((eigenvalues >= M - 2 - 1e-9) & (eigenvalues <= M + 2 + 1e-9)))
     return MassProfile(
-        M=float(M),
-        N=N,
         eigenvalues=eigenvalues,
         low_band_count=low,
         high_band_count=high,
@@ -359,8 +353,6 @@ def lc_deviation(a: Observable, q) -> float:
 
 @dataclass(eq=False)
 class PartialQeResult:
-    N: int
-    q: tuple[int, ...]
     variance: float
     lc_deviation: float
     lc_checked: bool
@@ -413,8 +405,6 @@ def partial_qe_experiment(
         solved = basis.product
     variance = quantum_variance(basis, centered(a))
     return PartialQeResult(
-        N=N,
-        q=q,
         variance=variance,
         lc_deviation=deviation,
         lc_checked=checked,

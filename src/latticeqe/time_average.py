@@ -307,19 +307,15 @@ class ThetaComponent:
     row-major frequency order, each position at most once; only pairs with
     equal eigenvalues and a sign combination hitting t appear, so for nonzero
     t the support has at most 2 * 4^d * N^(d-1) sites and every entry is
-    bounded by (2/(N+1))^d |e_theta . a|.
+    bounded by (2/(N+1))^d |e_theta . a|. ``nnz`` counts the nonzero values.
     """
 
     t: tuple[int, ...]
-    theta: tuple[float, ...]
     coefficient: complex
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.values))
+    nnz: int
 
     def matrix(self, n: int) -> np.ndarray:
         M = np.zeros((n, n), dtype=complex)
@@ -329,17 +325,12 @@ class ThetaComponent:
 
 @dataclass(eq=False)
 class ThetaDecomposition:
-    """Frequency decomposition of the class-masked center matrix."""
+    """Frequency decomposition of the class-masked center matrix, ``n = N^d`` rows and columns."""
 
     N: int
     d: int
-    freqs: list[tuple[int, ...]]
-    eigenvalues: np.ndarray
+    n: int
     components: dict[tuple[int, ...], ThetaComponent]
-
-    @property
-    def n(self) -> int:
-        return len(self.freqs)
 
     def component_matrix(self, t) -> np.ndarray:
         t = tuple(int(c) for c in t)
@@ -390,19 +381,20 @@ def theta_decompose(a: Observable) -> ThetaDecomposition:
     component, pair = np.divmod(entry, len(i))
     bounds = [0, *(np.flatnonzero(np.diff(component)) + 1).tolist(), len(entry)]
     rows, cols = i[pair], j[pair]
+    nnz = np.add.reduceat(values != 0, bounds[:-1]).tolist()
     flat = t_grid[by_first]
     components: dict[tuple[int, ...], ThetaComponent] = {}
     ts = _grid_points(flat, N, d)
-    for tk, coeff, lo, hi in zip(ts, coeffs[flat].tolist(), bounds[:-1], bounds[1:]):
+    for tk, coeff, lo, hi, count in zip(ts, coeffs[flat].tolist(), bounds[:-1], bounds[1:], nnz):
         components[tk] = ThetaComponent(
             t=tk,
-            theta=tuple(c / (N + 1) for c in tk),
             coefficient=coeff,
             rows=rows[lo:hi],
             cols=cols[lo:hi],
             values=values[lo:hi],
+            nnz=count,
         )
-    return ThetaDecomposition(N, d, basis.product.freqs(), basis.product.eigs, components)
+    return ThetaDecomposition(N, d, N**d, components)
 
 
 def bessel_bound_check(a: Observable, phases: np.ndarray | None = None):

@@ -105,6 +105,23 @@ def doubled(box: LatticeBox) -> LatticeBox:
     return LatticeBox(tuple(2 * s + 2 for s in box.sides))
 
 
+def loop_axis_maps(n: int):
+    """Source index (0-based) and sign of each target coordinate v in [[1, 2n+2]], one v at a time."""
+    side = 2 * n + 2
+    idx = np.zeros(side, dtype=int)
+    sgn = np.zeros(side)
+    for v in range(1, side + 1):
+        if v % (n + 1) == 0:
+            continue
+        if v <= n:
+            idx[v - 1] = v - 1
+            sgn[v - 1] = 1.0
+        else:
+            idx[v - 1] = (side - v) - 1
+            sgn[v - 1] = -1.0
+    return idx, sgn
+
+
 def embed(psi: Wavefunction) -> Wavefunction:
     """The antisymmetric extension of one function, by the gather of the correspondence check."""
     index, sign = _embedding_maps(psi.box.sides)

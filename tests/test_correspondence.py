@@ -10,7 +10,7 @@ from latticeqe.schrodinger import PeriodicPotential, build_operator, eigenbasis,
 from latticeqe.spectra import SpectralData, bloch_basis, dirichlet_eigenvalues, periodic_eigenvalues, sine_basis
 from latticeqe.time_average import expectations
 
-from oracles import doubled, embed, embed_by_reflections, loop_correspondence_family, peak_bytes
+from oracles import doubled, embed, embed_by_reflections, loop_axis_maps, loop_correspondence_family, peak_bytes
 
 
 def mirror(v: int, side: int) -> int:
@@ -42,6 +42,13 @@ class TestReflect:
         # site (2, 5) reflects to (2, 1) in coordinate 2 of the 6 x 6 target
         assert mirror(5, 6) == 1
         assert grid[1, 4] == -grid[1, 0] != 0
+
+    def test_axis_maps_match_loop(self):
+        for n in range(1, 40):
+            (idx, sgn), (ref_idx, ref_sgn) = _axis_maps(n), loop_axis_maps(n)
+            assert idx.dtype == ref_idx.dtype and sgn.dtype == ref_sgn.dtype
+            assert np.array_equal(idx, ref_idx)
+            assert np.array_equal(sgn.view(np.int64), ref_sgn.view(np.int64))  # the walls' zeros unsigned too
 
     def test_fixed_points(self):
         _, sgn = _axis_maps(2)

@@ -1,16 +1,20 @@
 """Columnar reports and writers against the row-by-row writers they replaced."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latticeqe
 from latticeqe import cli, reporting
+from latticeqe.experiments import ExperimentConfig, run
 from latticeqe.reporting import ExperimentReport, emit_report
 
-from oracles import loop_write_csv, loop_write_json, peak_bytes
+from oracles import _plain, loop_write_csv, loop_write_json, peak_bytes
 
 CHUNK = reporting._CHUNK
 
@@ -276,3 +280,22 @@ def test_row_view():
     assert not report.passed
     assert len(ExperimentReport("none", [], [], {}).rows) == 0
     assert ExperimentReport("none", [], [], {}).passed
+
+
+def test_plain_values_match_isinstance_chain():
+    # the numpy-to-plain conversion of metadata and config hashes, against the chain it replaced
+    values = [np.float64(0.1), np.float32(-0.0), np.int8(-3), np.uint64(2**63), np.bool_(False), True, 7, 2.5,
+              "s", None, {"k": np.int64(1)}, (np.int32(4), [np.bool_(True), (np.float16(1.5),)])]
+    for value in values:
+        new, old = reporting._plain(value), _plain(value)
+        assert repr(new) == repr(old) and type(new) is type(old)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_version_agrees_everywhere():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"]
+    report = run(ExperimentConfig("degeneracy", n_values=(2,)))
+    assert report.metadata["version"] == latticeqe.__version__ == declared

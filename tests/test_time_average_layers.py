@@ -262,6 +262,14 @@ class TestPairEnumerator:
             assert np.array_equal(bits(comp.values), bits(entries.values()))
             assert comp.nnz == sum(1 for v in entries.values() if v != 0)
 
+    @pytest.mark.parametrize("d,N", [(1, 4), (2, 4)])
+    def test_theta_nnz_skips_exact_zeros(self, d, N):
+        # the alternating sign has exactly vanishing Fourier coefficients, so some entries are 0.0
+        dec = theta_decompose(Observable.diagonal(cube(N, d), (-1.0) ** np.arange(N**d)))
+        comps = list(dec.components.values())
+        assert [comp.nnz for comp in comps] == [np.count_nonzero(comp.values) for comp in comps]
+        assert any(comp.nnz < comp.values.size for comp in comps)
+
     @pytest.mark.parametrize("d,N", [(1, 9), (2, 5), (2, 8), (3, 3)])
     def test_theta_matrices_match_entry_loops(self, d, N):
         # the COO arrays against the entry-dict loops they replaced, bit for bit
