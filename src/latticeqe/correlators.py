@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import cube
-from .spectra import ProductBasis, adjacency_matrix
+from .spectra import ProductBasis, _add_neighbours
 
 __all__ = [
     "spherical",
@@ -57,16 +56,19 @@ def _spherical_orders(lam, n: int) -> list:
 
 
 def chebyshev_operator(n: int, N: int) -> np.ndarray:
-    """The matrix Phi_A(n) on [[1, N]] built by the operator recursion."""
+    """The matrix Phi_A(n) on [[1, N]] built by the operator recursion, ``A T`` as a neighbour sum."""
     if not 0 <= n <= N - 1:
         raise ValueError(f"order {n} outside [[0, {N - 1}]]")
-    A = adjacency_matrix(cube(N, 1), "dirichlet")
     prev = np.eye(N)
     if n == 0:
         return prev
-    cur = A / 2.0
+    cur = np.zeros((N, N))
+    _add_neighbours(cur, prev / 2.0, 1, "dirichlet")
     for _ in range(n - 1):
-        prev, cur = cur, A @ cur - prev
+        nxt = np.zeros((N, N))
+        _add_neighbours(nxt, cur, 1, "dirichlet")
+        nxt -= prev
+        prev, cur = cur, nxt
     return cur
 
 

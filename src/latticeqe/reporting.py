@@ -101,7 +101,12 @@ def _scalar(value):
 
 
 def _plain(value):
-    """Scalars as ``_scalar`` gives them, lists and tuples as lists of plain values; other values pass through."""
+    """Scalars as ``_scalar`` gives them, lists and tuples as lists and dicts as dicts of plain values.
+
+    Other values pass through.
+    """
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if any(isinstance(value, accepted) for accepted, _ in _SCALARS):

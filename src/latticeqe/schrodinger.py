@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -195,8 +196,10 @@ class FloquetBasis:
     One batched ``eigh`` solves all ``N^d`` blocks. Kept are the amplitudes
     ``amplitudes[k, r, s]`` (k row-major over j, s the block eigenvector),
     the eigenvalues ``eigs`` (row-major in (k, s)), their stable ascending
-    sort ``order``, and the certificates ``residual`` and ``gram_error``, the
-    worst ``||B c - c w||`` and ``|c^T c - I|`` over the block solves.
+    sort ``order``. The certificates ``residual`` and ``gram_error``, the
+    worst ``||B c - c w||`` and ``|c^T c - I|`` over the block solves, are
+    computed on first read from a rebuilt block stack, so a run that reports
+    neither never pays for them and the basis never holds the stack.
     :meth:`vectors` assembles the dense eigenvectors on request.
 
     Inside a degenerate eigenspace this is one choice of basis, the Floquet
@@ -209,10 +212,17 @@ class FloquetBasis:
     N: int
 
     def __post_init__(self):
-        q, N = self.potential.q, self.N
+        q = self.potential.q
         if any(c not in (1, 2) for c in q):
             raise UnsupportedPeriodError(f"Floquet blocks need periods in {{1, 2}}, got {q}")
-        self.box = lattice_block(q, N)
+        self.box = lattice_block(q, self.N)
+        w, self.amplitudes = np.linalg.eigh(self._blocks())
+        self.eigs = w.reshape(-1)
+        self.order = np.argsort(self.eigs, kind="stable")
+
+    def _blocks(self) -> np.ndarray:
+        """The ``N^d`` blocks ``B(k)``, k row-major, as one ``(N^d, Q, Q)`` stack."""
+        q, N = self.potential.q, self.N
         d, Q = len(q), self.potential.values.size
         B = np.zeros((N,) * d + (Q, Q))
         r = np.arange(Q)
@@ -222,18 +232,29 @@ class FloquetBasis:
             stride //= c
             hop = 2.0 * np.cos(self._k(l)).reshape([N if m == l else 1 for m in range(d)])
             B[..., r, r ^ (stride if c == 2 else 0)] += hop[..., None]
-        B = B.reshape(-1, Q, Q)
-        w, amp = np.linalg.eigh(B)
-        self.amplitudes = amp
-        self.eigs = w.reshape(-1)
-        self.order = np.argsort(self.eigs, kind="stable")
-        # Certificates slice by slice: full-size temporaries would triple the peak memory.
+        return B.reshape(-1, Q, Q)
+
+    @cached_property
+    def _certificates(self) -> tuple[float, float]:
+        """The worst ``||B c - c w||`` and ``|c^T c - I|`` over the block solves, from a rebuilt stack."""
+        B, amp = self._blocks(), self.amplitudes
+        Q = amp.shape[1]
+        w = self.eigs.reshape(-1, Q)
+        # Slice by slice: full-size temporaries would triple the peak memory.
         res, gram = [], []
         for s in range(0, len(B), 1 << 14):
             b, c, ws = B[s : s + (1 << 14)], amp[s : s + (1 << 14)], w[s : s + (1 << 14)]
             res.append(np.max(np.linalg.norm(b @ c - c * ws[:, None, :], axis=1)))
             gram.append(np.max(np.abs(np.swapaxes(c, 1, 2) @ c - np.eye(Q))))
-        self.residual, self.gram_error = float(max(res)), float(max(gram))
+        return float(max(res)), float(max(gram))
+
+    @property
+    def residual(self) -> float:
+        return self._certificates[0]
+
+    @property
+    def gram_error(self) -> float:
+        return self._certificates[1]
 
     def _k(self, l: int) -> np.ndarray:
         c = self.potential.q[l]
@@ -281,8 +302,17 @@ class MassProfile:
     high_band_count: int
     even_masses: np.ndarray  # per eigenfunction, ascending eigenvalue order
     mass_bound: float
-    residual: float  # worst ||B c - c w|| over the Floquet block solves
-    gram_error: float  # worst |c^T c - I| over the Floquet block solves
+    solve: FloquetBasis  # the block solve behind the profile
+
+    @property
+    def residual(self) -> float:
+        """Worst ``||B c - c w||`` over the Floquet block solves, computed on first read."""
+        return self.solve.residual
+
+    @property
+    def gram_error(self) -> float:
+        """Worst ``|c^T c - I|`` over the Floquet block solves, computed on first read."""
+        return self.solve.gram_error
 
     @property
     def bands_complete(self) -> bool:
@@ -325,8 +355,7 @@ def counterexample_mass_profile(M: float, N: int) -> MassProfile:
         high_band_count=high,
         even_masses=even_masses,
         mass_bound=4.0 / (M - 2) ** 2,
-        residual=fb.residual,
-        gram_error=fb.gram_error,
+        solve=fb,
     )
 
 
@@ -356,8 +385,17 @@ class PartialQeResult:
     variance: float
     lc_deviation: float
     lc_checked: bool
-    residual: float  # worst eigenpair residual of the solve behind the variance
-    gram_error: float  # worst deviation of its Gram matrix from the identity
+    solve: FloquetBasis | EigenSolveResult  # the solve behind the variance
+
+    @property
+    def residual(self) -> float:
+        """Worst eigenpair residual of the solve behind the variance."""
+        return self.solve.residual
+
+    @property
+    def gram_error(self) -> float:
+        """Worst deviation of the solve's Gram matrix from the identity."""
+        return self.solve.gram_error
 
 
 def partial_qe_experiment(
@@ -408,6 +446,5 @@ def partial_qe_experiment(
         variance=variance,
         lc_deviation=deviation,
         lc_checked=checked,
-        residual=solved.residual,
-        gram_error=solved.gram_error,
+        solve=solved,
     )

@@ -272,26 +272,15 @@ def _add_neighbours(out: np.ndarray, g: np.ndarray, d: int, mode: str) -> None:
 
 
 def adjacency_matrix(box: LatticeBox, mode: str = "dirichlet") -> np.ndarray:
-    """Dense adjacency matrix of a box (materialized only where needed)."""
-    if mode not in ("dirichlet", "periodic"):
+    """Dense adjacency matrix of a box (materialized only where needed): ``_add_neighbours`` as a matrix."""
+    if mode not in _NEIGHBOUR_SLICES:
         raise ValueError(f"unknown boundary mode {mode!r}")
-    vol = box.volume
-    A = np.zeros((vol, vol))
-    idx = np.arange(vol)
-    stride = 1
-    for axis in range(box.d - 1, -1, -1):
-        s = box.sides[axis]
-        coord = (idx // stride) % s
-        fwd = coord < s - 1
-        i, j = idx[fwd], idx[fwd] + stride
-        A[i, j] += 1.0
-        A[j, i] += 1.0
-        if mode == "periodic":
-            edge = coord == s - 1
-            i, j = idx[edge], idx[edge] - (s - 1) * stride
-            A[i, j] += 1.0
-            A[j, i] += 1.0
-        stride *= s
+    site = np.arange(box.volume).reshape(box.sides)
+    A = np.zeros((box.volume, box.volume))
+    for axis in range(box.d):
+        lead = (slice(None),) * axis
+        for dst, src in _NEIGHBOUR_SLICES[mode]:
+            A[site[lead + (dst,)], site[lead + (src,)]] += 1.0
     return A
 
 

@@ -73,6 +73,28 @@ def loop_write_json(report, path) -> Path:
 
 # -- adjacency ----------------------------------------------------------------
 
+def loop_adjacency_matrix(box: LatticeBox, mode: str) -> np.ndarray:
+    """Dense adjacency matrix by a stride loop over the axes, last axis first."""
+    vol = box.volume
+    A = np.zeros((vol, vol))
+    idx = np.arange(vol)
+    stride = 1
+    for axis in range(box.d - 1, -1, -1):
+        s = box.sides[axis]
+        coord = (idx // stride) % s
+        fwd = coord < s - 1
+        i, j = idx[fwd], idx[fwd] + stride
+        A[i, j] += 1.0
+        A[j, i] += 1.0
+        if mode == "periodic":
+            edge = coord == s - 1
+            i, j = idx[edge], idx[edge] - (s - 1) * stride
+            A[i, j] += 1.0
+            A[j, i] += 1.0
+        stride *= s
+    return A
+
+
 def apply_adjacency(psi: Wavefunction, mode: str) -> Wavefunction:
     """The nearest-neighbour sum of one function, by the in-place kernel of the correspondence check."""
     g = psi.grid()
@@ -173,12 +195,54 @@ def dense_shift_overlaps(S1: np.ndarray, z: int) -> np.ndarray:
     return np.sum(S1[: N - z] * S1[z:], axis=0)
 
 
+def matmul_chebyshev_operator(n: int, N: int) -> np.ndarray:
+    """Phi_A(n) on [[1, N]] by the operator recursion with dense products ``A @ T_n``."""
+    A = loop_adjacency_matrix(LatticeBox((N,)), "dirichlet")
+    prev = np.eye(N)
+    if n == 0:
+        return prev
+    cur = A / 2.0
+    for _ in range(n - 1):
+        prev, cur = cur, A @ cur - prev
+    return cur
+
+
 def infinite_chebyshev(n: int, N: int) -> np.ndarray:
     """Restriction to [[1, N]] of the full-line pattern: 1/2 at distance n."""
     if n == 0:
         return np.eye(N)
     x = np.arange(N)
     return np.where(np.abs(x[:, None] - x[None, :]) == n, 0.5, 0.0)
+
+
+# -- Floquet certificates ----------------------------------------------------
+
+def eager_floquet_certificates(potential, N: int) -> tuple[float, float]:
+    """Residual and Gram error of the Floquet block solve, computed with the solve itself.
+
+    Builds the block stack, solves it with one batched ``eigh`` and takes the
+    worst ``||B c - c w||`` and ``|c^T c - I|`` in slices of ``2^14`` blocks,
+    all in one pass as ``FloquetBasis`` construction once did.
+    """
+    q = potential.q
+    d, Q = len(q), potential.values.size
+    B = np.zeros((N,) * d + (Q, Q))
+    r = np.arange(Q)
+    B[..., r, r] = potential.values.reshape(-1)
+    stride = Q
+    for l, c in enumerate(q):
+        stride //= c
+        k = np.pi * np.arange(1, N + 1) / (c * N + 1)
+        hop = 2.0 * np.cos(k).reshape([N if m == l else 1 for m in range(d)])
+        B[..., r, r ^ (stride if c == 2 else 0)] += hop[..., None]
+    B = B.reshape(-1, Q, Q)
+    w, amp = np.linalg.eigh(B)
+    res, gram = [], []
+    for s in range(0, len(B), 1 << 14):
+        b, c, ws = B[s : s + (1 << 14)], amp[s : s + (1 << 14)], w[s : s + (1 << 14)]
+        res.append(np.max(np.linalg.norm(b @ c - c * ws[:, None, :], axis=1)))
+        gram.append(np.max(np.abs(np.swapaxes(c, 1, 2) @ c - np.eye(Q))))
+    return float(max(res)), float(max(gram))
 
 
 # -- center matrix ------------------------------------------------------------

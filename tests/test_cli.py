@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from latticeqe.cli import build_parser, main
 from latticeqe.experiments import EXPERIMENTS, READS, ExperimentConfig, reader
 from latticeqe.lattice import Observable, cube
 from latticeqe.reporting import ExperimentReport, config_hash, emit_report
-from latticeqe.schrodinger import counterexample_potential, lattice_block, partial_qe_experiment
+from latticeqe.schrodinger import FloquetBasis, counterexample_potential, lattice_block, partial_qe_experiment
 from latticeqe.spectra import sine_basis
 from latticeqe.time_average import bessel_bound_check, centered, fourier_phases, quantum_variance
 
@@ -438,6 +439,36 @@ class TestDeterminism:
         assert code == 2
 
 
+class TestCertificatesUnread:
+    """No report reads the Floquet certificates, so no ``schrodinger`` run computes them."""
+
+    @pytest.mark.parametrize("job, csv_digest, json_digest", [
+        ("schrodinger --task counterexample --M 100 --N 10,20,300",
+         "f06ab20a9de2bb4ed11ba16e460b79611add80805dee470da3af1d41eda61333",
+         "3c1941d582bb9de2c8b5654318975e74e28ce45628bac4b9ebb8e0bb864d6c65"),
+        ("schrodinger --task partial-qe --M 100 --N 4,8,64 --obs block-constant",
+         "85d9e75e33c5cd656c93816fd27717446805035911dfcfc172bcf94112b0b0cd",
+         "ea357cbc2356d6c91b726db1549939aa782d964c7ecb1b746b7fd7edb455ca43"),
+        ("schrodinger --task partial-qe --N 2,4,8 --obs block-constant --potential staggered_2d.json",
+         "81936a27b9dabb4a79979e87f85111e361861f7285c24ed7b509455375d09e28",
+         "21ca09bad5169fb984ab435d11388efcd8011420182b8ee49daecae904744f69"),
+    ], ids=["counterexample", "partial-qe", "partial-qe-staggered-2d"])
+    def test_reports_keep_their_bytes(self, job, csv_digest, json_digest, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Floquet certificates computed")
+
+        monkeypatch.setattr(FloquetBasis, "_certificates", property(refuse))
+        monkeypatch.chdir(tmp_path)  # the potential path is part of the config, so it is given relative
+        (tmp_path / "staggered_2d.json").write_text(
+            '{"d": 2, "q": [2, 2], "values": [0.0, 100.0, 100.0, 0.0]}\n', encoding="utf-8")
+        assert main(job.split() + ["--out", "out"]) == 0
+        digest = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                  for name in ("schrodinger.csv", "schrodinger.json")}
+        assert digest == {"schrodinger.csv": csv_digest, "schrodinger.json": json_digest}
+        with pytest.raises(AssertionError, match="certificates computed"):
+            FloquetBasis(counterexample_potential(100.0), 2).residual
+
+
 def _draw(box, *key) -> Observable:
     return Observable.diagonal(box, np.random.default_rng(list(key)).uniform(-1.0, 1.0, box.volume))
 
@@ -796,3 +827,12 @@ class TestReporting:
     def test_config_hash_stable_and_sensitive(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
         assert config_hash({"a": 1}) != config_hash({"a": 2})
+
+    def test_config_hash_of_numpy_scalars_equals_plain_twin(self):
+        def config(integer, real, flag):
+            return {"n_values": [integer(2), integer(5)], "tol": real(0.25), "flag": flag(True),
+                    "nested": {"q": (integer(2), integer(1)), "inner": {"bound": real(-1.5), "on": [flag(False)]}}}
+
+        plain = config(int, float, bool)
+        assert config_hash(config(np.int64, np.float64, np.bool_)) == config_hash(plain)
+        assert config_hash(config(np.int64, np.float64, np.bool_)) != config_hash({**plain, "flag": False})

@@ -14,7 +14,7 @@ from latticeqe.correlators import (
 from latticeqe.lattice import cube
 from latticeqe.spectra import adjacency_matrix, sine_matrix
 
-from oracles import dense_shift_overlaps, infinite_chebyshev, peak_bytes
+from oracles import dense_shift_overlaps, infinite_chebyshev, matmul_chebyshev_operator, peak_bytes
 
 
 class TestSpherical:
@@ -71,12 +71,10 @@ class TestChebyshevOperator:
         assert np.array_equal(chebyshev_operator(1, 4), A / 2)
 
     def test_recursion_exact(self):
-        N = 10
-        A = adjacency_matrix(cube(N, 1), "dirichlet")
-        prev, cur = np.eye(N), A / 2
-        for n in range(2, 6):
-            prev, cur = cur, A @ cur - prev
-            assert np.array_equal(chebyshev_operator(n, N), cur)
+        # bit for bit against the recursion with dense products A @ T_n
+        for N in range(1, 41):
+            for n in range(N):
+                assert chebyshev_operator(n, N).tobytes() == matmul_chebyshev_operator(n, N).tobytes()
 
     def test_interior_rows_match_infinite_pattern(self):
         N = 8

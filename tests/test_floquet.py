@@ -1,6 +1,7 @@
 """Floquet block eigenbasis of Dirichlet periodic Schrödinger operators: dense oracle and scale."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from latticeqe.schrodinger import (
 )
 from latticeqe.spectra import SpectralData
 from latticeqe.time_average import centered, expectations, quantum_variance
+
+from oracles import eager_floquet_certificates
 
 
 def scale_of(potential: PeriodicPotential) -> float:
@@ -130,6 +133,49 @@ class TestDenseOracle:
             FloquetBasis(PeriodicPotential((3,), [0.0, 1.0, 2.0]), 4)
         with pytest.raises(ValueError, match="at least 1"):
             FloquetBasis(counterexample_potential(10.0), 0)
+
+
+def same_bits(x: float, y: float) -> bool:
+    return x.hex() == y.hex()
+
+
+class TestCertificatesOnRead:
+    """``residual`` and ``gram_error`` are computed on first read, equal to the eager loop bit for bit."""
+
+    @pytest.mark.parametrize("q,N", [((1,), 9), ((2,), 9), ((2, 2), 7), ((2, 1, 2), 4), ((2,), 2**14 + 5)])
+    def test_equal_eager_loop(self, q, N):
+        rng = np.random.default_rng(sum(q) * 100 + N)
+        potential = PeriodicPotential(q, rng.uniform(-50.0, 50.0, int(np.prod(q))))
+        residual, gram_error = eager_floquet_certificates(potential, N)
+        fb = FloquetBasis(potential, N)
+        assert same_bits(fb.residual, residual) and same_bits(fb.gram_error, gram_error)
+        result = partial_qe_experiment(potential, N, block_constant(lattice_block(q, N), q))
+        assert isinstance(result.solve, FloquetBasis)
+        assert same_bits(result.residual, residual) and same_bits(result.gram_error, gram_error)
+
+    @pytest.mark.parametrize("N", [1, 50, 2**14 + 5])
+    def test_mass_profile_equals_eager_loop(self, N):
+        residual, gram_error = eager_floquet_certificates(counterexample_potential(100.0), N)
+        profile = counterexample_mass_profile(100.0, N)
+        assert same_bits(profile.residual, residual) and same_bits(profile.gram_error, gram_error)
+
+    def test_fresh_basis_holds_no_block_stack(self):
+        potential = PeriodicPotential((2, 2), [0.0, 100.0, 100.0, 0.0])
+        tracemalloc.start()
+        try:
+            fb = FloquetBasis(potential, 64)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = {name for name, value in vars(fb).items() if isinstance(value, np.ndarray)}
+        assert arrays == {"amplitudes", "eigs", "order"}
+        assert "_certificates" not in vars(fb)
+        # amplitudes, eigenvalues and order; a kept (4096, 4, 4) stack would add as much as the amplitudes
+        kept = fb.amplitudes.nbytes + fb.eigs.nbytes + fb.order.nbytes
+        assert held < kept + fb.amplitudes.nbytes // 2
+        fb.residual
+        assert {name for name, value in vars(fb).items() if isinstance(value, np.ndarray)} == arrays
+        assert all(type(value) is float for value in vars(fb)["_certificates"])
 
 
 @pytest.fixture

@@ -285,10 +285,14 @@ def test_row_view():
 def test_plain_values_match_isinstance_chain():
     # the numpy-to-plain conversion of metadata and config hashes, against the chain it replaced
     values = [np.float64(0.1), np.float32(-0.0), np.int8(-3), np.uint64(2**63), np.bool_(False), True, 7, 2.5,
-              "s", None, {"k": np.int64(1)}, (np.int32(4), [np.bool_(True), (np.float16(1.5),)])]
+              "s", None, (np.int32(4), [np.bool_(True), (np.float16(1.5),)])]
     for value in values:
         new, old = reporting._plain(value), _plain(value)
         assert repr(new) == repr(old) and type(new) is type(old)
+    # dict values convert as well; the chain passed dicts through
+    nested = reporting._plain({"k": np.int64(1), "d": {"x": [np.bool_(True)]}})
+    assert nested == {"k": 1, "d": {"x": [True]}}
+    assert type(nested["k"]) is int and type(nested["d"]["x"][0]) is bool
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

@@ -23,7 +23,7 @@ from latticeqe.spectra import (
     sine_basis,
     sine_matrix,
 )
-from oracles import apply_adjacency, loop_degeneracy_row, roll_adjacency
+from oracles import apply_adjacency, loop_adjacency_matrix, loop_degeneracy_row, roll_adjacency
 
 
 class TestDirichletEigenpairs:
@@ -123,6 +123,14 @@ class TestApplyAdjacency:
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="boundary mode"):
             apply_adjacency(Wavefunction(cube(3, 1), [1.0, 0.0, 0.0]), "twisted")
+
+    @pytest.mark.parametrize("mode", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_adjacency_matrix_bitwise_equal_to_stride_loop(self, mode, d):
+        # sides 1 and 2 included: with wraparound their neighbours coincide and add up
+        for sides in itertools.product(range(1, 8), repeat=d):
+            box = LatticeBox(sides)
+            assert adjacency_matrix(box, mode).tobytes() == loop_adjacency_matrix(box, mode).tobytes()
 
     def test_periodic_small_sides(self):
         # side 2 wraps onto the single neighbor twice, side 1 onto itself
