@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import EXPERIMENTS, READS, ConfigError, ExperimentConfig, run
+from .experiments import EXPERIMENTS, RUNS, ConfigError, ExperimentConfig, run
 from .reporting import emit_report
 
 
@@ -46,7 +46,7 @@ def _add_flags(p: _Parser) -> dict[str, str]:
         p.add_argument("--q", type=_int_list, help="periods, comma-separated"),
         p.add_argument("--potential", help="potential JSON file"),
         p.add_argument("--M", dest="mass", type=float, help="staggered potential gap"),
-        p.add_argument("--task", choices=("counterexample", "partial-qe")),
+        p.add_argument("--task", choices=tuple(key.split()[-1] for key in RUNS if key.startswith("schrodinger "))),
         p.add_argument("--R", dest="max_offset", type=int, help="max kernel offset"),
         p.add_argument("--tol", type=float, help="bound on residual, Gram error and inclusion"),
         p.add_argument("--bound", type=float),
@@ -69,7 +69,7 @@ def build_parser() -> _Parser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)  # absent flags stay unset
         flag = _add_flags(p)
-        reads = [f"{key} reads {', '.join(map(flag.get, READS[key]))}" for key in READS if key.split()[0] == name]
+        reads = [f"{key} reads {', '.join(map(flag.get, RUNS[key][1]))}" for key in RUNS if key.split()[0] == name]
         p.description = ("; ".join(reads) + "; --config, --seed and --out are accepted by every experiment. "
                          "Any other flag or config key must keep its default.")
     return parser

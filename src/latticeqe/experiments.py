@@ -37,7 +37,7 @@ from .spectra import (
 from .time_average import bessel_bound_check, centered, fourier_phases, quantum_variance
 from .correlators import wucha_error_scan
 
-__all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "READS", "reader", "run"]
+__all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "RUNS", "reader", "run"]
 
 
 class ConfigError(ValueError):
@@ -72,7 +72,7 @@ class ExperimentConfig:
                 for f in fields(self) if f.compare}
 
     def validate(self):
-        """Check each field against its annotation, that the fields the run does not read (``READS``, by
+        """Check each field against its annotation, that the fields the run does not read (``RUNS``, by
         experiment and schrodinger task) keep their defaults, then the values; ``ConfigError`` (exit 1) if bad."""
         for f in fields(self):
             value = getattr(self, f.name)
@@ -83,9 +83,9 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         key = reader(self.experiment, self.task)
-        if key not in READS:
+        if key not in RUNS:
             raise ConfigError(f"unknown schrodinger task {self.task!r}")
-        reads = READS[key]
+        _, reads = RUNS[key]
         for f in fields(self):
             value = getattr(self, f.name)  # same type as well as value: a run records what it was given
             if f.name not in reads + _READ_BY_ALL and (type(value) is not type(f.default) or value != f.default):
@@ -239,18 +239,18 @@ def _run_correspond(cfg: ExperimentConfig):
     return _columns("N d max_residual gram_error spectral_inclusion_error pass", map(one, cfg.n_values))
 
 
-def _run_schrodinger(cfg: ExperimentConfig):
-    if cfg.task == "counterexample":
+def _run_counterexample(cfg: ExperimentConfig):
+    def one(N):
+        profile = counterexample_mass_profile(cfg.mass, N)
+        return (N, cfg.mass, 2 * N, profile.low_band_count, profile.high_band_count,
+                profile.bands_complete, profile.max_low_even_mass, profile.max_high_odd_mass,
+                profile.mass_bound, profile.bands_complete and profile.bound_holds)
 
-        def one(N):
-            profile = counterexample_mass_profile(cfg.mass, N)
-            return (N, cfg.mass, 2 * N, profile.low_band_count, profile.high_band_count,
-                    profile.bands_complete, profile.max_low_even_mass, profile.max_high_odd_mass,
-                    profile.mass_bound, profile.bands_complete and profile.bound_holds)
+    return _columns("N M volume low_band_count high_band_count bands_complete max_low_even_mass "
+                    "max_high_odd_mass mass_bound pass", map(one, cfg.n_values))
 
-        return _columns("N M volume low_band_count high_band_count bands_complete max_low_even_mass "
-                        "max_high_odd_mass mass_bound pass", map(one, cfg.n_values))
 
+def _run_partial_qe(cfg: ExperimentConfig):
     potential = load_potential(cfg.potential) if cfg.potential else counterexample_potential(cfg.mass)
     q = ";".join(str(c) for c in potential.q)
     first_var: dict[str, float] = {}
@@ -304,43 +304,35 @@ def _run_bessel(cfg: ExperimentConfig):
     return _columns("N d obs lhs rhs slack pass", records())
 
 
-EXPERIMENTS = {
-    "var-scan": _run_var_scan,
-    "degeneracy": _run_degeneracy,
-    "lemma-c1": _run_lemma_c1,
-    "correspond": _run_correspond,
-    "schrodinger": _run_schrodinger,
-    "correlator": _run_correlator,
-    "bessel": _run_bessel,
-}
-
-# The config fields each run reads, by experiment and, for schrodinger, by task:
-# a run looks up ``reader(experiment, task)``. Every other field must keep its
-# default, except those in _READ_BY_ALL: ``seed`` too is accepted everywhere, so
-# one seed can be passed to every job whether or not its observables are random.
-READS = {name: tuple(names.split()) for name, names in {
-    "var-scan": "d n_values obs mode q bound",
-    "degeneracy": "d n_values mode",
-    "lemma-c1": "d n_values",
-    "correspond": "d n_values tol",
-    "schrodinger --task counterexample": "n_values task mass",
-    "schrodinger --task partial-qe": "n_values task mass potential obs unchecked exploratory",
-    "correlator": "n_values max_offset bound",
-    "bessel": "d n_values obs q random_count",
-}.items()}
-_READ_BY_ALL = ("experiment", "seed", "out")
-
-
 def reader(experiment: str, task: str) -> str:
-    """The key of ``READS`` for a run: the experiment, and for schrodinger its task too."""
+    """The key of ``RUNS`` for a run: the experiment, and for schrodinger its task too."""
     return f"{experiment} --task {task}" if experiment == "schrodinger" else experiment
+
+
+# Each run, keyed by ``reader(experiment, task)``: its runner and the config
+# fields it reads. Every other field must keep its default, except those in
+# _READ_BY_ALL: ``seed`` too is accepted everywhere, so one seed can be passed
+# to every job whether or not its observables are random.
+RUNS = {key: (runner, tuple(names.split())) for key, runner, names in (
+    ("var-scan", _run_var_scan, "d n_values obs mode q bound"),
+    ("degeneracy", _run_degeneracy, "d n_values mode"),
+    ("lemma-c1", _run_lemma_c1, "d n_values"),
+    ("correspond", _run_correspond, "d n_values tol"),
+    ("schrodinger --task counterexample", _run_counterexample, "n_values task mass"),
+    ("schrodinger --task partial-qe", _run_partial_qe, "n_values task mass potential obs unchecked exploratory"),
+    ("correlator", _run_correlator, "n_values max_offset bound"),
+    ("bessel", _run_bessel, "d n_values obs q random_count"),
+)}
+EXPERIMENTS = tuple(dict.fromkeys(key.split()[0] for key in RUNS))  # the subcommands, in order
+_READ_BY_ALL = ("experiment", "seed", "out")
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Validate, dispatch, and package an experiment run."""
     cfg.validate()
     start = time.perf_counter()
-    table = EXPERIMENTS[cfg.experiment](cfg)
+    runner, _ = RUNS[reader(cfg.experiment, cfg.task)]
+    table = runner(cfg)
     wall = time.perf_counter() - start
     metadata = {
         "version": __version__,

@@ -17,8 +17,7 @@ __all__ = ["BUILTIN_OBSERVABLES", "build_observable"]
 
 def _coord1(box: LatticeBox) -> np.ndarray:
     # 1-based first coordinate of every site, flat in linear-index order
-    grid = np.indices(box.sides)[0] + 1
-    return grid.reshape(-1)
+    return np.repeat(np.arange(1, box.sides[0] + 1), box.volume // box.sides[0])
 
 
 def half_indicator(box: LatticeBox) -> Observable:
@@ -50,8 +49,8 @@ def single_site(box: LatticeBox) -> Observable:
 
 def parity(box: LatticeBox) -> Observable:
     """Indicator of sites with odd coordinate sum."""
-    coords = np.indices(box.sides) + 1
-    vals = (coords.sum(axis=0) % 2 == 1).astype(float)
+    total = sum(np.ix_(*(np.arange(1, n + 1) for n in box.sides)))  # broadcast per-axis coordinates
+    vals = (total % 2 == 1).astype(float)
     return Observable.diagonal(box, vals.reshape(-1))
 
 
@@ -76,17 +75,21 @@ def random_diagonal(box: LatticeBox, seed: tuple[int, ...]) -> Observable:
     The only place a generator is made, so a run that builds no random
     observable never loads ``numpy.random``.
     """
+    if seed is None:
+        raise ValueError("random-diagonal needs a seed key")
     return Observable.diagonal(box, np.random.default_rng(list(seed)).uniform(-1.0, 1.0, box.volume))
 
 
-BUILTIN_OBSERVABLES = (
-    "half-indicator",
-    "centered-half",
-    "single-site",
-    "parity",
-    "block-constant",
-    "random-diagonal",
-)
+# Each builtin by name, its builder called with (box, q, seed); q defaults to all ones.
+_BUILDERS = {
+    "half-indicator": lambda box, q, seed: half_indicator(box),
+    "centered-half": lambda box, q, seed: centered_half(box),
+    "single-site": lambda box, q, seed: single_site(box),
+    "parity": lambda box, q, seed: parity(box),
+    "block-constant": lambda box, q, seed: block_constant(box, q if q is not None else (1,) * box.d),
+    "random-diagonal": lambda box, q, seed: random_diagonal(box, seed),
+}
+BUILTIN_OBSERVABLES = tuple(_BUILDERS)
 
 
 def build_observable(
@@ -114,18 +117,6 @@ def build_observable(
             return Observable.diagonal(box, np.asarray(data["values"], dtype=float))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"observable file {spec}: key 'values': {exc}") from None
-    if spec == "half-indicator":
-        return half_indicator(box)
-    if spec == "centered-half":
-        return centered_half(box)
-    if spec == "single-site":
-        return single_site(box)
-    if spec == "parity":
-        return parity(box)
-    if spec == "block-constant":
-        return block_constant(box, q if q is not None else (1,) * box.d)
-    if spec == "random-diagonal":
-        if seed is None:
-            raise ValueError("random-diagonal needs a seed key")
-        return random_diagonal(box, seed)
-    raise ValueError(f"unknown observable {spec!r} (builtins: {', '.join(BUILTIN_OBSERVABLES)})")
+    if spec not in _BUILDERS:
+        raise ValueError(f"unknown observable {spec!r} (builtins: {', '.join(BUILTIN_OBSERVABLES)})")
+    return _BUILDERS[spec](box, q, seed)

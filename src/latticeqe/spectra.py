@@ -154,8 +154,15 @@ def sine_square_sums(diag: np.ndarray, N: int, q) -> np.ndarray:
         padded = np.zeros((c, L) + g.shape[2:])  # (r, x = 0..L-1, rest)
         for r in range(c):
             padded[r, r + 1 :: c] = g[:, r]
-        f = np.fft.rfft(padded, axis=1).real
-        g = np.moveaxis(c * (f[:, :1] - f[:, fold]) / L, (1, 0), (2 * l, 2 * l + 1))
+        f = np.fft.rfft(padded, axis=1)
+        del padded
+        # c (f[:, :1] - f[:, fold]) / L, the same operations in place on the gathered copy
+        h = f.real[:, fold]
+        np.subtract(f.real[:, :1], h, out=h)
+        del f
+        h *= c
+        h /= L
+        g = np.moveaxis(h, (1, 0), (2 * l, 2 * l + 1))
     return g.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))).reshape(N**d, -1)
 
 

@@ -297,6 +297,37 @@ def loop_degeneracy_row(N: int, d: int, mode: str, classes, freqs) -> tuple:
     return N, len(sizes), max(sizes), sum(s * s for s in sizes), singles, perm_ok, ok
 
 
+# -- full-size temporaries and coordinate grids: the forms the lean ones replaced
+
+def sine_square_sums_reference(diag: np.ndarray, N: int, q) -> np.ndarray:
+    """``spectra.sine_square_sums`` as one expression per axis, each temporary a new array."""
+    if np.iscomplexobj(diag):
+        return sine_square_sums_reference(diag.real, N, q) + 1j * sine_square_sums_reference(diag.imag, N, q)
+    d = len(q)
+    j = np.arange(1, N + 1)
+    g = diag.reshape(sum(((N, c) for c in q), ()))
+    for l, c in enumerate(q):
+        L = c * N + 1
+        fold = np.minimum(j, L - j)
+        g = np.moveaxis(g, (2 * l, 2 * l + 1), (0, 1))
+        padded = np.zeros((c, L) + g.shape[2:])
+        for r in range(c):
+            padded[r, r + 1 :: c] = g[:, r]
+        f = np.fft.rfft(padded, axis=1).real
+        g = np.moveaxis(c * (f[:, :1] - f[:, fold]) / L, (1, 0), (2 * l, 2 * l + 1))
+    return g.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))).reshape(N**d, -1)
+
+
+def indices_coord1(box: LatticeBox) -> np.ndarray:
+    """The 1-based first coordinate of every site, from the full ``np.indices`` grid."""
+    return (np.indices(box.sides)[0] + 1).reshape(-1)
+
+
+def indices_parity(box: LatticeBox) -> np.ndarray:
+    """The odd-coordinate-sum indicator, summed over the full ``np.indices`` grid."""
+    return ((np.indices(box.sides) + 1).sum(axis=0) % 2 == 1).astype(float).reshape(-1)
+
+
 # -- memory -------------------------------------------------------------------
 
 def peak_bytes(fn) -> int:

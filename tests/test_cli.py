@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from latticeqe.cli import build_parser, main
-from latticeqe.experiments import EXPERIMENTS, READS, ExperimentConfig, reader
+from latticeqe.experiments import RUNS, ExperimentConfig, reader, run
 from latticeqe.lattice import Observable, cube
 from latticeqe.reporting import ExperimentReport, config_hash, emit_report
 from latticeqe.schrodinger import FloquetBasis, counterexample_potential, lattice_block, partial_qe_experiment
@@ -85,7 +85,7 @@ class TestExitCodes:
         def exhausted(cfg):
             raise MemoryError("Unable to allocate 8.00 TiB for an array")
 
-        monkeypatch.setitem(EXPERIMENTS, "degeneracy", exhausted)
+        monkeypatch.setitem(RUNS, "degeneracy", (exhausted, RUNS["degeneracy"][1]))
         assert main(["degeneracy", "--d", "40", "--N", "2", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("latticeqe: error: degeneracy ran out of memory: Unable to allocate")
@@ -96,7 +96,7 @@ class TestExitCodes:
         def exhausted(cfg):
             raise MemoryError
 
-        monkeypatch.setitem(EXPERIMENTS, "lemma-c1", exhausted)
+        monkeypatch.setitem(RUNS, "lemma-c1", (exhausted, RUNS["lemma-c1"][1]))
         assert main(["lemma-c1", "--d", "2", "--N", "3", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "latticeqe: error: lemma-c1 ran out of memory: allocation failed\n"
         assert not list(tmp_path.iterdir())
@@ -669,7 +669,7 @@ class _Recording(ExperimentConfig):
         return object.__getattribute__(self, name)
 
 
-# Tiny runs of every branch that reads a field, by READS key: both schrodinger
+# Tiny runs of every branch that reads a field, by RUNS key: both schrodinger
 # tasks, partial-qe with and without a potential file, block-constant (reads q)
 # and random (reads seed) observables, and bessel with random diagonals. "POT"
 # stands for a potential file.
@@ -691,30 +691,38 @@ _READ_CASES = {
 _AWAY = {"d": 2, "obs": ["parity"], "mode": "periodic", "q": [2], "potential": "pot.json", "mass": 50.0,
          "task": "partial-qe", "max_offset": 2, "tol": 0.5, "bound": 1e9, "random_count": 1, "unchecked": True,
          "exploratory": True}
-_UNREAD = [(key, f) for key in READS for f in _AWAY if f not in READS[key]]
+_UNREAD = [(key, f) for key, (_, reads) in RUNS.items() for f in _AWAY if f not in reads]
 
 
 class TestDeclaredReads:
-    @pytest.mark.parametrize("key", READS)
+    @pytest.mark.parametrize("key", RUNS)
     def test_declared_fields_are_the_fields_read(self, tmp_path, key):
         pot = tmp_path / "pot.json"
         pot.write_text(json.dumps({"d": 1, "q": [2], "values": [0.0, 30.0]}))
-        experiment = key.split()[0]
-        read = set()
+        runner, reads = RUNS[key]
+        read = {"task"} if " --task " in key else set()  # the task picks the runner; run() reads it, not the runner
         for case in _READ_CASES[key]:
-            cfg = _Recording(experiment, **{k: str(pot) if v == "POT" else v for k, v in case.items()})
+            cfg = _Recording(key.split()[0], **{k: str(pot) if v == "POT" else v for k, v in case.items()})
             cfg.validate()
             assert reader(cfg.experiment, cfg.task) == key
             cfg.read = set()
-            EXPERIMENTS[experiment](cfg)
+            runner(cfg)
             read |= cfg.read
-        assert read == set(READS[key]) | (read & {"seed"})
+        assert read == set(reads) | (read & {"seed"})
+
+    @pytest.mark.parametrize("key", RUNS)
+    def test_run_dispatches_to_the_runner_of_its_key(self, monkeypatch, key):
+        called = []
+        for other, (_, reads) in list(RUNS.items()):
+            monkeypatch.setitem(RUNS, other, (lambda cfg, other=other: called.append(other) or {"pass": [True]}, reads))
+        experiment, _, task = key.partition(" --task ")
+        report = run(ExperimentConfig(experiment, n_values=(4,), **({"task": task} if task else {})))
+        assert called == [key] and report.experiment == experiment and report.passed
 
     def test_settable_pairs(self):
         user_fields = _FIELDS - {"experiment", "out"}
         assert set(_AWAY) == user_fields - {"n_values", "seed"}  # read by every experiment / accepted everywhere
-        assert {key.split()[0] for key in READS} == set(EXPERIMENTS)
-        assert len(READS) * len(user_fields) - len(_UNREAD) == 40
+        assert len(RUNS) * len(user_fields) - len(_UNREAD) == 40
 
     @pytest.mark.parametrize("key, field", _UNREAD, ids=[f"{k}-{f}" for k, f in _UNREAD])
     def test_unread_field_away_from_default_rejected(self, tmp_path, monkeypatch, capsys, key, field):
@@ -768,14 +776,24 @@ class TestDeclaredReads:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_descriptions_name_the_flags_read(self):
+        # literal values: the parser derives the subcommands, their descriptions and the tasks from RUNS
         parser = build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        for name, p in sub.choices.items():
-            flags = {a.dest: a.option_strings[0] for a in p._actions}
-            keys = [key for key in READS if key.split()[0] == name]
-            clauses = p.description.split("; ")
-            assert clauses[: len(keys)] == [f"{key} reads {', '.join(flags[f] for f in READS[key])}" for key in keys]
-            assert clauses[len(keys)].startswith("--config, --seed and --out")
+        tail = ("; --config, --seed and --out are accepted by every experiment. "
+                "Any other flag or config key must keep its default.")
+        assert sub.metavar == "var-scan|degeneracy|lemma-c1|correspond|schrodinger|correlator|bessel"
+        assert [(name, p.description) for name, p in sub.choices.items()] == [
+            ("var-scan", "var-scan reads --d, --N, --obs, --mode, --q, --bound" + tail),
+            ("degeneracy", "degeneracy reads --d, --N, --mode" + tail),
+            ("lemma-c1", "lemma-c1 reads --d, --N" + tail),
+            ("correspond", "correspond reads --d, --N, --tol" + tail),
+            ("schrodinger", "schrodinger --task counterexample reads --N, --task, --M; schrodinger --task partial-qe "
+                            "reads --N, --task, --M, --potential, --obs, --unchecked, --exploratory" + tail),
+            ("correlator", "correlator reads --N, --R, --bound" + tail),
+            ("bessel", "bessel reads --d, --N, --obs, --q, --random" + tail),
+        ]
+        for p in sub.choices.values():
+            assert next(a for a in p._actions if a.dest == "task").choices == ("counterexample", "partial-qe")
 
     @pytest.mark.parametrize("argv", [
         ["correspond", "--d", "1", "--N", "2"],

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from latticeqe.lattice import LatticeBox
-from latticeqe.observables import BUILTIN_OBSERVABLES, build_observable
+from latticeqe.observables import BUILTIN_OBSERVABLES, _coord1, build_observable, parity
+from oracles import indices_coord1, indices_parity
 
 
 def site_loop(spec: str, box: LatticeBox, q) -> list[float]:
@@ -49,8 +50,20 @@ class TestBuiltins:
             build_observable("block-constant", LatticeBox((5,)), (2,))
 
     def test_unknown_name_lists_the_builtins(self):
-        with pytest.raises(ValueError, match="half-indicator"):
+        assert BUILTIN_OBSERVABLES == ("half-indicator", "centered-half", "single-site", "parity", "block-constant",
+                                       "random-diagonal")
+        with pytest.raises(ValueError) as info:
             build_observable("nonsense", LatticeBox((3,)))
+        assert str(info.value) == ("unknown observable 'nonsense' (builtins: half-indicator, centered-half, "
+                                   "single-site, parity, block-constant, random-diagonal)")
+
+    @pytest.mark.parametrize("sides", [(1,), (7,), (3, 3), (4, 6), (1, 5), (2, 2, 2), (6, 2, 3), (3, 3, 3, 3),
+                                       (2, 5, 1, 3)])
+    def test_coordinates_without_grids_equal_the_indices_forms(self, sides):
+        box = LatticeBox(sides)
+        x1, oracle = _coord1(box), indices_coord1(box)
+        assert x1.dtype == oracle.dtype and np.array_equal(x1, oracle)
+        assert parity(box).diag().tobytes() == indices_parity(box).tobytes()
 
 
 class TestJsonFile:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeqe import experiments
-from latticeqe.experiments import EXPERIMENTS, ExperimentConfig
+from latticeqe.experiments import RUNS, ExperimentConfig
 from latticeqe.lattice import LatticeBox, Wavefunction, cube
 from latticeqe.schrodinger import PeriodicPotential, eigensolve_symmetric, floquet_eigenbasis
 from latticeqe.spectra import (
@@ -22,8 +23,15 @@ from latticeqe.spectra import (
     lemma_c1_counts,
     sine_basis,
     sine_matrix,
+    sine_square_sums,
 )
-from oracles import apply_adjacency, loop_adjacency_matrix, loop_degeneracy_row, roll_adjacency
+from oracles import (
+    apply_adjacency,
+    loop_adjacency_matrix,
+    loop_degeneracy_row,
+    roll_adjacency,
+    sine_square_sums_reference,
+)
 
 
 class TestDirichletEigenpairs:
@@ -138,6 +146,20 @@ class TestApplyAdjacency:
         assert np.array_equal(A2, [[0, 2], [2, 0]])
         A1 = adjacency_matrix(cube(1, 1), "periodic")
         assert np.array_equal(A1, [[2]])
+
+
+class TestSineSquareSums:
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.lists(st.sampled_from((1, 2)), min_size=1, max_size=3), N=st.integers(1, 9),
+           complex_values=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_one_expression_per_axis(self, q, N, complex_values, seed):
+        # the in-place contraction performs the reference's operations in the same order
+        rng = np.random.default_rng(seed)
+        V = N ** len(q) * math.prod(q)
+        diag = rng.standard_normal(V) + (1j * rng.standard_normal(V) if complex_values else 0.0)
+        g, oracle = sine_square_sums(diag, N, tuple(q)), sine_square_sums_reference(diag, N, tuple(q))
+        assert g.dtype == oracle.dtype and g.shape == oracle.shape
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(oracle).tobytes()
 
 
 class TestBases:
@@ -308,7 +330,7 @@ class TestClassLabels:
     @pytest.mark.parametrize("mode", ["dirichlet", "periodic"])
     @pytest.mark.parametrize("d,Ns", [(1, (1, 2, 5, 9, 16)), (2, (1, 2, 3, 11, 23, 24)), (3, (1, 2, 4, 5, 6, 8))])
     def test_degeneracy_rows_match_loop(self, mode, d, Ns):
-        table = EXPERIMENTS["degeneracy"](ExperimentConfig("degeneracy", d=d, n_values=Ns, mode=mode))
+        table = RUNS["degeneracy"][0](ExperimentConfig("degeneracy", d=d, n_values=Ns, mode=mode))
         rows = list(zip(*table.values()))
         expected = []
         for N in Ns:
@@ -333,7 +355,7 @@ class TestClassLabels:
             return basis
 
         monkeypatch.setattr(experiments, "_basis", split)
-        table = EXPERIMENTS["degeneracy"](ExperimentConfig("degeneracy", d=2, n_values=(4,), mode=mode))
+        table = RUNS["degeneracy"][0](ExperimentConfig("degeneracy", d=2, n_values=(4,), mode=mode))
         basis = split(ExperimentConfig("degeneracy", d=2, n_values=(4,), mode=mode), 4)
         expected = loop_degeneracy_row(4, 2, mode, basis.classes, basis.freqs)
         assert list(zip(*table.values())) == [expected]

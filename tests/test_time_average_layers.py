@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeqe.experiments import EXPERIMENTS, ExperimentConfig
+from latticeqe.experiments import RUNS, ExperimentConfig
 from latticeqe.lattice import LatticeBox, Observable, cube, shift_set
 from latticeqe.schrodinger import PeriodicPotential, floquet_eigenbasis
 from latticeqe.spectra import (
@@ -288,7 +288,7 @@ class TestPairEnumerator:
     @pytest.mark.parametrize("d,N", [(1, 2), (1, 9), (2, 4), (2, 7), (3, 2), (3, 3)])
     def test_lemma_c1_report_in_sorted_count_order(self, d, N):
         cfg = ExperimentConfig("lemma-c1", d=d, n_values=(N,))
-        table = EXPERIMENTS["lemma-c1"](cfg)
+        table = RUNS["lemma-c1"][0](cfg)
         expected = sorted(lemma_c1_counts(N, d).items())
         signs = lambda eps: ";".join(map(str, eps))
         assert table["t"] == [";".join(map(str, t)) for (t, _, _), _ in expected]
