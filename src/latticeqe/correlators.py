@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectra import ProductBasis, _add_neighbours
+from .spectra import _add_neighbours, _lam1
 
 __all__ = [
     "spherical",
@@ -158,7 +158,7 @@ def wucha_error_scan(n_values, R: int) -> list[dict]:
         raise ValueError(f"offset range {R} too large for smallest box {min(n_values)}")
     rows = []
     for N in n_values:
-        lam = ProductBasis("dirichlet", N, 1).lam1
+        lam = _lam1("dirichlet", N)
         if np.any(np.abs(lam) > 2.0):
             raise ValueError(f"spectral parameters outside [-2, 2] for N = {N}")
         overlaps = [np.ones(N), *_shift_overlaps(N, range(1, R + 1))]

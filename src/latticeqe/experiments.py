@@ -107,8 +107,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown boundary mode {self.mode!r}")
         if any(c < 1 for c in self.q or ()):
             raise ConfigError(f"config field 'q' (--q) needs periods of at least 1, got {self.q}")
-        needs_obs = {"var-scan": True, "schrodinger": self.task == "partial-qe", "bessel": not self.random_count}
-        if not self.obs and needs_obs.get(self.experiment, False):
+        if not self.obs and "obs" in reads and not self.random_count:
             raise ConfigError(f"config field 'obs' (--obs): {self.experiment} needs at least one observable")
         if self.experiment == "var-scan" and len(self.obs) > 1:
             raise ConfigError(f"config field 'obs' (--obs): var-scan scans one observable, got {list(self.obs)}")
@@ -177,7 +176,7 @@ def _run_degeneracy(cfg: ExperimentConfig):
         basis = _basis(cfg, N)
         sizes = np.bincount(basis.labels)
         label = np.empty((N,) * cfg.d, dtype=basis.labels.dtype)
-        label.flat[basis.product.order] = basis.labels  # the class of each frequency
+        label.flat[basis.order] = basis.labels  # the class of each frequency
         # a frequency and its axis-sorted permutation share a class
         perm_ok = bool(np.array_equal(label, label[tuple(np.sort(np.indices(label.shape), axis=0))]))
         singles = bool(np.all(sizes == 1))

@@ -36,7 +36,6 @@ __all__ = [
     "eigensolve_symmetric",
     "eigenbasis",
     "FloquetBasis",
-    "floquet_eigenbasis",
     "counterexample_potential",
     "MassProfile",
     "counterexample_mass_profile",
@@ -92,9 +91,7 @@ class PeriodicPotential:
         """Periodic extension evaluated at every site of a box, flat."""
         if box.d != self.d:
             raise ValueError("box dimension does not match potential")
-        grids = np.indices(box.sides)  # 0-based coordinates
-        idx = tuple((grids[l] % self.q[l]) for l in range(self.d))
-        return self.values[idx].reshape(-1)
+        return self.values[np.ix_(*(np.arange(s) % c for s, c in zip(box.sides, self.q)))].reshape(-1)
 
 
 def load_potential(path) -> PeriodicPotential:
@@ -175,7 +172,7 @@ def eigenbasis(op: TruncatedOperator) -> SpectralData:
 
 
 @dataclass(eq=False)
-class FloquetBasis:
+class FloquetBasis(SpectralData):
     """Eigenbasis of the zero-boundary operator ``A + V``, periods in {1, 2}, by blocks.
 
     On the block with sides ``q_l N`` the vectors
@@ -196,11 +193,12 @@ class FloquetBasis:
     One batched ``eigh`` solves all ``N^d`` blocks. Kept are the amplitudes
     ``amplitudes[k, r, s]`` (k row-major over j, s the block eigenvector),
     the eigenvalues ``eigs`` (row-major in (k, s)), their stable ascending
-    sort ``order``. The certificates ``residual`` and ``gram_error``, the
-    worst ``||B c - c w||`` and ``|c^T c - I|`` over the block solves, are
-    computed on first read from a rebuilt block stack, so a run that reports
-    neither never pays for them and the basis never holds the stack.
-    :meth:`vectors` assembles the dense eigenvectors on request.
+    sort ``order`` and ``eigenvalues = eigs[order]``. The certificates
+    ``residual`` and ``gram_error``, the worst ``||B c - c w||`` and
+    ``|c^T c - I|`` over the block solves, are computed on first read from a
+    rebuilt block stack, so a run that reports neither never pays for them
+    and the basis never holds the stack. ``vectors`` assembles the dense
+    eigenvectors on first read.
 
     Inside a degenerate eigenspace this is one choice of basis, the Floquet
     modes; a quantity that depends on that choice, such as the quantum
@@ -219,6 +217,7 @@ class FloquetBasis:
         w, self.amplitudes = np.linalg.eigh(self._blocks())
         self.eigs = w.reshape(-1)
         self.order = np.argsort(self.eigs, kind="stable")
+        self.eigenvalues = self.eigs[self.order]
 
     def _blocks(self) -> np.ndarray:
         """The ``N^d`` blocks ``B(k)``, k row-major, as one ``(N^d, Q, Q)`` stack."""
@@ -269,6 +268,7 @@ class FloquetBasis:
         g = sine_square_sums(diag, self.N, self.potential.q)
         return np.einsum("krs,krs,kr->ks", self.amplitudes, self.amplitudes, g).reshape(-1)[self.order]
 
+    @cached_property
     def vectors(self) -> np.ndarray:
         """Dense eigenvectors in eigenvalue order (volume squared memory)."""
         q, N = self.potential.q, self.N
@@ -276,16 +276,9 @@ class FloquetBasis:
         for l, c in enumerate(q):
             x = np.arange(1, c * N + 1)
             sines = np.kron(sines, np.sqrt(2.0 * c / (c * N + 1)) * np.sin(np.outer(x, self._k(l))))
-        grid = np.indices(self.box.sides).reshape(len(q), -1)
-        residue = np.ravel_multi_index(grid % np.array(q)[:, None], q)
+        residue = np.ravel_multi_index(np.ix_(*(np.arange(s) % c for s, c in zip(self.box.sides, q))), q).reshape(-1)
         psi = sines[:, :, None] * self.amplitudes[:, residue, :].transpose(1, 0, 2)
         return psi.reshape(self.box.volume, -1)[:, self.order]
-
-
-def floquet_eigenbasis(potential: PeriodicPotential, N: int) -> SpectralData:
-    """Floquet block eigenbasis of the zero-boundary operator, eigenvalues ascending."""
-    fb = FloquetBasis(potential, N)
-    return SpectralData(fb.box, fb.eigs[fb.order], product=fb)
 
 
 def counterexample_potential(M: float) -> PeriodicPotential:
@@ -345,7 +338,7 @@ def counterexample_mass_profile(M: float, N: int) -> MassProfile:
     if M <= 4:
         raise ValueError("need M > 4: the two spectral bands must not overlap")
     fb = FloquetBasis(counterexample_potential(M), N)
-    eigenvalues = fb.eigs[fb.order]
+    eigenvalues = fb.eigenvalues
     even_masses = (fb.amplitudes[:, 1, :] ** 2).reshape(-1)[fb.order]
     low = int(np.count_nonzero((eigenvalues >= -2 - 1e-9) & (eigenvalues <= 2 + 1e-9)))
     high = int(np.count_nonzero((eigenvalues >= M - 2 - 1e-9) & (eigenvalues <= M + 2 + 1e-9)))
@@ -439,8 +432,7 @@ def partial_qe_experiment(
         solved = eigensolve_symmetric(build_operator(potential, N, "dirichlet").matrix)
         basis = solved.basis(box)
     else:
-        basis = floquet_eigenbasis(potential, N)
-        solved = basis.product
+        basis = solved = FloquetBasis(potential, N)
     variance = quantum_variance(basis, centered(a))
     return PartialQeResult(
         variance=variance,

@@ -18,7 +18,6 @@ signed combination hits a prescribed frequency theta.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -73,28 +72,61 @@ def _lam1(mode: str, N: int) -> np.ndarray:
     raise ValueError(f"unknown boundary mode {mode!r}")
 
 
-@dataclass(eq=False)
-class ProductBasis:
+class SpectralData:
+    """Eigenvalues (ascending), orthonormal eigenvectors, degeneracy classes.
+
+    ``vectors[:, j]`` is the eigenvector for ``eigenvalues[j]`` and
+    ``labels[j]`` its degeneracy class, numbered in eigenvalue order: maximal
+    runs chained by neighbour gaps of at most :func:`default_deg_tol`, the
+    package's one rule for equal eigenvalues. ``classes`` (columns per class)
+    is a list view. Both are computed on first access and cached.
+
+    This is the numeric basis. The factored bases, :class:`ProductBasis` and
+    :class:`~latticeqe.schrodinger.FloquetBasis`, are subclasses that build
+    ``vectors`` on first read and override :meth:`expectations` with a
+    contraction in their factored form.
+    """
+
+    def __init__(self, box: LatticeBox, eigenvalues, vectors):
+        self.box = box
+        self.eigenvalues = eigenvalues
+        self.vectors = vectors
+
+    @property
+    def n(self) -> int:
+        return len(self.eigenvalues)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return _class_labels(self.eigenvalues, default_deg_tol(self.box.d))
+
+    @cached_property
+    def classes(self) -> list[list[int]]:
+        return _class_lists(self.labels)
+
+    def expectations(self, diag: np.ndarray) -> np.ndarray:
+        """<psi_j, a psi_j> for a diagonal a, in eigenvalue order."""
+        return (np.abs(self.vectors) ** 2).T @ diag
+
+
+class ProductBasis(SpectralData):
     """The eigenbasis of the cube ``[[1, N]]^d`` kept as a d-fold tensor power.
 
     Mode ``dirichlet`` has the sine factor with frequencies 1..N, mode
     ``periodic`` the Bloch factor with frequencies 0..N-1. ``eigs`` lists the
     eigenvalues in row-major frequency order, ``order`` their stable
-    ascending sort. Nothing of size ``N^(2d)`` is held; :meth:`matrix`
-    builds the dense Kronecker power on request.
+    ascending sort, so ``eigenvalues`` is ``eigs[order]``. Nothing of size
+    ``N^(2d)`` is held; :meth:`matrix` builds the dense Kronecker power and
+    ``vectors`` its sorted columns on first read.
     """
 
-    mode: str
-    N: int
-    d: int
-    lam1: np.ndarray = field(init=False)
-    eigs: np.ndarray = field(init=False)
-    order: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.lam1 = _lam1(self.mode, self.N)
-        self.eigs = _product_eigenvalues(self.lam1, self.d)
+    def __init__(self, mode: str, N: int, d: int):
+        self.mode, self.N, self.d = mode, N, d
+        self.lam1 = _lam1(mode, N)
+        self.eigs = _product_eigenvalues(self.lam1, d)
         self.order = np.argsort(self.eigs, kind="stable")
+        self.box = cube(N, d)
+        self.eigenvalues = self.eigs[self.order]
 
     def freqs(self) -> list[tuple[int, ...]]:
         """Frequency multi-indices in row-major order."""
@@ -113,6 +145,7 @@ class ProductBasis:
         """Dense ``N^d x N^d`` Kronecker power, columns in row-major frequency order."""
         return reduce(np.kron, [self.factor()] * self.d)
 
+    @cached_property
     def vectors(self) -> np.ndarray:
         """Dense eigenvectors in eigenvalue order, via ``sine_matrix``/``bloch_matrix``."""
         dense = sine_matrix if self.mode == "dirichlet" else bloch_matrix
@@ -193,69 +226,14 @@ def periodic_eigenvalues(N: int, d: int) -> np.ndarray:
     return np.sort(_product_eigenvalues(_lam1("periodic", N), d))
 
 
-class SpectralData:
-    """Eigenvalues (ascending), orthonormal eigenvectors, degeneracy classes.
-
-    ``vectors[:, j]`` is the eigenvector for ``eigenvalues[j]`` and
-    ``labels[j]`` its degeneracy class, numbered in eigenvalue order: maximal
-    runs chained by neighbour gaps of at most :func:`default_deg_tol`, the
-    package's one rule for equal eigenvalues. ``classes`` (columns per class)
-    and ``freqs`` (analytic frequencies per column, else None) are list views.
-
-    A basis built on a factored form (``product``) stores only that form and
-    the sorted eigenvalues. The form is a :class:`ProductBasis` or a
-    :class:`~latticeqe.schrodinger.FloquetBasis`; it provides the stable sort
-    ``order``, ``vectors()`` and ``expectations(diag)`` in eigenvalue order.
-    Every other field is computed on first access and cached; ``n`` and
-    ``eigenvalues`` never build one. A numeric basis needs ``vectors``.
-    """
-
-    def __init__(self, box: LatticeBox, eigenvalues, vectors=None, *, product=None):
-        if product is None and vectors is None:
-            raise TypeError("a basis without a product form needs vectors")
-        self.box = box
-        self.eigenvalues = eigenvalues
-        self.product = product
-        if vectors is not None:
-            self.vectors = vectors
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        return self.product.vectors()
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return _class_labels(self.eigenvalues, default_deg_tol(self.box.d))
-
-    @cached_property
-    def classes(self) -> list[list[int]]:
-        return _class_lists(self.labels)
-
-    @cached_property
-    def freqs(self) -> list[tuple[int, ...]] | None:
-        if not isinstance(self.product, ProductBasis):
-            return None
-        freqs = self.product.freqs()
-        return [freqs[i] for i in self.product.order]
-
-
-def _product_spectral_data(mode: str, N: int, d: int) -> SpectralData:
-    pb = ProductBasis(mode, N, d)
-    return SpectralData(cube(N, d), pb.eigs[pb.order], product=pb)
-
-
-def sine_basis(N: int, d: int) -> SpectralData:
+def sine_basis(N: int, d: int) -> ProductBasis:
     """Full sine eigenbasis of the zero-boundary cube, eigenvalues ascending."""
-    return _product_spectral_data("dirichlet", N, d)
+    return ProductBasis("dirichlet", N, d)
 
 
-def bloch_basis(N: int, d: int) -> SpectralData:
+def bloch_basis(N: int, d: int) -> ProductBasis:
     """Full Bloch eigenbasis of the wraparound cube, eigenvalues ascending."""
-    return _product_spectral_data("periodic", N, d)
+    return ProductBasis("periodic", N, d)
 
 
 # Neighbours along one axis as (target, source) slice pairs for in-place sums.
@@ -351,7 +329,7 @@ def _sign_pairs(d: int):
     return np.repeat(E, len(E), axis=0), np.tile(E, (len(E), 1))
 
 
-def _equal_pairs(basis: SpectralData):
+def _equal_pairs(basis: ProductBasis):
     """Every ordered pair of equal-eigenvalue frequencies of a sine basis, with its signed sums.
 
     Returns ``(i, j, t)``. ``i[p], j[p]`` are row-major frequency indices of
@@ -362,13 +340,12 @@ def _equal_pairs(basis: SpectralData):
     the frequencies k, m of ``i[p], j[p]`` and the s-th sign pair of
     :func:`_sign_pairs`.
     """
-    pb = basis.product
-    N, d = pb.N, pb.d
+    N, d = basis.N, basis.d
     size = np.bincount(basis.labels)[basis.labels]  # class size at each sorted position
     start = np.searchsorted(basis.labels, basis.labels)  # class start at each sorted position
     u = np.repeat(np.arange(size.size), size)
     v = np.arange(u.size) + np.repeat(start - (np.cumsum(size) - size), size)
-    i, j = pb.order[u], pb.order[v]
+    i, j = basis.order[u], basis.order[v]
     w = (4 * N + 1) ** np.arange(d - 1, -1, -1)  # row-major strides of the t grid
     Kw = (np.indices((N,) * d).reshape(d, -1).T + 1) * w  # frequency of each index, scaled by w
     eps, epp = _sign_pairs(d)

@@ -58,17 +58,15 @@ def expectations(basis: SpectralData, T) -> np.ndarray:
     """Diagonal matrix elements <psi_j, T psi_j> over the basis columns.
 
     T may be a diagonal or kernel :class:`Observable`, or a dense matrix. A
-    diagonal observable on a basis with a factored form (sine, Bloch or
-    Floquet blocks) is contracted in that form, without the dense
-    eigenvectors.
+    diagonal observable goes to the basis's own ``expectations``, which a
+    factored basis (sine, Bloch or Floquet blocks) contracts without the
+    dense eigenvectors.
     """
     if isinstance(T, Observable):
         if T.box != basis.box:
             raise BoxMismatchError("observable and basis live on different boxes")
         if T.kind == "diagonal":
-            if basis.product is not None:
-                return basis.product.expectations(T.diag())
-            return (np.abs(basis.vectors) ** 2).T @ T.diag()
+            return basis.expectations(T.diag())
         T = T.to_matrix()
     T = np.asarray(T)
     if T.shape != (basis.box.volume, basis.box.volume):
@@ -108,14 +106,13 @@ def time_averaged_observable(basis: SpectralData, a: Observable) -> np.ndarray:
     if a.box != basis.box:
         raise BoxMismatchError("observable and basis live on different boxes")
     diag = a.require_diagonal()
-    pb = basis.product
-    factored = isinstance(pb, ProductBasis)
+    factored = isinstance(basis, ProductBasis)
     n = basis.n
     label = basis.labels
     if factored:
         label = np.empty_like(label)
-        label[pb.order] = basis.labels  # labels index sorted columns, the factored C is row-major
-        C = _product_center(pb, diag)
+        label[basis.order] = basis.labels  # labels index sorted columns, the factored C is row-major
+        C = _product_center(basis, diag)
     else:
         V = basis.vectors
         C = V.conj().T @ (diag[:, None] * V)
@@ -124,7 +121,7 @@ def time_averaged_observable(basis: SpectralData, a: Observable) -> np.ndarray:
         own = label[r : r + rows, None]
         C[r : r + rows][own != label] = 0
     if factored:
-        return _expand_product(pb, C)
+        return _expand_product(basis, C)
     C = V @ C  # rebinding frees the masked C before the last product
     return C @ V.conj().T
 

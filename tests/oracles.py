@@ -328,6 +328,25 @@ def indices_parity(box: LatticeBox) -> np.ndarray:
     return ((np.indices(box.sides) + 1).sum(axis=0) % 2 == 1).astype(float).reshape(-1)
 
 
+def indices_on_box(potential, box: LatticeBox) -> np.ndarray:
+    """``PeriodicPotential.on_box`` indexed by the residues of the full ``np.indices`` grid."""
+    grids = np.indices(box.sides)
+    return potential.values[tuple(grids[l] % potential.q[l] for l in range(potential.d))].reshape(-1)
+
+
+def indices_floquet_vectors(fb) -> np.ndarray:
+    """``FloquetBasis.vectors`` with each site's residue from the full ``np.indices`` grid."""
+    q, N = fb.potential.q, fb.N
+    sines = np.ones((1, 1))
+    for l, c in enumerate(q):
+        x = np.arange(1, c * N + 1)
+        sines = np.kron(sines, np.sqrt(2.0 * c / (c * N + 1)) * np.sin(np.outer(x, fb._k(l))))
+    grid = np.indices(fb.box.sides).reshape(len(q), -1)
+    residue = np.ravel_multi_index(grid % np.array(q)[:, None], q)
+    psi = sines[:, :, None] * fb.amplitudes[:, residue, :].transpose(1, 0, 2)
+    return psi.reshape(fb.box.volume, -1)[:, fb.order]
+
+
 # -- memory -------------------------------------------------------------------
 
 def peak_bytes(fn) -> int:

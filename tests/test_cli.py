@@ -693,6 +693,23 @@ _AWAY = {"d": 2, "obs": ["parity"], "mode": "periodic", "q": [2], "potential": "
          "exploratory": True}
 _UNREAD = [(key, f) for key, (_, reads) in RUNS.items() for f in _AWAY if f not in reads]
 
+# The error line of ``--N 4 --obs ,`` for each RUNS key (with ``--random 2`` where
+# random_count is read): a run that reads obs needs an observable unless it draws
+# random diagonals; any other run refuses obs as unread.
+_UNREAD_OBS = "config field 'obs': {} reads only {} (and seed, out), so 'obs' must keep its default ('half-indicator',)"
+_EMPTY_OBS = {
+    ("var-scan", ()): "config field 'obs' (--obs): var-scan needs at least one observable",
+    ("degeneracy", ()): _UNREAD_OBS.format("degeneracy", "d, n_values, mode"),
+    ("lemma-c1", ()): _UNREAD_OBS.format("lemma-c1", "d, n_values"),
+    ("correspond", ()): _UNREAD_OBS.format("correspond", "d, n_values, tol"),
+    ("schrodinger --task counterexample", ()): _UNREAD_OBS.format("schrodinger --task counterexample",
+                                                                  "n_values, task, mass"),
+    ("schrodinger --task partial-qe", ()): "config field 'obs' (--obs): schrodinger needs at least one observable",
+    ("correlator", ()): _UNREAD_OBS.format("correlator", "n_values, max_offset, bound"),
+    ("bessel", ()): "config field 'obs' (--obs): bessel needs at least one observable",
+    ("bessel", ("--random", "2")): None,
+}
+
 
 class TestDeclaredReads:
     @pytest.mark.parametrize("key", RUNS)
@@ -734,6 +751,20 @@ class TestDeclaredReads:
         err = capsys.readouterr().err
         assert err.startswith(f"latticeqe: error: config field {field!r}: {key} reads only")
         assert not Path("out").exists()
+
+    def test_empty_obs_cases_cover_every_run(self):
+        assert {key for key, _ in _EMPTY_OBS} == set(RUNS)
+        assert [key for key, extra in _EMPTY_OBS if extra] == [key for key, (_, reads) in RUNS.items()
+                                                               if "random_count" in reads]
+
+    @pytest.mark.parametrize("key, extra", list(_EMPTY_OBS), ids=[" ".join((k,) + e) for k, e in _EMPTY_OBS])
+    def test_empty_obs_exits_one_where_an_observable_is_needed(self, tmp_path, capsys, key, extra):
+        experiment, _, task = key.partition(" --task ")
+        argv = [experiment, *(["--task", task] if task else []), "--N", "4", "--obs", ",", *extra]
+        message = _EMPTY_OBS[key, extra]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == (0 if message is None else 1)
+        assert capsys.readouterr().err == ("" if message is None else f"latticeqe: error: {message}\n")
+        assert (tmp_path / "out").exists() == (message is None)
 
     @pytest.mark.parametrize("flags", [["--potential", "pot.json"], ["--obs", "parity"], ["--obs", ","],
                                        ["--unchecked"], ["--exploratory"]])

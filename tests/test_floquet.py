@@ -19,14 +19,13 @@ from latticeqe.schrodinger import (
     counterexample_potential,
     eigenbasis,
     eigensolve_symmetric,
-    floquet_eigenbasis,
     lattice_block,
     partial_qe_experiment,
 )
 from latticeqe.spectra import SpectralData
 from latticeqe.time_average import centered, expectations, quantum_variance
 
-from oracles import eager_floquet_certificates
+from oracles import eager_floquet_certificates, indices_floquet_vectors
 
 
 def scale_of(potential: PeriodicPotential) -> float:
@@ -60,10 +59,9 @@ class TestDenseOracle:
         scale = scale_of(potential)
         H = build_operator(potential, N).matrix
         dense = eigensolve_symmetric(H)
-        basis = floquet_eigenbasis(potential, N)
-        fb = basis.product
-        assert fb.residual <= 1e-12 * scale
-        assert fb.gram_error <= 1e-12 * scale
+        basis = FloquetBasis(potential, N)
+        assert basis.residual <= 1e-12 * scale
+        assert basis.gram_error <= 1e-12 * scale
         assert np.max(np.abs(basis.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
 
         rng = np.random.default_rng(seed)
@@ -118,15 +116,20 @@ class TestDenseOracle:
 
     def test_complex_diagonal_splits_into_parts(self):
         potential = PeriodicPotential((2, 1), [[0.0], [3.0]])
-        basis = floquet_eigenbasis(potential, 5)
+        basis = FloquetBasis(potential, 5)
         rng = np.random.default_rng(5)
         vals = rng.uniform(-1, 1, basis.box.volume) + 1j * rng.uniform(-1, 1, basis.box.volume)
         a = Observable.diagonal(basis.box, vals)
         fast = expectations(basis, a)
         assert np.max(np.abs(fast - expectations(dense_copy(basis), a))) <= 1e-12 * 6
 
-    def test_freqs_absent(self):
-        assert floquet_eigenbasis(counterexample_potential(10.0), 3).freqs is None
+    @pytest.mark.parametrize("q,N", [((2,), 2), ((1,), 4), ((2, 2), 3), ((1, 2), 3), ((2, 1), 2), ((2, 2, 2), 2),
+                                     ((2, 1, 2), 2), ((1, 2, 1), 2)])
+    def test_vectors_equal_the_indices_grid(self, q, N):
+        # cubic boxes (all periods equal) and non-cubic ones, d = 1..3
+        potential = PeriodicPotential(q, np.random.default_rng(N).uniform(-5.0, 5.0, int(np.prod(q))))
+        fb = FloquetBasis(potential, N)
+        assert fb.vectors.tobytes() == indices_floquet_vectors(fb).tobytes()
 
     def test_rejects_long_periods_and_empty_blocks(self):
         with pytest.raises(UnsupportedPeriodError):
@@ -168,10 +171,10 @@ class TestCertificatesOnRead:
         finally:
             tracemalloc.stop()
         arrays = {name for name, value in vars(fb).items() if isinstance(value, np.ndarray)}
-        assert arrays == {"amplitudes", "eigs", "order"}
+        assert arrays == {"amplitudes", "eigs", "order", "eigenvalues"}
         assert "_certificates" not in vars(fb)
-        # amplitudes, eigenvalues and order; a kept (4096, 4, 4) stack would add as much as the amplitudes
-        kept = fb.amplitudes.nbytes + fb.eigs.nbytes + fb.order.nbytes
+        # amplitudes, eigenvalues twice and order; a kept (4096, 4, 4) stack would add as much as the amplitudes
+        kept = fb.amplitudes.nbytes + 2 * fb.eigs.nbytes + fb.order.nbytes
         assert held < kept + fb.amplitudes.nbytes // 2
         fb.residual
         assert {name for name, value in vars(fb).items() if isinstance(value, np.ndarray)} == arrays

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticeqe import spectra
-from latticeqe.lattice import Observable, cube
-from latticeqe.schrodinger import PeriodicPotential, build_operator, eigensolve_symmetric, floquet_eigenbasis
+from latticeqe.lattice import LatticeBox, Observable, cube
+from latticeqe.schrodinger import FloquetBasis, PeriodicPotential, build_operator, eigensolve_symmetric
 from latticeqe.spectra import ProductBasis, SpectralData, bloch_basis, default_deg_tol, degeneracy_classes, sine_basis
 from latticeqe.time_average import expectations, hs_norm, quantum_variance, time_averaged_observable
 
@@ -110,8 +110,8 @@ class TestFactoredTimeAverage:
         def refuse(*args):
             raise AssertionError("dense eigenvectors built")
 
-        for name in ("vectors", "matrix"):
-            monkeypatch.setattr(ProductBasis, name, refuse)
+        monkeypatch.setattr(ProductBasis, "vectors", property(refuse))
+        monkeypatch.setattr(ProductBasis, "matrix", refuse)
         monkeypatch.setattr(spectra, "sine_matrix", refuse)
         a = random_diagonal(N, d, N, False)
         start = time.perf_counter()
@@ -168,20 +168,18 @@ class TestLazyFields:
     def test_n_and_eigenvalues_build_nothing(self):
         basis = sine_basis(6, 2)
         assert basis.n == 36 and basis.eigenvalues.shape == (36,)
-        assert not {"vectors", "labels", "classes", "freqs"} & set(vars(basis))
+        assert not {"vectors", "labels", "classes"} & set(vars(basis))
 
     def test_fields_cached(self):
         basis = bloch_basis(4, 2)
         assert basis.vectors is basis.vectors
         assert basis.labels is basis.labels
         assert basis.classes is basis.classes
-        assert basis.freqs is basis.freqs
 
     def test_freqs_follow_sort_order(self):
         basis = sine_basis(5, 2)
-        pb = basis.product
-        for j, k in enumerate(basis.freqs):
-            assert pb.eigs[pb.order[j]] == basis.eigenvalues[j]
+        for j, k in enumerate([basis.freqs()[i] for i in basis.order]):
+            assert basis.eigs[basis.order[j]] == basis.eigenvalues[j]
             assert basis.eigenvalues[j] == pytest.approx(sum(2 * np.cos(c * np.pi / 6) for c in k))
 
     def test_numeric_basis_needs_vectors(self):
@@ -191,6 +189,59 @@ class TestLazyFields:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ProductBasis("neumann", 4, 1)
+
+
+FACTORED = {
+    "sine": lambda: sine_basis(5, 2),
+    "bloch": lambda: bloch_basis(4, 3),
+    "floquet": lambda: FloquetBasis(PeriodicPotential((2, 1), [0.0, 3.0]), 4),
+}
+
+
+class TestOneObjectPerBasis:
+    """The sine, Bloch and Floquet bases are ``SpectralData`` themselves, with no wrapper."""
+
+    @pytest.mark.parametrize("kind", sorted(FACTORED))
+    def test_factored_bases_are_spectral_data(self, kind):
+        basis = FACTORED[kind]()
+        assert isinstance(basis, SpectralData)
+        assert not hasattr(basis, "product")
+        assert basis.n == basis.box.volume == basis.eigs.size
+
+    @pytest.mark.parametrize("kind", sorted(FACTORED))
+    def test_eigenvalues_are_eigs_in_order(self, kind):
+        basis = FACTORED[kind]()
+        assert basis.eigenvalues.tobytes() == basis.eigs[basis.order].tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(FACTORED))
+    def test_fields_held_only_once_read(self, kind):
+        basis = FACTORED[kind]()
+        for name in ("vectors", "labels", "classes"):
+            assert name not in vars(basis)
+            getattr(basis, name)
+            assert name in vars(basis)
+
+    def test_product_keyword_gone(self):
+        pb = sine_basis(3, 1)
+        with pytest.raises(TypeError):
+            SpectralData(pb.box, pb.eigenvalues, product=pb)
+
+    @pytest.mark.parametrize("numeric", [
+        lambda: eigensolve_symmetric(build_operator(PeriodicPotential((2, 1), [0.0, 3.0]), 3).matrix).basis(
+            LatticeBox((6, 3))),
+        lambda: dense_copy(bloch_basis(4, 2)),
+    ], ids=["real", "complex"])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_numeric_expectations_are_the_dense_expression(self, numeric, complex_values):
+        basis = numeric()
+        rng = np.random.default_rng(7)
+        vals = rng.uniform(-1.0, 1.0, basis.n)
+        if complex_values:
+            vals = vals + 1j * rng.uniform(-1.0, 1.0, basis.n)
+        a = Observable.diagonal(basis.box, vals)
+        expected = (np.abs(basis.vectors) ** 2).T @ a.diag()
+        assert basis.expectations(a.diag()).tobytes() == expected.tobytes()
+        assert expectations(basis, a).tobytes() == expected.tobytes()
 
 
 class TestDerivedClasses:
@@ -210,7 +261,7 @@ class TestDerivedClasses:
     @pytest.mark.parametrize("N", [3, 4, 6])
     def test_floquet_and_dense_solve_derive_the_same_partition(self, N):
         potential = PeriodicPotential((2, 2), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        floquet = floquet_eigenbasis(potential, N)
+        floquet = FloquetBasis(potential, N)
         dense = eigensolve_symmetric(build_operator(potential, N).matrix).basis(floquet.box)
         for basis in (floquet, dense):
             assert basis.classes == degeneracy_classes(basis.eigenvalues, default_deg_tol(2))

@@ -22,6 +22,8 @@ from latticeqe.schrodinger import (
 from latticeqe.spectra import adjacency_matrix, sine_basis
 from latticeqe.time_average import centered, quantum_variance
 
+from oracles import indices_on_box
+
 
 class TestBuildOperator:
     def test_free_chain(self):
@@ -66,6 +68,14 @@ class TestPeriodicPotential:
         expected = [V.values[tuple((c - 1) % p for c, p in zip(x, q))]
                     for x in itertools.product(*(range(1, s + 1) for s in sides))]
         assert np.array_equal(V.on_box(box), expected)
+
+    @pytest.mark.parametrize("q,sides", [((2,), (4,)), ((3,), (7,)), ((2, 2), (4, 4)), ((2, 3), (4, 6)), ((3, 2), (5, 5)),
+                                         ((2, 1, 2), (2, 4, 6)), ((1, 2, 3), (3, 3, 3)), ((2, 2, 2), (5, 3, 4))])
+    def test_on_box_equals_the_indices_grid(self, q, sides):
+        # cubic and non-cubic boxes, sides that are and are not multiples of the periods
+        V = PeriodicPotential(q, np.random.default_rng(len(sides)).normal(size=q))
+        box = LatticeBox(sides)
+        assert V.on_box(box).tobytes() == indices_on_box(V, box).tobytes()
 
     def test_on_box_rejects_other_dimension(self):
         with pytest.raises(ValueError, match="dimension"):

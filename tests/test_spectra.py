@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from latticeqe import experiments
 from latticeqe.experiments import RUNS, ExperimentConfig
 from latticeqe.lattice import LatticeBox, Wavefunction, cube
-from latticeqe.schrodinger import PeriodicPotential, eigensolve_symmetric, floquet_eigenbasis
+from latticeqe.schrodinger import FloquetBasis, PeriodicPotential, eigensolve_symmetric
 from latticeqe.spectra import (
     ProductBasis,
     SpectralData,
@@ -209,10 +209,11 @@ class TestDegeneracyClasses:
     def test_permutations_share_class(self):
         for N in (3, 5, 8):
             basis = sine_basis(N, 2)
+            freqs = [basis.freqs()[i] for i in basis.order]
             cls_of = {}
             for ci, cls in enumerate(basis.classes):
                 for j in cls:
-                    cls_of[basis.freqs[j]] = ci
+                    cls_of[freqs[j]] = ci
             for freq, ci in cls_of.items():
                 assert cls_of[freq[::-1]] == ci
 
@@ -287,7 +288,7 @@ def analytic_and_numeric_bases(draw):
         d = draw(st.integers(1, 2))
         q = tuple(draw(st.sampled_from((1, 2))) for _ in range(d))
         values = [draw(st.sampled_from((0.0, 1.0, 100.0))) for _ in range(int(np.prod(q)))]
-        return floquet_eigenbasis(PeriodicPotential(q, values), draw(st.integers(1, {1: 20, 2: 5}[d])))
+        return FloquetBasis(PeriodicPotential(q, values), draw(st.integers(1, {1: 20, 2: 5}[d])))
     d = draw(st.integers(1, 3))
     N = draw(st.integers(1, {1: 30, 2: 12, 3: 5}[d]))
     if kind == "eigh":
@@ -349,7 +350,8 @@ class TestClassLabels:
         def split(cfg, N):
             basis = real(cfg, N)
             labels = basis.labels.copy()
-            j = next(j for j, k in enumerate(basis.freqs) if list(k) != sorted(k) and labels[j - 1] == labels[j])
+            freqs = [basis.freqs()[i] for i in basis.order]
+            j = next(j for j, k in enumerate(freqs) if list(k) != sorted(k) and labels[j - 1] == labels[j])
             labels[j:] += 1  # the class of column j splits in two before it
             vars(basis)["labels"] = labels
             return basis
@@ -357,7 +359,7 @@ class TestClassLabels:
         monkeypatch.setattr(experiments, "_basis", split)
         table = RUNS["degeneracy"][0](ExperimentConfig("degeneracy", d=2, n_values=(4,), mode=mode))
         basis = split(ExperimentConfig("degeneracy", d=2, n_values=(4,), mode=mode), 4)
-        expected = loop_degeneracy_row(4, 2, mode, basis.classes, basis.freqs)
+        expected = loop_degeneracy_row(4, 2, mode, basis.classes, [basis.freqs()[i] for i in basis.order])
         assert list(zip(*table.values())) == [expected]
         assert expected[5] is False and expected[6] is False
 

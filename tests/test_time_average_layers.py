@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from latticeqe.experiments import RUNS, ExperimentConfig
 from latticeqe.lattice import LatticeBox, Observable, cube, shift_set
-from latticeqe.schrodinger import PeriodicPotential, floquet_eigenbasis
+from latticeqe.schrodinger import FloquetBasis, PeriodicPotential
 from latticeqe.spectra import (
     ProductBasis,
     SpectralData,
@@ -135,7 +135,7 @@ def bases(draw):
         q = tuple(draw(st.sampled_from((1, 2))) for _ in range(d))
         values = [draw(st.sampled_from((0.0, 1.0, 100.0))) for _ in range(int(np.prod(q)))]
         N = draw(st.integers(1, {1: 20, 2: 5}[d]))
-        return floquet_eigenbasis(PeriodicPotential(q, values), N), rng
+        return FloquetBasis(PeriodicPotential(q, values), N), rng
     d = draw(st.integers(1, 3))
     N = draw(st.integers(1, {1: 30, 2: 10, 3: 5}[d]))
     if kind == "numeric":
@@ -230,7 +230,7 @@ class TestCenterMatrix:
         assert np.trace(C) == pytest.approx(np.sum(a.diag()), abs=1e-10)
         # the diagonal is <s_k, a s_k>, which the factored contraction gives too
         basis = sine_basis(N, d)
-        np.testing.assert_allclose(np.diag(C)[basis.product.order], expectations(basis, a),
+        np.testing.assert_allclose(np.diag(C)[basis.order], expectations(basis, a),
                                    rtol=0, atol=1e-12)
 
 
