@@ -75,8 +75,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _field_names() -> frozenset[str]:
+    """The config field names, gathered on first use and shared by later runs."""
+    return frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    names = _field_names()
     values = {}
     if "config" in args:
         try:

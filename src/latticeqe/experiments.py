@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import sys
 import time
 import typing
 from dataclasses import dataclass, field, fields
@@ -74,11 +76,12 @@ class ExperimentConfig:
     def validate(self):
         """Check each field against its annotation, that the fields the run does not read (``RUNS``, by
         experiment and schrodinger task) keep their defaults, then the values; ``ConfigError`` (exit 1) if bad."""
+        shapes = _shapes()
         for f in fields(self):
             value = getattr(self, f.name)
             try:
-                setattr(self, f.name, _conform(_HINTS[f.name], value))
-            except TypeError:
+                setattr(self, f.name, _conform(*shapes[f.name], value))
+            except (TypeError, OverflowError):  # OverflowError: an int too large for a float field
                 raise ConfigError(f"config field {f.name!r} expects {f.type}, got {value!r}") from None
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
@@ -103,6 +106,9 @@ class ExperimentConfig:
                            ("tol", "tol")):
             if (value := getattr(self, name)) is not None and value < 0:
                 raise ConfigError(f"config field {name!r} (--{flag}) must be nonnegative, got {value!r}")
+        if self.random_count > sys.maxsize:  # no list of observables can be that long
+            raise ConfigError(f"config field 'random_count' (--random) must be at most {sys.maxsize}, "
+                              f"got {self.random_count}")
         if self.mode not in ("dirichlet", "periodic"):
             raise ConfigError(f"unknown boundary mode {self.mode!r}")
         if any(c < 1 for c in self.q or ()):
@@ -126,23 +132,41 @@ class ExperimentConfig:
                               f"{str(nearest)!r} is not a directory")
 
 
-_HINTS = typing.get_type_hints(ExperimentConfig)  # resolved once: the annotations are strings
+@functools.cache
+def _shapes() -> dict[str, tuple[bool, bool, type]]:
+    """Each field's annotation as (optional, tuple of items, scalar type), resolved on first use.
+
+    The annotations are strings; ``validate`` reads this table on every run.
+    """
+    shapes = {}
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        args = typing.get_args(hint)
+        optional = type(None) in args
+        if optional:
+            hint = args[0]
+        many = typing.get_origin(hint) is tuple
+        shapes[name] = (optional, many, typing.get_args(hint)[0] if many else hint)
+    return shapes
 
 
-def _conform(hint, value):
-    """``value`` as a field annotated ``hint`` stores it; ``TypeError`` if mistyped (a bool is no number)."""
-    args = typing.get_args(hint)
-    if type(None) in args:
-        return None if value is None else _conform(args[0], value)
-    if typing.get_origin(hint) is tuple and isinstance(value, (list, tuple)):
-        return tuple(_conform(args[0], v) for v in value)
-    if isinstance(value, bool) != (hint is bool):
+def _conform(optional: bool, many: bool, kind: type, value):
+    """``value`` as a field of this shape (see ``_shapes``) stores it; ``TypeError`` if mistyped.
+
+    A bool is no number.
+    """
+    if optional and value is None:
+        return None
+    if many:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError
+        return tuple(_conform(False, False, kind, v) for v in value)
+    if isinstance(value, bool) != (kind is bool):
         raise TypeError
-    if hint is int:
+    if kind is int:
         return operator.index(value)
-    if hint is float and (isinstance(value, int) or math.isfinite(value)):
+    if kind is float and math.isfinite(value):
         return value
-    if hint in (str, bool) and isinstance(value, hint):
+    if kind in (str, bool) and isinstance(value, kind):
         return value
     raise TypeError
 
@@ -241,9 +265,10 @@ def _run_correspond(cfg: ExperimentConfig):
 def _run_counterexample(cfg: ExperimentConfig):
     def one(N):
         profile = counterexample_mass_profile(cfg.mass, N)
-        return (N, cfg.mass, 2 * N, profile.low_band_count, profile.high_band_count,
-                profile.bands_complete, profile.max_low_even_mass, profile.max_high_odd_mass,
-                profile.mass_bound, profile.bands_complete and profile.bound_holds)
+        complete = profile.bands_complete
+        return (N, cfg.mass, 2 * N, profile.low_band_count, profile.high_band_count, complete,
+                profile.max_low_even_mass, profile.max_high_odd_mass, profile.mass_bound,
+                complete and profile.bound_holds)
 
     return _columns("N M volume low_band_count high_band_count bands_complete max_low_even_mass "
                     "max_high_odd_mass mass_bound pass", map(one, cfg.n_values))
@@ -333,10 +358,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     runner, _ = RUNS[reader(cfg.experiment, cfg.task)]
     table = runner(cfg)
     wall = time.perf_counter() - start
-    metadata = {
-        "version": __version__,
-        "config_hash": config_hash(cfg.canonical()),
-        "config": cfg.canonical(),
-    }
+    canonical = cfg.canonical()
+    metadata = {"version": __version__, "config_hash": config_hash(canonical), "config": canonical}
     return ExperimentReport(cfg.experiment, list(table), list(table.values()), metadata, wall_time_s=wall)
 

@@ -84,6 +84,7 @@ class ExperimentReport:
 
 # (accepted types, plain type), in order: bool before int, its superclass.
 _SCALARS = (((bool, np.bool_), bool), ((int, np.integer), int), ((float, np.floating), float), (str, str))
+_PLAIN = frozenset((bool, int, float, str, type(None)))
 _BOOL = {True: "true", False: "false"}
 # json writes the non-finite floats by these names (allow_nan=True).
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -103,8 +104,11 @@ def _scalar(value):
 def _plain(value):
     """Scalars as ``_scalar`` gives them, lists and tuples as lists and dicts as dicts of plain values.
 
-    Other values pass through.
+    Other values pass through. A value of exact plain scalar type is returned
+    as it is, before any ``isinstance`` test: ``_scalar`` would return it unchanged.
     """
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -17,6 +17,8 @@ three or more, wraparound boundaries, and the tests as the oracle.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -312,11 +314,11 @@ class MassProfile:
         total = self.eigenvalues.size
         return self.low_band_count == total // 2 and self.high_band_count == total // 2
 
-    @property
+    @cached_property
     def max_low_even_mass(self) -> float:
         return float(np.max(self.even_masses[: self.low_band_count]))
 
-    @property
+    @cached_property
     def max_high_odd_mass(self) -> float:
         return float(np.max(1.0 - self.even_masses[self.eigenvalues.size - self.high_band_count :]))
 
@@ -333,10 +335,14 @@ def counterexample_mass_profile(M: float, N: int) -> MassProfile:
     its mass on even sites, and high-band eigenfunctions at most that much
     on odd sites. The operator is solved as N Floquet blocks of size 2; an
     eigenfunction's even-site mass is ``|c[1]|^2`` (residue 1 holds the even
-    sites), so no ``2N x 2N`` matrix is built.
+    sites), so no ``2N x 2N`` matrix is built. ``M`` may be at most
+    ``sqrt(DBL_MAX)`` (about 1.34e154), beyond which ``(M-2)^2`` overflows.
     """
     if M <= 4:
         raise ValueError("need M > 4: the two spectral bands must not overlap")
+    if M - 2 > math.sqrt(sys.float_info.max):
+        raise ValueError(f"need M <= {math.sqrt(sys.float_info.max)!r}: the mass bound 4/(M-2)^2 "
+                         f"would overflow, got {M!r}")
     fb = FloquetBasis(counterexample_potential(M), N)
     eigenvalues = fb.eigenvalues
     even_masses = (fb.amplitudes[:, 1, :] ** 2).reshape(-1)[fb.order]
@@ -421,10 +427,11 @@ def partial_qe_experiment(
     box = lattice_block(q, N)
     if a.box != box:
         raise ValueError(f"observable box {a.box.sides} does not match block {box.sides}")
-    if a.sup_norm > 1.0 + 1e-12:
-        raise ValueError(f"observable sup-norm {a.sup_norm} exceeds 1")
-    deviation = lc_deviation(a, q)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(a.diag())))) * box.volume
+    sup = a.sup_norm
+    if sup > 1.0 + 1e-12:
+        raise ValueError(f"observable sup-norm {sup} exceeds 1")
+    deviation = lc_deviation(a, q)  # a is diagonal from here on, so sup is also the largest |diagonal entry|
+    tol = 1e-12 * max(1.0, sup) * box.volume
     checked = deviation <= tol
     if enforce_lc and not checked:
         raise LcViolationError(f"block-orbit sums differ by {deviation:.3e} (tolerance {tol:.3e})")

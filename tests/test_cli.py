@@ -5,10 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from latticeqe.cli import build_parser, main
 from latticeqe.experiments import RUNS, ExperimentConfig, reader, run
@@ -56,6 +59,16 @@ class TestExitCodes:
         assert code == 1
         assert "--random" in capsys.readouterr().err
         assert not (tmp_path / "bessel.csv").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["schrodinger", "--task", "counterexample", "--M", "2e154"], "need M <="),  # (M - 2)^2 overflows
+        (["bessel", "--random", str(sys.maxsize + 1)], "(--random) must be at most"),  # no list that long
+    ])
+    def test_value_past_its_range_is_one_error_line(self, tmp_path, capsys, argv, named):
+        assert main(argv + ["--N", "2", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latticeqe: error:") and err.count("\n") == 1 and named in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,field", [
         (["correlator", "--N", "5", "--R", "2", "--bound", "-1"], "bound"),
@@ -597,6 +610,14 @@ class TestConfigFile:
             assert given in text
             assert json.loads(text)["metadata"]["config"]["n_values"] == [4, 8]
 
+    def test_integer_past_float_range_rejected_in_float_field(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"task": "partial-qe", "n_values": [2], "obs": ["block-constant"],
+                                    "mass": 2**1024}))
+        assert main(["schrodinger", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("latticeqe: error: config field 'mass' expects float")
+        assert not (tmp_path / "out").exists()
+
     def test_numpy_integers_accepted(self):
         cfg = ExperimentConfig(experiment="var-scan", d=np.int64(2), n_values=[np.int32(4), 8])
         cfg.validate()
@@ -877,7 +898,7 @@ class TestReporting:
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
         assert config_hash({"a": 1}) != config_hash({"a": 2})
 
-    def test_config_hash_of_numpy_scalars_equals_plain_twin(self):
+    def test_config_hash_of_numpy_scalars_equals_plain_twin(self, tmp_path):
         def config(integer, real, flag):
             return {"n_values": [integer(2), integer(5)], "tol": real(0.25), "flag": flag(True),
                     "nested": {"q": (integer(2), integer(1)), "inner": {"bound": real(-1.5), "on": [flag(False)]}}}
@@ -885,3 +906,67 @@ class TestReporting:
         plain = config(int, float, bool)
         assert config_hash(config(np.int64, np.float64, np.bool_)) == config_hash(plain)
         assert config_hash(config(np.int64, np.float64, np.bool_)) != config_hash({**plain, "flag": False})
+        # the written report too: the metadata's numpy scalars are converted, not passed through
+        written = []
+        for integer, real, flag in ((np.int64, np.float64, np.bool_), (int, float, bool)):
+            metadata = {"config": config(integer, real, flag), "count": integer(7), "scale": real(1e-300),
+                        "ok": flag(False)}
+            report = ExperimentReport("demo", ["x"], [[1]], metadata)
+            out = tmp_path / integer.__name__
+            written.append([path.read_bytes() for path in emit_report(report, out)])
+        assert written[0] == written[1]
+        assert b'"count": 7' in written[0][1] and b'"ok": false' in written[0][1]
+
+
+class TestBookkeepingOnce:
+    def test_second_validate_resolves_no_annotation(self, monkeypatch):
+        ExperimentConfig(experiment="lemma-c1", n_values=(3,)).validate()
+
+        def resolve(*_):
+            raise AssertionError("annotations resolved again")
+
+        monkeypatch.setattr(typing, "get_args", resolve)
+        monkeypatch.setattr(typing, "get_origin", resolve)
+        cfg = ExperimentConfig(experiment="var-scan", n_values=[4, np.int64(8)], obs=["block-constant"], q=[2],
+                               bound=1)
+        cfg.validate()  # optional, tuple and scalar fields all conformed from the shape table
+        assert (cfg.n_values, cfg.obs, cfg.q, cfg.bound) == ((4, 8), ("block-constant",), (2,), 1)
+        with pytest.raises(ValueError, match="config field 'q' expects"):
+            ExperimentConfig(experiment="var-scan", n_values=(4,), q=2).validate()
+
+    def test_run_builds_the_canonical_config_once(self, monkeypatch):
+        canonical = ExperimentConfig.canonical
+        calls = []
+        monkeypatch.setattr(ExperimentConfig, "canonical", lambda self: calls.append(self) or canonical(self))
+        cfg = ExperimentConfig(experiment="lemma-c1", n_values=(3,))
+        report = run(cfg)
+        assert calls == [cfg]
+        assert report.metadata["config"] == canonical(cfg)
+        assert report.metadata["config_hash"] == config_hash(canonical(cfg))
+
+
+# Extreme values of the numeric flags. Counts between 4 and 2**48 are left
+# out: they are real work, not extremes (``--random 10**6`` draws a million
+# observables); from 2**48 up no list of that length can be allocated.
+_EXTREME_FLOATS = st.sampled_from([sys.float_info.max, -sys.float_info.max, 2e154, 5e-324, -0.0]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_EXTREME_INTS = (st.sampled_from([sys.maxsize, sys.maxsize + 1, 2**64, 10**30]) | st.integers(max_value=-1)
+                 | st.integers(0, 3) | st.integers(min_value=2**48))
+_EXTREME_FLAGS = {"M": _EXTREME_FLOATS, "tol": _EXTREME_FLOATS, "bound": _EXTREME_FLOATS, "R": _EXTREME_INTS,
+                  "random": _EXTREME_INTS, "seed": _EXTREME_INTS,
+                  "q": st.lists(_EXTREME_INTS, min_size=1, max_size=2).map(lambda q: ",".join(map(str, q)))}
+_EXTREME_FLAG_VALUES = st.sampled_from(sorted(_EXTREME_FLAGS)).flatmap(
+    lambda flag: st.tuples(st.just(flag), _EXTREME_FLAGS[flag]))
+
+
+class TestExtremeValues:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(list(RUNS)), N=st.sampled_from(["1", "2", "2,4"]), flag_value=_EXTREME_FLAG_VALUES)
+    @example(key="schrodinger --task counterexample", N="2", flag_value=("M", 2e154))
+    def test_main_exits_with_a_status_and_never_raises(self, tmp_path, key, N, flag_value):
+        flag, value = flag_value
+        experiment, _, task = key.partition(" --task ")
+        argv = [experiment, "--N", N, f"--{flag}={value}", "--out", str(tmp_path)]
+        if task:
+            argv += ["--task", task] + (["--obs", "block-constant"] if task == "partial-qe" else [])
+        assert main(argv) in (0, 1, 2)

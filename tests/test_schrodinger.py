@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +174,12 @@ class TestCounterexample:
     def test_overlapping_bands_rejected(self):
         with pytest.raises(ValueError, match="M > 4"):
             counterexample_mass_profile(4.0, 10)
+
+    def test_largest_mass_is_the_last_with_a_finite_square(self):
+        largest = math.sqrt(sys.float_info.max)
+        assert counterexample_mass_profile(largest, 2).mass_bound == 4.0 / (largest - 2) ** 2 > 0
+        with pytest.raises(ValueError, match="need M <="):
+            counterexample_mass_profile(math.nextafter(largest, math.inf), 2)
 
 
 class TestBoundaryPerturbation:
