@@ -10,8 +10,9 @@ well-behaved, which the partial equidistribution experiment measures.
 
 With zero boundaries and every period in {1, 2} the operator splits into
 ``N^d`` Floquet blocks of size ``prod(q)`` (:class:`FloquetBasis`); the
-experiments solve those. The dense operator and ``eigh`` serve periods of
-three or more, wraparound boundaries, and the tests as the oracle.
+experiments solve those, blocks of one or two sites in closed form and larger
+ones with a batched ``eigh``. The dense operator and ``eigh`` serve periods
+of three or more, wraparound boundaries, and the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -192,14 +193,18 @@ class FloquetBasis(SpectralData):
     class, and factors of different ``j`` are orthogonal on each class, so
     orthonormal ``c`` give an orthonormal eigenbasis.
 
-    One batched ``eigh`` solves all ``N^d`` blocks. Kept are the amplitudes
+    Blocks of one or two sites (``Q <= 2``, the staggered potential among
+    them) are solved in closed form, all ``k`` at once
+    (:meth:`_two_site_solve`); larger blocks by one batched ``eigh``. The
+    block size picks the solve. Kept are the amplitudes
     ``amplitudes[k, r, s]`` (k row-major over j, s the block eigenvector),
     the eigenvalues ``eigs`` (row-major in (k, s)), their stable ascending
     sort ``order`` and ``eigenvalues = eigs[order]``. The certificates
     ``residual`` and ``gram_error``, the worst ``||B c - c w||`` and
     ``|c^T c - I|`` over the block solves, are computed on first read from a
     rebuilt block stack, so a run that reports neither never pays for them
-    and the basis never holds the stack. ``vectors`` assembles the dense
+    and the basis never holds the stack; they check the closed form as
+    they check ``eigh``. ``vectors`` assembles the dense
     eigenvectors on first read.
 
     Inside a degenerate eigenspace this is one choice of basis, the Floquet
@@ -216,10 +221,18 @@ class FloquetBasis(SpectralData):
         if any(c not in (1, 2) for c in q):
             raise UnsupportedPeriodError(f"Floquet blocks need periods in {{1, 2}}, got {q}")
         self.box = lattice_block(q, self.N)
-        w, self.amplitudes = np.linalg.eigh(self._blocks())
+        if self.potential.values.size <= 2:
+            w, self.amplitudes = self._two_site_solve()
+        else:
+            w, self.amplitudes = np.linalg.eigh(self._blocks())
         self.eigs = w.reshape(-1)
         self.order = np.argsort(self.eigs, kind="stable")
         self.eigenvalues = self.eigs[self.order]
+
+    def _hops(self) -> list[np.ndarray]:
+        """``2 cos(k_l)`` for each axis l, shaped to broadcast over the row-major k grid."""
+        d = self.potential.d
+        return [2.0 * np.cos(self._k(l)).reshape([self.N if m == l else 1 for m in range(d)]) for l in range(d)]
 
     def _blocks(self) -> np.ndarray:
         """The ``N^d`` blocks ``B(k)``, k row-major, as one ``(N^d, Q, Q)`` stack."""
@@ -229,11 +242,54 @@ class FloquetBasis(SpectralData):
         r = np.arange(Q)
         B[..., r, r] = self.potential.values.reshape(-1)
         stride = Q
-        for l, c in enumerate(q):
+        for c, hop in zip(q, self._hops()):
             stride //= c
-            hop = 2.0 * np.cos(self._k(l)).reshape([N if m == l else 1 for m in range(d)])
             B[..., r, r ^ (stride if c == 2 else 0)] += hop[..., None]
         return B.reshape(-1, Q, Q)
+
+    def _two_site_solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of the ``1 x 1`` or ``2 x 2`` blocks in closed form, laid out as ``eigh`` lays them out.
+
+        The block ``[[a, b], [b, c]]`` is read off the potential and the
+        cosines, with the diagonal summed in the order :meth:`_blocks` sums it.
+        Its eigenvalues are ``m -+ r``, ``m = (a + c)/2``, ``r = hypot((a - c)/2, b)``:
+        the one of larger magnitude is ``m + sign(m) r``, the other comes from
+        LAPACK ``dlaev2``'s quotient ``(acmx/rt1) acmn - (b/rt1) b``, so neither
+        cancels and no product of two entries can overflow. The eigenvector of
+        ``m + r`` is ``(|a - c|/2 + r, b)``, reversed if ``a < c``; the other
+        is its rotation by a right angle. A ``1 x 1`` block is its entry, with
+        amplitude 1.
+        """
+        grid = (self.N,) * self.potential.d
+        diag, b = list(self.potential.values.reshape(-1)), None
+        for c, hop in zip(self.potential.q, self._hops()):
+            if c == 1:
+                diag = [x + hop for x in diag]
+            else:
+                b = hop
+        if b is None:  # every axis has period 1, so the entry spans the grid
+            return diag[0].reshape(-1, 1), np.ones((diag[0].size, 1, 1))
+        # a and c vary along the period-1 axes only and b along the period-2 axis;
+        # the arithmetic broadcasts them over the grid.
+        a, c = diag
+        # Halves first: a + c and a - c may overflow where the eigenvalues do not.
+        half_a, half_c = 0.5 * a, 0.5 * c
+        h, m = half_a - half_c, half_a + half_c
+        r = np.hypot(h, b)  # > 0: b = 2 cos(k) with 0 < k < pi/2
+        big = m + np.copysign(r, m)
+        swap = np.abs(a) > np.abs(c)
+        small = (np.where(swap, a, c) / big) * np.where(swap, c, a) - (b / big) * b
+        w = np.empty(grid + (2,))
+        w[..., 0], w[..., 1] = np.minimum(small, big), np.maximum(small, big)
+        t = b / (np.abs(h) + r)  # |t| <= 1, and 0 where |h| + r overflows
+        cs = 1.0 / np.sqrt(1.0 + t * t)
+        sn = t * cs
+        up = h >= 0
+        u, v = np.where(up, cs, sn), np.where(up, sn, cs)  # (u, v): eigenvector of m + r
+        amplitudes = np.empty(grid + (2, 2))
+        amplitudes[..., 0, 0], amplitudes[..., 1, 0] = -v, u
+        amplitudes[..., 0, 1], amplitudes[..., 1, 1] = u, v
+        return w.reshape(-1, 2), amplitudes.reshape(-1, 2, 2)
 
     @cached_property
     def _certificates(self) -> tuple[float, float]:
@@ -296,6 +352,7 @@ class MassProfile:
     low_band_count: int
     high_band_count: int
     even_masses: np.ndarray  # per eigenfunction, ascending eigenvalue order
+    odd_masses: np.ndarray  # the same on odd sites, read apart: 1 - even_masses cancels in the high band
     mass_bound: float
     solve: FloquetBasis  # the block solve behind the profile
 
@@ -316,15 +373,22 @@ class MassProfile:
 
     @cached_property
     def max_low_even_mass(self) -> float:
-        return float(np.max(self.even_masses[: self.low_band_count]))
+        """Largest even-site mass in the low band; ``nan`` if its window caught no eigenvalue."""
+        return _max_or_nan(self.even_masses[: self.low_band_count])
 
     @cached_property
     def max_high_odd_mass(self) -> float:
-        return float(np.max(1.0 - self.even_masses[self.eigenvalues.size - self.high_band_count :]))
+        """Largest odd-site mass in the high band; ``nan`` if its window caught no eigenvalue."""
+        return _max_or_nan(self.odd_masses[self.eigenvalues.size - self.high_band_count :])
 
     @property
     def bound_holds(self) -> bool:
+        """Both band maxima within the bound; false if either is ``nan``."""
         return self.max_low_even_mass <= self.mass_bound and self.max_high_odd_mass <= self.mass_bound
+
+
+def _max_or_nan(masses: np.ndarray) -> float:
+    return float(np.max(masses)) if masses.size else math.nan
 
 
 def counterexample_mass_profile(M: float, N: int) -> MassProfile:
@@ -335,7 +399,8 @@ def counterexample_mass_profile(M: float, N: int) -> MassProfile:
     its mass on even sites, and high-band eigenfunctions at most that much
     on odd sites. The operator is solved as N Floquet blocks of size 2; an
     eigenfunction's even-site mass is ``|c[1]|^2`` (residue 1 holds the even
-    sites), so no ``2N x 2N`` matrix is built. ``M`` may be at most
+    sites) and its odd-site mass ``|c[0]|^2``, so no ``2N x 2N`` matrix is
+    built. ``M`` may be at most
     ``sqrt(DBL_MAX)`` (about 1.34e154), beyond which ``(M-2)^2`` overflows.
     """
     if M <= 4:
@@ -345,7 +410,7 @@ def counterexample_mass_profile(M: float, N: int) -> MassProfile:
                          f"would overflow, got {M!r}")
     fb = FloquetBasis(counterexample_potential(M), N)
     eigenvalues = fb.eigenvalues
-    even_masses = (fb.amplitudes[:, 1, :] ** 2).reshape(-1)[fb.order]
+    odd_masses, even_masses = (fb.amplitudes ** 2).swapaxes(0, 1).reshape(2, -1)[:, fb.order]
     low = int(np.count_nonzero((eigenvalues >= -2 - 1e-9) & (eigenvalues <= 2 + 1e-9)))
     high = int(np.count_nonzero((eigenvalues >= M - 2 - 1e-9) & (eigenvalues <= M + 2 + 1e-9)))
     return MassProfile(
@@ -353,6 +418,7 @@ def counterexample_mass_profile(M: float, N: int) -> MassProfile:
         low_band_count=low,
         high_band_count=high,
         even_masses=even_masses,
+        odd_masses=odd_masses,
         mass_bound=4.0 / (M - 2) ** 2,
         solve=fb,
     )
@@ -414,8 +480,10 @@ def partial_qe_experiment(
     above 2 are admitted only in exploratory mode, where nothing is asserted
     about the outcome.
 
-    Periods in {1, 2} use the Floquet block basis (:class:`FloquetBasis`);
-    longer periods use the dense operator and ``eigh``. Inside degenerate
+    Periods in {1, 2} use the Floquet block basis (:class:`FloquetBasis`),
+    solved in closed form when at most one period is 2 and by a batched
+    ``eigh`` of the blocks otherwise; longer periods use the dense operator
+    and ``eigh``. Inside degenerate
     eigenspaces the variance depends on the basis chosen there: it is taken
     over the Floquet modes, or over LAPACK's choice on the dense path. A
     basis-invariant replacement is still open.

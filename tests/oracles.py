@@ -18,6 +18,7 @@ import numpy as np
 
 from latticeqe.correspondence import _embedding_maps
 from latticeqe.lattice import LatticeBox, Wavefunction
+from latticeqe.schrodinger import FloquetBasis
 from latticeqe.spectra import ProductBasis, _add_neighbours
 
 
@@ -218,9 +219,10 @@ def infinite_chebyshev(n: int, N: int) -> np.ndarray:
 # -- Floquet certificates ----------------------------------------------------
 
 def eager_floquet_certificates(potential, N: int) -> tuple[float, float]:
-    """Residual and Gram error of the Floquet block solve, computed with the solve itself.
+    """Residual and Gram error of the Floquet block solve, computed right after the solve.
 
-    Builds the block stack, solves it with one batched ``eigh`` and takes the
+    Builds the block stack, takes the eigenpairs ``(w, amp)`` from a fresh
+    ``FloquetBasis``'s own solve (closed form or batched ``eigh``) and takes the
     worst ``||B c - c w||`` and ``|c^T c - I|`` in slices of ``2^14`` blocks,
     all in one pass as ``FloquetBasis`` construction once did.
     """
@@ -236,7 +238,8 @@ def eager_floquet_certificates(potential, N: int) -> tuple[float, float]:
         hop = 2.0 * np.cos(k).reshape([N if m == l else 1 for m in range(d)])
         B[..., r, r ^ (stride if c == 2 else 0)] += hop[..., None]
     B = B.reshape(-1, Q, Q)
-    w, amp = np.linalg.eigh(B)
+    solved = FloquetBasis(potential, N)
+    w, amp = solved.eigs.reshape(-1, Q), solved.amplitudes
     res, gram = [], []
     for s in range(0, len(B), 1 << 14):
         b, c, ws = B[s : s + (1 << 14)], amp[s : s + (1 << 14)], w[s : s + (1 << 14)]

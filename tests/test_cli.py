@@ -307,6 +307,18 @@ class TestOutputs:
         assert row["high_band_count"] == 10
         assert row["pass"] is True
 
+    def test_schrodinger_counterexample_empty_band_is_a_fail_row(self, tmp_path, monkeypatch):
+        from latticeqe import experiments
+
+        real = experiments.counterexample_mass_profile
+        monkeypatch.setattr(experiments, "counterexample_mass_profile",
+                            lambda M, N: dataclasses.replace(real(M, N), high_band_count=0))
+        argv = ["schrodinger", "--task", "counterexample", "--M", "50", "--N", "10"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        row = json.loads(read(tmp_path / "schrodinger.json"))["rows"][0]
+        assert row["high_band_count"] == 0 and row["pass"] is False
+        assert np.isnan(row["max_high_odd_mass"]) and row["max_low_even_mass"] <= row["mass_bound"]
+
     def test_bessel_builds_one_phase_matrix_per_side(self, tmp_path, monkeypatch):
         from latticeqe import experiments
 
@@ -457,8 +469,8 @@ class TestCertificatesUnread:
 
     @pytest.mark.parametrize("job, csv_digest, json_digest", [
         ("schrodinger --task counterexample --M 100 --N 10,20,300",
-         "f06ab20a9de2bb4ed11ba16e460b79611add80805dee470da3af1d41eda61333",
-         "3c1941d582bb9de2c8b5654318975e74e28ce45628bac4b9ebb8e0bb864d6c65"),
+         "858b8ddffbc6160c659d0f03a424d44c158abd01db9b5a57cfb8f501a547561b",
+         "5600881facfc5a17381a2245e53d1f9eee25d6e4861009fbb9600b4ec78ccbb2"),
         ("schrodinger --task partial-qe --M 100 --N 4,8,64 --obs block-constant",
          "85d9e75e33c5cd656c93816fd27717446805035911dfcfc172bcf94112b0b0cd",
          "ea357cbc2356d6c91b726db1549939aa782d964c7ecb1b746b7fd7edb455ca43"),

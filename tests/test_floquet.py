@@ -1,5 +1,7 @@
 """Floquet block eigenbasis of Dirichlet periodic Schrödinger operators: dense oracle and scale."""
 
+import math
+import sys
 import time
 import tracemalloc
 
@@ -136,6 +138,70 @@ class TestDenseOracle:
             FloquetBasis(PeriodicPotential((3,), [0.0, 1.0, 2.0]), 4)
         with pytest.raises(ValueError, match="at least 1"):
             FloquetBasis(counterexample_potential(10.0), 0)
+
+
+@st.composite
+def two_site_potentials(draw):
+    """Potentials with at most one period 2, so blocks of one or two sites, d = 1..3."""
+    d = draw(st.integers(1, 3))
+    q = [1] * d
+    if draw(st.booleans()):
+        q[draw(st.integers(0, d - 1))] = 2
+    # Zeros, signs, the counterexample's range [0, sqrt(DBL_MAX)], and magnitudes
+    # at which a product of two entries overflows while eigh stays finite.
+    value = st.one_of(
+        st.sampled_from((0.0, 1.0, -1.0, 1e300, -1e300)),
+        st.floats(-50.0, 50.0),
+        st.floats(0.0, math.sqrt(sys.float_info.max)),
+        st.floats(0.0, 1.7e308),
+    )
+    values = [draw(value) for _ in range(2 if 2 in q else 1)]
+    if draw(st.booleans()):
+        values = [values[0]] * len(values)  # equal diagonals
+    N = draw(st.integers(1, {1: 40, 2: 8, 3: 4}[d]))
+    return PeriodicPotential(tuple(q), values), N
+
+
+class TestTwoSiteSolve:
+    """The closed-form solve of blocks of one or two sites against per-block ``eigh`` of the same blocks.
+
+    Both solves are backward stable, so they agree to a few ``eps max|B|`` in
+    the eigenvalues and, by Davis-Kahan, to a few ``eps max|B| / gap`` in
+    ``|c|^2``, ``gap`` the block's eigenvalue gap capped at ``max|B|``: within
+    ``4e3 eps`` wherever the gap is at least ``1e-3 max|B|``. Blocks of one
+    site are ``eigh``'s bits.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=two_site_potentials())
+    def test_matches_per_block_eigh(self, case):
+        potential, N = case
+        fb = FloquetBasis(potential, N)
+        B = fb._blocks()
+        w, amp = np.linalg.eigh(B)
+        Q = B.shape[1]
+        if Q == 1:
+            assert fb.eigs.tobytes() == w.reshape(-1).tobytes()
+            assert fb.amplitudes.tobytes() == amp.tobytes()
+            return
+        eps, scale = np.finfo(float).eps, float(np.max(np.abs(B)))
+        fw, famp = fb.eigs.reshape(-1, Q), fb.amplitudes
+        assert np.max(np.abs(fw - w)) <= 4 * eps * scale
+        # The residual on blocks scaled by a power of two, so that no square in the norm overflows.
+        s = 2.0 ** -math.floor(math.log2(scale))
+        residual = np.max(np.linalg.norm((B * s) @ famp - famp * (fw * s)[:, None, :], axis=1)) / s
+        assert residual <= 4 * eps * scale
+        assert np.max(np.abs(np.swapaxes(famp, 1, 2) @ famp - np.eye(Q))) <= 4 * eps
+        gap = np.minimum(w[:, 1] - w[:, 0], scale)[:, None, None]
+        assert np.all(np.abs(famp**2 - amp**2) * gap <= 4 * eps * scale)
+
+    @pytest.mark.parametrize("q", [(2, 2), (2, 1, 2), (2, 2, 2)])
+    def test_larger_blocks_are_eighs_bits(self, q):
+        potential = PeriodicPotential(q, np.random.default_rng(len(q)).uniform(-50.0, 50.0, int(np.prod(q))))
+        fb = FloquetBasis(potential, 5)
+        w, amp = np.linalg.eigh(fb._blocks())
+        assert fb.eigs.tobytes() == w.reshape(-1).tobytes()
+        assert fb.amplitudes.tobytes() == amp.tobytes()
 
 
 def same_bits(x: float, y: float) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -170,6 +171,22 @@ class TestCounterexample:
             profile = counterexample_mass_profile(M, N)
             assert profile.bands_complete
             assert profile.bound_holds
+
+    @pytest.mark.parametrize("band", ["low_band_count", "high_band_count"])
+    def test_empty_band_window_fails_with_nan(self, band):
+        # A band window that catches no eigenvalue has no maximum: nan, and the bound fails.
+        profile = dataclasses.replace(counterexample_mass_profile(100.0, 4), **{band: 0})
+        empty, full = ((profile.max_low_even_mass, profile.max_high_odd_mass) if band == "low_band_count"
+                       else (profile.max_high_odd_mass, profile.max_low_even_mass))
+        assert math.isnan(empty) and full <= profile.mass_bound
+        assert not profile.bands_complete and not profile.bound_holds
+
+    def test_odd_mass_read_without_cancellation(self):
+        # 1 - |c[1]|^2 would read 0.0 for odd-site masses near 1e-308.
+        profile = counterexample_mass_profile(1.3e154, 2)
+        assert profile.bands_complete and profile.bound_holds
+        assert 0.0 < profile.max_high_odd_mass <= profile.mass_bound
+        np.testing.assert_allclose(profile.odd_masses + profile.even_masses, 1.0, rtol=4 * np.finfo(float).eps)
 
     def test_overlapping_bands_rejected(self):
         with pytest.raises(ValueError, match="M > 4"):
