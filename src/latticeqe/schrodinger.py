@@ -33,7 +33,6 @@ __all__ = [
     "PeriodicPotential",
     "load_potential",
     "lattice_block",
-    "TruncatedOperator",
     "build_operator",
     "EigenSolveResult",
     "eigensolve_symmetric",
@@ -113,46 +112,63 @@ def lattice_block(q, N: int) -> LatticeBox:
     return LatticeBox(tuple(int(c) * N for c in q))
 
 
-@dataclass(eq=False)
-class TruncatedOperator:
-    """Dense symmetric matrix of a truncated Schrödinger operator."""
-
-    box: LatticeBox
-    matrix: np.ndarray
-
-
-def build_operator(potential: PeriodicPotential, N: int, mode: str = "dirichlet") -> TruncatedOperator:
-    """Adjacency of the block plus the periodic diagonal potential."""
+def build_operator(potential: PeriodicPotential, N: int, mode: str = "dirichlet") -> np.ndarray:
+    """Dense matrix of the adjacency of ``lattice_block(potential.q, N)`` plus the periodic diagonal potential."""
     box = lattice_block(potential.q, N)
     H = adjacency_matrix(box, mode)
     H[np.diag_indices_from(H)] += potential.on_box(box)
-    return TruncatedOperator(box, H)
+    return H
 
 
-@dataclass(eq=False)
-class EigenSolveResult:
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    residual: float
-    gram_error: float
+def _block_certificates(B: np.ndarray, c: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """The worst ``||B c - c w||`` and ``|c^T c - I|`` over a stack of eigensolves, ``2^14`` blocks at a time.
 
-    def basis(self, box: LatticeBox) -> SpectralData:
-        """The solved eigenbasis on a box, with degeneracy classes."""
-        return SpectralData(box, self.eigenvalues, self.vectors)
+    ``B`` is an ``(n, Q, Q)`` stack, ``c`` its eigenvectors in columns and
+    ``w`` the ``(n, Q)`` eigenvalues; a dense solve is a stack of one. Each
+    residual array is scaled in place by ``2^-e``, ``max|R| < 2^e``, before
+    the norm squares it: a power of two scales exactly, so wherever no square
+    over- or underflows the norm has the unscaled norm's bits, and it stays
+    finite where entries of ``B`` pass ``sqrt(DBL_MAX)``.
+    """
+    Q = c.shape[1]
+    res, gram = [], []
+    for s in range(0, len(B), 1 << 14):
+        b, v, ws = B[s : s + (1 << 14)], c[s : s + (1 << 14)], w[s : s + (1 << 14)]
+        R = b @ v
+        R -= v * ws[:, None, :]
+        e = int(np.frexp(max(R.max(), -R.min()))[1])
+        np.ldexp(R, -e, out=R)
+        res.append(np.ldexp(np.max(np.linalg.norm(R, axis=1)), e))
+        del R  # before the Gram product: a dense solve would hold one more V x V array
+        gram.append(np.max(np.abs(np.swapaxes(v, 1, 2) @ v - np.eye(Q))))
+    return float(max(res)), float(max(gram))
 
 
-def eigensolve_symmetric(H: np.ndarray) -> EigenSolveResult:
-    """Full spectral decomposition of a real symmetric matrix.
+class EigenSolveResult(SpectralData):
+    """A numeric eigenbasis from the dense solve, with its certificates.
+
+    ``residual`` and ``gram_error`` are the worst ``||H v - v lambda||`` over
+    the eigenpairs and the worst ``|V^T V - I|``, computed with the solve.
+    """
+
+    def __init__(self, box: LatticeBox, eigenvalues, vectors, residual: float, gram_error: float):
+        super().__init__(box, eigenvalues, vectors)
+        self.residual, self.gram_error = residual, gram_error
+
+
+def eigensolve_symmetric(H: np.ndarray, box: LatticeBox) -> EigenSolveResult:
+    """Full spectral decomposition of a real symmetric matrix on a box, as an eigenbasis.
 
     Orthogonal reduction to tridiagonal form followed by implicitly shifted
-    iteration, via LAPACK. A matrix whose asymmetry exceeds ``1e-10`` times
-    ``max(1, max|H|)`` is refused. Eigenvalues come back ascending; each
-    eigenvector is normalized with its first significant component positive
-    so repeated runs are bitwise reproducible.
+    iteration, via LAPACK. A matrix that is not ``box.volume`` square, or
+    whose asymmetry exceeds ``1e-10`` times ``max(1, max|H|)``, is refused.
+    Eigenvalues come back ascending; each eigenvector is normalized with its
+    first significant component positive so repeated runs are bitwise
+    reproducible.
     """
     H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    if H.shape != (box.volume, box.volume):
+        raise ValueError(f"expected a {box.volume} x {box.volume} matrix for the box {box.sides}, got shape {H.shape}")
     scale = max(1.0, float(np.max(np.abs(H))))
     if np.max(np.abs(H - H.T)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
@@ -162,16 +178,15 @@ def eigensolve_symmetric(H: np.ndarray) -> EigenSolveResult:
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     mag = np.abs(vecs)
     lead = np.argmax(mag > 1e-12 * np.max(mag, axis=0), axis=0)
+    del mag  # one V x V array fewer while the certificates are taken
     flip = vecs[lead, np.arange(vecs.shape[1])] < 0
     vecs[:, flip] = -vecs[:, flip]
-    residual = float(np.max(np.linalg.norm(H @ vecs - vecs * eigs, axis=0))) if H.size else 0.0
-    gram_error = float(np.max(np.abs(vecs.T @ vecs - np.eye(H.shape[0]))))
-    return EigenSolveResult(eigs, vecs, residual, gram_error)
+    return EigenSolveResult(box, eigs, vecs, *_block_certificates(H[None], vecs[None], eigs[None]))
 
 
-def eigenbasis(op: TruncatedOperator) -> SpectralData:
-    """Numeric eigenbasis of a truncated operator with degeneracy classes."""
-    return eigensolve_symmetric(op.matrix).basis(op.box)
+def eigenbasis(potential: PeriodicPotential, N: int) -> EigenSolveResult:
+    """The dense solve of the zero-boundary operator on ``lattice_block(potential.q, N)``."""
+    return eigensolve_symmetric(build_operator(potential, N), lattice_block(potential.q, N))
 
 
 @dataclass(eq=False)
@@ -202,10 +217,11 @@ class FloquetBasis(SpectralData):
     sort ``order`` and ``eigenvalues = eigs[order]``. The certificates
     ``residual`` and ``gram_error``, the worst ``||B c - c w||`` and
     ``|c^T c - I|`` over the block solves, are computed on first read from a
-    rebuilt block stack, so a run that reports neither never pays for them
-    and the basis never holds the stack; they check the closed form as
-    they check ``eigh``. ``vectors`` assembles the dense
-    eigenvectors on first read.
+    rebuilt block stack by the routine that certifies the dense solve
+    (:func:`eigensolve_symmetric`), so a run that reports neither never pays
+    for them and the basis never holds the stack; they check the closed form
+    as they check ``eigh``. ``vectors`` assembles the dense eigenvectors on
+    first read.
 
     Inside a degenerate eigenspace this is one choice of basis, the Floquet
     modes; a quantity that depends on that choice, such as the quantum
@@ -281,11 +297,15 @@ class FloquetBasis(SpectralData):
         small = (np.where(swap, a, c) / big) * np.where(swap, c, a) - (b / big) * b
         w = np.empty(grid + (2,))
         w[..., 0], w[..., 1] = np.minimum(small, big), np.maximum(small, big)
+        del small, big  # each grid-sized temporary goes after its last use
         t = b / (np.abs(h) + r)  # |t| <= 1, and 0 where |h| + r overflows
+        del r
         cs = 1.0 / np.sqrt(1.0 + t * t)
         sn = t * cs
+        del t
         up = h >= 0
         u, v = np.where(up, cs, sn), np.where(up, sn, cs)  # (u, v): eigenvector of m + r
+        del cs, sn
         amplitudes = np.empty(grid + (2, 2))
         amplitudes[..., 0, 0], amplitudes[..., 1, 0] = -v, u
         amplitudes[..., 0, 1], amplitudes[..., 1, 1] = u, v
@@ -293,17 +313,8 @@ class FloquetBasis(SpectralData):
 
     @cached_property
     def _certificates(self) -> tuple[float, float]:
-        """The worst ``||B c - c w||`` and ``|c^T c - I|`` over the block solves, from a rebuilt stack."""
-        B, amp = self._blocks(), self.amplitudes
-        Q = amp.shape[1]
-        w = self.eigs.reshape(-1, Q)
-        # Slice by slice: full-size temporaries would triple the peak memory.
-        res, gram = [], []
-        for s in range(0, len(B), 1 << 14):
-            b, c, ws = B[s : s + (1 << 14)], amp[s : s + (1 << 14)], w[s : s + (1 << 14)]
-            res.append(np.max(np.linalg.norm(b @ c - c * ws[:, None, :], axis=1)))
-            gram.append(np.max(np.abs(np.swapaxes(c, 1, 2) @ c - np.eye(Q))))
-        return float(max(res)), float(max(gram))
+        """The block solves' certificates, from a rebuilt stack."""
+        return _block_certificates(self._blocks(), self.amplitudes, self.eigs.reshape(-1, self.amplitudes.shape[1]))
 
     @property
     def residual(self) -> float:
@@ -346,29 +357,22 @@ def counterexample_potential(M: float) -> PeriodicPotential:
 
 @dataclass(eq=False)
 class MassProfile:
-    """Band counts and sublattice masses for the staggered potential."""
+    """Band counts and sublattice masses for the staggered potential, with the basis they come from.
 
-    eigenvalues: np.ndarray
+    ``basis.eigenvalues`` is the spectrum, ascending; ``basis.residual`` and
+    ``basis.gram_error`` certify the block solves, computed on first read.
+    """
+
+    basis: FloquetBasis
     low_band_count: int
     high_band_count: int
     even_masses: np.ndarray  # per eigenfunction, ascending eigenvalue order
     odd_masses: np.ndarray  # the same on odd sites, read apart: 1 - even_masses cancels in the high band
     mass_bound: float
-    solve: FloquetBasis  # the block solve behind the profile
-
-    @property
-    def residual(self) -> float:
-        """Worst ``||B c - c w||`` over the Floquet block solves, computed on first read."""
-        return self.solve.residual
-
-    @property
-    def gram_error(self) -> float:
-        """Worst ``|c^T c - I|`` over the Floquet block solves, computed on first read."""
-        return self.solve.gram_error
 
     @property
     def bands_complete(self) -> bool:
-        total = self.eigenvalues.size
+        total = self.basis.n
         return self.low_band_count == total // 2 and self.high_band_count == total // 2
 
     @cached_property
@@ -379,7 +383,7 @@ class MassProfile:
     @cached_property
     def max_high_odd_mass(self) -> float:
         """Largest odd-site mass in the high band; ``nan`` if its window caught no eigenvalue."""
-        return _max_or_nan(self.odd_masses[self.eigenvalues.size - self.high_band_count :])
+        return _max_or_nan(self.odd_masses[self.basis.n - self.high_band_count :])
 
     @property
     def bound_holds(self) -> bool:
@@ -410,17 +414,16 @@ def counterexample_mass_profile(M: float, N: int) -> MassProfile:
                          f"would overflow, got {M!r}")
     fb = FloquetBasis(counterexample_potential(M), N)
     eigenvalues = fb.eigenvalues
-    odd_masses, even_masses = (fb.amplitudes ** 2).swapaxes(0, 1).reshape(2, -1)[:, fb.order]
+    odd_masses, even_masses = (np.square(fb.amplitudes[:, r, :].reshape(-1)[fb.order]) for r in (0, 1))
     low = int(np.count_nonzero((eigenvalues >= -2 - 1e-9) & (eigenvalues <= 2 + 1e-9)))
     high = int(np.count_nonzero((eigenvalues >= M - 2 - 1e-9) & (eigenvalues <= M + 2 + 1e-9)))
     return MassProfile(
-        eigenvalues=eigenvalues,
+        basis=fb,
         low_band_count=low,
         high_band_count=high,
         even_masses=even_masses,
         odd_masses=odd_masses,
         mass_bound=4.0 / (M - 2) ** 2,
-        solve=fb,
     )
 
 
@@ -450,17 +453,7 @@ class PartialQeResult:
     variance: float
     lc_deviation: float
     lc_checked: bool
-    solve: FloquetBasis | EigenSolveResult  # the solve behind the variance
-
-    @property
-    def residual(self) -> float:
-        """Worst eigenpair residual of the solve behind the variance."""
-        return self.solve.residual
-
-    @property
-    def gram_error(self) -> float:
-        """Worst deviation of the solve's Gram matrix from the identity."""
-        return self.solve.gram_error
+    basis: FloquetBasis | EigenSolveResult  # the eigenbasis behind the variance, with its residual and gram_error
 
 
 def partial_qe_experiment(
@@ -482,11 +475,13 @@ def partial_qe_experiment(
 
     Periods in {1, 2} use the Floquet block basis (:class:`FloquetBasis`),
     solved in closed form when at most one period is 2 and by a batched
-    ``eigh`` of the blocks otherwise; longer periods use the dense operator
-    and ``eigh``. Inside degenerate
-    eigenspaces the variance depends on the basis chosen there: it is taken
-    over the Floquet modes, or over LAPACK's choice on the dense path. A
-    basis-invariant replacement is still open.
+    ``eigh`` of the blocks otherwise; longer periods use the dense solve
+    (:func:`eigenbasis`). The result keeps that basis as ``basis``, and with
+    it the certificates ``basis.residual`` and ``basis.gram_error``, on the
+    Floquet path computed on first read. Inside degenerate eigenspaces the
+    variance depends on the basis chosen there: it is taken over the Floquet
+    modes, or over LAPACK's choice on the dense path. A basis-invariant
+    replacement is still open.
     """
     q = potential.q
     dense = any(c not in (1, 2) for c in q)
@@ -503,15 +498,10 @@ def partial_qe_experiment(
     checked = deviation <= tol
     if enforce_lc and not checked:
         raise LcViolationError(f"block-orbit sums differ by {deviation:.3e} (tolerance {tol:.3e})")
-    if dense:
-        solved = eigensolve_symmetric(build_operator(potential, N, "dirichlet").matrix)
-        basis = solved.basis(box)
-    else:
-        basis = solved = FloquetBasis(potential, N)
-    variance = quantum_variance(basis, centered(a))
+    basis = eigenbasis(potential, N) if dense else FloquetBasis(potential, N)
     return PartialQeResult(
-        variance=variance,
+        variance=quantum_variance(basis, centered(a)),
         lc_deviation=deviation,
         lc_checked=checked,
-        solve=solved,
+        basis=basis,
     )

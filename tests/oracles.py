@@ -216,7 +216,17 @@ def infinite_chebyshev(n: int, N: int) -> np.ndarray:
     return np.where(np.abs(x[:, None] - x[None, :]) == n, 0.5, 0.0)
 
 
-# -- Floquet certificates ----------------------------------------------------
+# -- certificates -------------------------------------------------------------
+
+def dense_certificates(H: np.ndarray, eigenvalues: np.ndarray, vectors: np.ndarray) -> tuple[float, float]:
+    """Residual and Gram error of a dense solve, as ``eigensolve_symmetric`` once took them on the matrix itself.
+
+    The squares in the norm overflow once entries pass about ``1e154``.
+    """
+    residual = float(np.max(np.linalg.norm(H @ vectors - vectors * eigenvalues, axis=0)))
+    gram_error = float(np.max(np.abs(vectors.T @ vectors - np.eye(H.shape[0]))))
+    return residual, gram_error
+
 
 def eager_floquet_certificates(potential, N: int) -> tuple[float, float]:
     """Residual and Gram error of the Floquet block solve, computed right after the solve.

@@ -249,14 +249,14 @@ def test_c13_eigensolver_quality():
     rng = np.random.default_rng(104)
     H = rng.normal(size=(200, 200))
     H = (H + H.T) / 2
-    result = eigensolve_symmetric(H)
+    result = eigensolve_symmetric(H, cube(200, 1))
     hs = float(np.sqrt(np.sum(H**2)))
     ok_random = result.residual <= 1e-10 * hs and result.gram_error <= 1e-10
 
     free = np.zeros((200, 200))
     ii = np.arange(199)
     free[ii, ii + 1] = free[ii + 1, ii] = 1.0
-    numeric = eigensolve_symmetric(free).eigenvalues
+    numeric = eigensolve_symmetric(free, cube(200, 1)).eigenvalues
     analytic = np.sort(2 * np.cos(np.arange(1, 201) * np.pi / 201))
     gap = float(np.max(np.abs(numeric - analytic)))
     report(

@@ -494,6 +494,36 @@ class TestCertificatesUnread:
             FloquetBasis(counterexample_potential(100.0), 2).residual
 
 
+class TestTracedDenseSolve:
+    """The benchmark tracer's ``schrodinger.eigensolve`` counter on the dense path, which no benchmark job takes."""
+
+    def test_counts_v_cubed_per_solve(self, tmp_path):
+        script = (
+            "import json, sys\n"
+            "import latticeqe, latticeqe.cli\n"
+            "from tracer import Tracer, layer_totals\n"
+            "tracer = Tracer()\n"
+            "tracer.install(latticeqe)\n"
+            "tracer.begin_pass()\n"
+            "code = latticeqe.cli.main(sys.argv[1:])\n"
+            "spans = tracer.end_pass()\n"
+            "print(json.dumps({'code': code, 'calls': layer_totals(spans)['schrodinger.eigensolve']['calls'],\n"
+            "                  'v3': [s.counts.get('v3') for s in spans if s.fn == 'eigensolve_symmetric']}))\n"
+        )
+        (tmp_path / "period3.json").write_text('{"q": [3], "values": [0.0, 1.0, 2.0]}\n', encoding="utf-8")
+        root = Path(__file__).resolve().parents[1]
+        path = [str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "schrodinger", "--task", "partial-qe", "--exploratory",
+             "--potential", str(tmp_path / "period3.json"), "--N", "2,3,5", "--obs", "block-constant",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        traced = json.loads(proc.stdout.splitlines()[-1])
+        assert traced == {"code": 0, "calls": 3, "v3": [(3 * N) ** 3 for N in (2, 3, 5)]}
+
+
 def _draw(box, *key) -> Observable:
     return Observable.diagonal(box, np.random.default_rng(list(key)).uniform(-1.0, 1.0, box.volume))
 

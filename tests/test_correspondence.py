@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from latticeqe.correspondence import _axis_maps, verify_correspondence, verify_correspondence_family
 from latticeqe.experiments import _spectral_inclusion_error
 from latticeqe.lattice import LatticeBox, Observable, Wavefunction, cube
-from latticeqe.schrodinger import PeriodicPotential, build_operator, eigenbasis, lattice_block
+from latticeqe.schrodinger import PeriodicPotential, eigenbasis, lattice_block
 from latticeqe.spectra import SpectralData, bloch_basis, dirichlet_eigenvalues, periodic_eigenvalues, sine_basis
 from latticeqe.time_average import expectations
 
@@ -126,7 +126,7 @@ class TestEmbedBlock:
         out = embed(psi)
         assert out.box.sides == tuple(2 * c * N + 2 for c in q)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
-        basis = eigenbasis(build_operator(PeriodicPotential(q, np.zeros(q)), N))
+        basis = eigenbasis(PeriodicPotential(q, np.zeros(q)), N)
         max_residual, gram_error = verify_correspondence_family(basis)
         assert max_residual <= 1e-12 and gram_error <= 1e-12
 

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeqe import schrodinger, spectra
-from latticeqe.lattice import Observable, UnsupportedPeriodError
+from latticeqe.lattice import LatticeBox, Observable, UnsupportedPeriodError
 from latticeqe.observables import block_constant, parity
 from latticeqe.schrodinger import (
+    EigenSolveResult,
     FloquetBasis,
     PeriodicPotential,
     build_operator,
@@ -27,7 +28,7 @@ from latticeqe.schrodinger import (
 from latticeqe.spectra import SpectralData
 from latticeqe.time_average import centered, expectations, quantum_variance
 
-from oracles import eager_floquet_certificates, indices_floquet_vectors
+from oracles import dense_certificates, eager_floquet_certificates, indices_floquet_vectors
 
 
 def scale_of(potential: PeriodicPotential) -> float:
@@ -59,9 +60,9 @@ class TestDenseOracle:
     def test_matches_dense_eigh(self, case, seed):
         potential, N = case
         scale = scale_of(potential)
-        H = build_operator(potential, N).matrix
-        dense = eigensolve_symmetric(H)
         basis = FloquetBasis(potential, N)
+        H = build_operator(potential, N)
+        dense = eigensolve_symmetric(H, basis.box)
         assert basis.residual <= 1e-12 * scale
         assert basis.gram_error <= 1e-12 * scale
         assert np.max(np.abs(basis.eigenvalues - dense.eigenvalues)) <= 1e-12 * scale
@@ -96,14 +97,13 @@ class TestDenseOracle:
     @pytest.mark.parametrize("M", [4.5, 10.0, 100.0])
     def test_counterexample_profile(self, M, N):
         profile = counterexample_mass_profile(M, N)
-        op = build_operator(counterexample_potential(M), N)
-        dense = eigensolve_symmetric(op.matrix)
-        even = np.arange(1, op.box.volume + 1) % 2 == 0
+        dense = eigenbasis(counterexample_potential(M), N)
+        even = np.arange(1, dense.n + 1) % 2 == 0
         even_masses = np.sum(dense.vectors[even, :] ** 2, axis=0)
-        np.testing.assert_allclose(profile.eigenvalues, dense.eigenvalues, rtol=1e-9, atol=1e-12 * M)
+        np.testing.assert_allclose(profile.basis.eigenvalues, dense.eigenvalues, rtol=1e-9, atol=1e-12 * M)
         np.testing.assert_allclose(profile.even_masses, even_masses, rtol=1e-9)
-        assert profile.residual <= 1e-12 * (M + 2)
-        assert profile.gram_error <= 1e-12 * (M + 2)
+        assert profile.basis.residual <= 1e-12 * (M + 2)
+        assert profile.basis.gram_error <= 1e-12 * (M + 2)
 
     def test_partial_qe_certificates_and_variance(self):
         potential = counterexample_potential(100.0)
@@ -111,9 +111,9 @@ class TestDenseOracle:
             box = lattice_block((2,), N)
             a = block_constant(box, (2,))
             result = partial_qe_experiment(potential, N, a)
-            assert result.residual <= 1e-12 * scale_of(potential)
-            assert result.gram_error <= 1e-12 * scale_of(potential)
-            oracle = quantum_variance(eigenbasis(build_operator(potential, N)), centered(a))
+            assert result.basis.residual <= 1e-12 * scale_of(potential)
+            assert result.basis.gram_error <= 1e-12 * scale_of(potential)
+            oracle = quantum_variance(eigenbasis(potential, N), centered(a))
             assert result.variance == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     def test_complex_diagonal_splits_into_parts(self):
@@ -203,6 +203,23 @@ class TestTwoSiteSolve:
         assert fb.eigs.tobytes() == w.reshape(-1).tobytes()
         assert fb.amplitudes.tobytes() == amp.tobytes()
 
+    @pytest.mark.parametrize("build", [
+        lambda N: FloquetBasis(counterexample_potential(100.0), N),
+        lambda N: counterexample_mass_profile(100.0, N),
+    ], ids=["solve", "mass-profile"])
+    def test_few_temporaries_beside_the_result(self, build):
+        # The peak beyond what the result keeps, in N-long float arrays: about 6 for
+        # the solve and 4 for the mass profile when every step made a new array.
+        N = 100_000
+        tracemalloc.start()
+        try:
+            result = build(N)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result is not None
+        assert peak - held < 2.5 * 8 * N  # two arrays, and half of one for small objects
+
 
 def same_bits(x: float, y: float) -> bool:
     return x.hex() == y.hex()
@@ -219,14 +236,36 @@ class TestCertificatesOnRead:
         fb = FloquetBasis(potential, N)
         assert same_bits(fb.residual, residual) and same_bits(fb.gram_error, gram_error)
         result = partial_qe_experiment(potential, N, block_constant(lattice_block(q, N), q))
-        assert isinstance(result.solve, FloquetBasis)
-        assert same_bits(result.residual, residual) and same_bits(result.gram_error, gram_error)
+        assert isinstance(result.basis, FloquetBasis)
+        assert same_bits(result.basis.residual, residual) and same_bits(result.basis.gram_error, gram_error)
 
     @pytest.mark.parametrize("N", [1, 50, 2**14 + 5])
     def test_mass_profile_equals_eager_loop(self, N):
         residual, gram_error = eager_floquet_certificates(counterexample_potential(100.0), N)
         profile = counterexample_mass_profile(100.0, N)
-        assert same_bits(profile.residual, residual) and same_bits(profile.gram_error, gram_error)
+        assert same_bits(profile.basis.residual, residual) and same_bits(profile.basis.gram_error, gram_error)
+
+    @pytest.mark.parametrize("q,N,exploratory", [((2,), 9, False), ((2, 2), 5, False), ((3,), 4, True), ((3,), 7, True)])
+    def test_results_keep_the_basis_behind_the_variance(self, q, N, exploratory):
+        rng = np.random.default_rng(sum(q) * 10 + N)
+        potential = PeriodicPotential(q, rng.uniform(-50.0, 50.0, int(np.prod(q))))
+        a = block_constant(lattice_block(q, N), q)
+        result = partial_qe_experiment(potential, N, a, exploratory=exploratory)
+        assert same_bits(quantum_variance(result.basis, centered(a)), result.variance)
+        if exploratory:  # the dense path
+            assert type(result.basis) is EigenSolveResult
+            expected = dense_certificates(build_operator(potential, N), result.basis.eigenvalues, result.basis.vectors)
+        else:
+            assert type(result.basis) is FloquetBasis
+            expected = eager_floquet_certificates(potential, N)
+        assert same_bits(result.basis.residual, expected[0]) and same_bits(result.basis.gram_error, expected[1])
+
+    @pytest.mark.parametrize("values", [[1e300, -1e300, 5e299, 2e299], [1.7e308, -1.7e308, 1e-300, 0.0]])
+    def test_finite_past_sqrt_dbl_max(self, values):
+        # The norm's squares overflow here unless the residual is scaled first.
+        fb = FloquetBasis(PeriodicPotential((2, 2), values), 8)
+        scale = float(np.max(np.abs(fb._blocks())))
+        assert fb.residual <= 1e-12 * scale and fb.gram_error <= 1e-12
 
     def test_fresh_basis_holds_no_block_stack(self):
         potential = PeriodicPotential((2, 2), [0.0, 100.0, 100.0, 0.0])
@@ -267,7 +306,7 @@ class TestScale:
         profile = counterexample_mass_profile(100.0, 10**5)
         elapsed = time.perf_counter() - start
         assert profile.bands_complete and profile.bound_holds
-        assert profile.residual <= 1e-12 * 102 and profile.gram_error <= 1e-12 * 102
+        assert profile.basis.residual <= 1e-12 * 102 and profile.basis.gram_error <= 1e-12 * 102
         assert elapsed <= 5.0
 
     @pytest.mark.parametrize("q,N", [((2, 2), 256), ((2, 2, 2), 32)])
@@ -280,8 +319,8 @@ class TestScale:
         elapsed = time.perf_counter() - start
         assert result.lc_checked
         assert 0.0 <= result.variance <= 1.0
-        assert result.residual <= 1e-12 * scale_of(potential)
-        assert result.gram_error <= 1e-12 * scale_of(potential)
+        assert result.basis.residual <= 1e-12 * scale_of(potential)
+        assert result.basis.gram_error <= 1e-12 * scale_of(potential)
         assert elapsed <= 5.0
 
 
@@ -290,9 +329,9 @@ class TestPathChoice:
         calls = []
         solve = schrodinger.eigensolve_symmetric
 
-        def spy(H):
-            calls.append(H.shape)
-            return solve(H)
+        def spy(H, box):
+            calls.append((H.shape, box.sides))
+            return solve(H, box)
 
         def refuse(*args, **kwargs):
             raise AssertionError("Floquet blocks used for period 3")
@@ -302,8 +341,8 @@ class TestPathChoice:
         potential = PeriodicPotential((3,), [0.0, 1.0, 2.0])
         result = partial_qe_experiment(potential, 4, block_constant(lattice_block((3,), 4), (3,)),
                                        exploratory=True)
-        assert calls == [(12, 12)]
-        assert result.residual <= 1e-12 * 4 and result.gram_error <= 1e-12 * 4
+        assert calls == [((12, 12), (12,))]
+        assert result.basis.residual <= 1e-12 * 4 and result.basis.gram_error <= 1e-12 * 4
 
     @pytest.mark.parametrize(
         "make, error",
@@ -344,6 +383,6 @@ class TestSignConvention:
             H = (H + H.T) / 2
         else:
             # staggered chain: degenerate-free but with vanishing leading components
-            H = build_operator(PeriodicPotential((2,), [0.0, float(seed % 7)]), n).matrix
+            H = build_operator(PeriodicPotential((2,), [0.0, float(seed % 7)]), n)
         _, raw = np.linalg.eigh(H)
-        assert np.array_equal(eigensolve_symmetric(H).vectors, old_sign_convention(raw))
+        assert np.array_equal(eigensolve_symmetric(H, LatticeBox((len(H),))).vectors, old_sign_convention(raw))

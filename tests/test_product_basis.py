@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticeqe import spectra
-from latticeqe.lattice import LatticeBox, Observable, cube
-from latticeqe.schrodinger import FloquetBasis, PeriodicPotential, build_operator, eigensolve_symmetric
+from latticeqe.lattice import Observable, cube
+from latticeqe.schrodinger import FloquetBasis, PeriodicPotential, eigenbasis
 from latticeqe.spectra import ProductBasis, SpectralData, bloch_basis, default_deg_tol, degeneracy_classes, sine_basis
 from latticeqe.time_average import expectations, hs_norm, quantum_variance, time_averaged_observable
 
@@ -227,8 +227,7 @@ class TestOneObjectPerBasis:
             SpectralData(pb.box, pb.eigenvalues, product=pb)
 
     @pytest.mark.parametrize("numeric", [
-        lambda: eigensolve_symmetric(build_operator(PeriodicPotential((2, 1), [0.0, 3.0]), 3).matrix).basis(
-            LatticeBox((6, 3))),
+        lambda: eigenbasis(PeriodicPotential((2, 1), [0.0, 3.0]), 3),
         lambda: dense_copy(bloch_basis(4, 2)),
     ], ids=["real", "complex"])
     @pytest.mark.parametrize("complex_values", [False, True])
@@ -262,7 +261,7 @@ class TestDerivedClasses:
     def test_floquet_and_dense_solve_derive_the_same_partition(self, N):
         potential = PeriodicPotential((2, 2), np.array([[0.0, 1.0], [1.0, 0.0]]))
         floquet = FloquetBasis(potential, N)
-        dense = eigensolve_symmetric(build_operator(potential, N).matrix).basis(floquet.box)
+        dense = eigenbasis(potential, N)
         for basis in (floquet, dense):
             assert basis.classes == degeneracy_classes(basis.eigenvalues, default_deg_tol(2))
         assert floquet.classes == dense.classes

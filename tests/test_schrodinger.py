@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,36 +23,36 @@ from latticeqe.schrodinger import (
     load_potential,
     partial_qe_experiment,
 )
-from latticeqe.spectra import adjacency_matrix, sine_basis
+from latticeqe.spectra import SpectralData, adjacency_matrix, sine_basis
 from latticeqe.time_average import centered, quantum_variance
 
-from oracles import indices_on_box
+from oracles import dense_certificates, indices_on_box
 
 
 class TestBuildOperator:
     def test_free_chain(self):
         V = PeriodicPotential((1,), [0.0])
-        H = build_operator(V, 3, "dirichlet").matrix
+        H = build_operator(V, 3, "dirichlet")
         expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
         assert np.array_equal(H, expected)
 
     def test_constant_shift(self):
         V0 = PeriodicPotential((1,), [0.0])
         Vc = PeriodicPotential((1,), [1.5])
-        e0 = np.linalg.eigvalsh(build_operator(V0, 5).matrix)
-        ec = np.linalg.eigvalsh(build_operator(Vc, 5).matrix)
+        e0 = np.linalg.eigvalsh(build_operator(V0, 5))
+        ec = np.linalg.eigvalsh(build_operator(Vc, 5))
         assert np.allclose(ec, e0 + 1.5)
 
     def test_two_periodic_diagonal(self):
         V = PeriodicPotential((2,), [7.0, 0.0])
-        H = build_operator(V, 2).matrix
+        H = build_operator(V, 2)
         assert np.allclose(np.diag(H), [7.0, 0.0, 7.0, 0.0])
 
     def test_2d_block_shape(self):
         V = PeriodicPotential((1, 2), [[0.0, 3.0]])
-        op = build_operator(V, 2)
-        assert op.box.sides == (2, 4)
-        assert np.allclose(np.diag(op.matrix).reshape(2, 4), [[0, 3, 0, 3], [0, 3, 0, 3]])
+        H = build_operator(V, 2)
+        assert H.shape == (8, 8) and lattice_block(V.q, 2).sides == (2, 4)
+        assert np.allclose(np.diag(H).reshape(2, 4), [[0, 3, 0, 3], [0, 3, 0, 3]])
 
     def test_potential_json_round_trip(self, tmp_path):
         V = PeriodicPotential((2, 1), [[1.0], [2.0]])
@@ -104,11 +105,11 @@ class TestPeriodicPotential:
 
 class TestEigensolve:
     def test_two_by_two(self):
-        result = eigensolve_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        result = eigensolve_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]), LatticeBox((2,)))
         assert np.allclose(result.eigenvalues, [-1.0, 1.0])
 
     def test_diagonal_input(self):
-        result = eigensolve_symmetric(np.diag([3.0, -1.0, 2.0]))
+        result = eigensolve_symmetric(np.diag([3.0, -1.0, 2.0]), LatticeBox((3,)))
         assert np.allclose(result.eigenvalues, [-1.0, 2.0, 3.0])
         assert np.allclose(np.abs(result.vectors), np.eye(3)[:, [1, 2, 0]])
 
@@ -116,7 +117,7 @@ class TestEigensolve:
         rng = np.random.default_rng(30)
         H = rng.normal(size=(50, 50))
         H = (H + H.T) / 2
-        result = eigensolve_symmetric(H)
+        result = eigensolve_symmetric(H, LatticeBox((5, 10)))
         hs = np.sqrt(np.sum(H**2))
         assert result.residual <= 1e-10 * hs
         assert result.gram_error <= 1e-10
@@ -125,8 +126,8 @@ class TestEigensolve:
         rng = np.random.default_rng(31)
         H = rng.normal(size=(12, 12))
         H = (H + H.T) / 2
-        r1 = eigensolve_symmetric(H)
-        r2 = eigensolve_symmetric(H.copy())
+        r1 = eigensolve_symmetric(H, LatticeBox((12,)))
+        r2 = eigensolve_symmetric(H.copy(), LatticeBox((12,)))
         assert np.array_equal(r1.vectors, r2.vectors)
         for j in range(12):
             col = r1.vectors[:, j]
@@ -135,12 +136,48 @@ class TestEigensolve:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            eigensolve_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            eigensolve_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), LatticeBox((2,)))
+
+    def test_rejects_a_box_of_another_volume(self):
+        with pytest.raises(ValueError, match="expected a 3 x 3 matrix"):
+            eigensolve_symmetric(np.eye(2), LatticeBox((3,)))
+        with pytest.raises(ValueError, match="expected a 4 x 4 matrix"):
+            eigensolve_symmetric(np.zeros((2, 8)), LatticeBox((2, 2)))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 129, 333])
+    def test_certificates_equal_the_dense_formula(self, n):
+        H = np.random.default_rng(n).normal(size=(n, n))
+        H = (H + H.T) / 2
+        result = eigensolve_symmetric(H, LatticeBox((n,)))
+        expected = dense_certificates(H, result.eigenvalues, result.vectors)
+        assert (result.residual, result.gram_error) == expected
+        assert all(type(x) is float for x in (result.residual, result.gram_error))
+
+    def test_certificates_finite_past_sqrt_dbl_max(self):
+        # The norm's squares overflow here unless the residual is scaled first: the dense formula reads inf.
+        H = np.random.default_rng(33).normal(size=(6, 6))
+        H = (H + H.T) * 1e200
+        result = eigensolve_symmetric(H, LatticeBox((6,)))
+        assert result.residual <= 1e-12 * np.max(np.abs(H))
+        assert result.gram_error <= 1e-12
+
+    def test_peak_memory_beside_the_matrix(self):
+        # The eigenvectors and at most three more V x V arrays at once; five when the
+        # residual array and the sign convention's |vectors| outlived their last use.
+        H = build_operator(PeriodicPotential((3,), [0.0, 1.0, 2.0]), 200)
+        box = lattice_block((3,), 200)
+        tracemalloc.start()
+        try:
+            eigensolve_symmetric(H, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.25 * H.nbytes
 
     def test_free_chain_matches_analytic(self):
         N = 200
         V = PeriodicPotential((1,), [0.0])
-        result = eigensolve_symmetric(build_operator(V, N).matrix)
+        result = eigenbasis(V, N)
         analytic = np.sort(2 * np.cos(np.arange(1, N + 1) * np.pi / (N + 1)))
         assert np.max(np.abs(result.eigenvalues - analytic)) <= 1e-10
 
@@ -149,7 +186,7 @@ class TestEigensolve:
         vals = rng.uniform(-3, 5, 2)
         V = PeriodicPotential((2,), vals)
         for mode in ("dirichlet", "periodic"):
-            eigs = eigensolve_symmetric(build_operator(V, 8, mode).matrix).eigenvalues
+            eigs = eigensolve_symmetric(build_operator(V, 8, mode), lattice_block(V.q, 8)).eigenvalues
             assert eigs[0] >= vals.min() - 2 - 1e-12
             assert eigs[-1] <= vals.max() + 2 + 1e-12
 
@@ -271,5 +308,6 @@ class TestPartialQe:
 
     def test_eigenbasis_classes(self):
         V = counterexample_potential(50.0)
-        basis = eigenbasis(build_operator(V, 4))
+        basis = eigenbasis(V, 4)
+        assert isinstance(basis, SpectralData) and basis.box == lattice_block(V.q, 4)
         assert sum(len(c) for c in basis.classes) == basis.n

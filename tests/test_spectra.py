@@ -293,7 +293,7 @@ def analytic_and_numeric_bases(draw):
     N = draw(st.integers(1, {1: 30, 2: 12, 3: 5}[d]))
     if kind == "eigh":
         box = cube(N, d)
-        return eigensolve_symmetric(adjacency_matrix(box, draw(st.sampled_from(["dirichlet", "periodic"])))).basis(box)
+        return eigensolve_symmetric(adjacency_matrix(box, draw(st.sampled_from(["dirichlet", "periodic"]))), box)
     return (sine_basis if kind == "sine" else bloch_basis)(N, d)
 
 
