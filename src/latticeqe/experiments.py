@@ -219,11 +219,7 @@ def _run_lemma_c1(cfg: ExperimentConfig):
     # per-axis lookup tables.
     signs = np.array([";".join(map(str, eps)) for eps in _sign_pairs(d)[1][: 2**d].tolist()], dtype=object)
     for N in cfg.n_values:
-        s, t, count = lemma_c1_bins(N, d)
-        # sorted((t, eps, eps')) order: t ascending is grid index ascending,
-        # and eps, eps' ascending is sign-pair index descending.
-        order = np.argsort(t * 4**d - s)
-        s, t, count = s[order], t[order], count[order]
+        s, t, count = lemma_c1_bins(N, d)  # in sorted((t, eps, eps')) order
         points, at = np.unique(t, return_inverse=True)
         axis = range(-2 * N, 2 * N + 1)
         theta = {tl: repr(tl / (N + 1)) for tl in axis}

@@ -10,9 +10,9 @@ conditions the eigenbasis consists of Bloch exponentials
 ``N^(-d/2) exp(2 pi i <k, x> / N)`` with eigenvalue
 ``sum_l 2 cos(2 pi k_l / N)``. This module provides both bases in factored
 form with dense vectors on request, the dense adjacency matrix and the
-in-place neighbour sum, tolerance-based degeneracy classes, and the exact
-enumeration of frequency pairs (k, m) that share an eigenvalue while their
-signed combination hits a prescribed frequency theta.
+in-place neighbour sum, tolerance-based degeneracy classes, the one
+enumerator of equal-eigenvalue pairs, and the exact count of the frequency
+pairs (k, m) among them whose signed combination hits a frequency theta.
 """
 
 from __future__ import annotations
@@ -329,50 +329,53 @@ def _sign_pairs(d: int):
     return np.repeat(E, len(E), axis=0), np.tile(E, (len(E), 1))
 
 
-def _equal_pairs(basis: ProductBasis):
-    """Every ordered pair of equal-eigenvalue frequencies of a sine basis, with its signed sums.
+def _equal_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair ``(u[p], v[p])`` of sorted positions in one class of ``SpectralData.labels``.
 
-    Returns ``(i, j, t)``. ``i[p], j[p]`` are row-major frequency indices of
-    the p-th pair: the basis's classes come in eigenvalue order, and inside
-    a class i runs over the members in eigenvalue order with j fastest.
-    ``t[p, s]`` is the row-major index of ``k.eps + m.eps' + 2N`` on the grid
-    ``[[0, 4N]]^d`` (the grid of ``time_average.fourier_coefficients``), for
-    the frequencies k, m of ``i[p], j[p]`` and the s-th sign pair of
-    :func:`_sign_pairs`.
+    The classes come in order; inside one, u runs over the members and v fastest.
     """
-    N, d = basis.N, basis.d
-    size = np.bincount(basis.labels)[basis.labels]  # class size at each sorted position
-    start = np.searchsorted(basis.labels, basis.labels)  # class start at each sorted position
+    size = np.bincount(labels)[labels]  # class size at each sorted position
+    start = np.searchsorted(labels, labels)  # class start at each sorted position
     u = np.repeat(np.arange(size.size), size)
     v = np.arange(u.size) + np.repeat(start - (np.cumsum(size) - size), size)
-    i, j = basis.order[u], basis.order[v]
+    return u, v
+
+
+def _signed_sums(N: int, d: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``t[p, s]``, the row-major index of ``k.eps + m.eps' + 2N`` on the grid ``[[0, 4N]]^d``.
+
+    k and m are the frequencies at the row-major indices ``i[p], j[p]`` of
+    the sine basis, and ``(eps, eps')`` the s-th sign pair of
+    :func:`_sign_pairs`; the grid is that of ``time_average.fourier_coefficients``.
+    """
     w = (4 * N + 1) ** np.arange(d - 1, -1, -1)  # row-major strides of the t grid
     Kw = (np.indices((N,) * d).reshape(d, -1).T + 1) * w  # frequency of each index, scaled by w
     eps, epp = _sign_pairs(d)
-    return i, j, Kw[i] @ eps.T + Kw[j] @ epp.T + 2 * N * w.sum()
+    return Kw[i] @ eps.T + Kw[j] @ epp.T + 2 * N * w.sum()
 
 
 def _grid_points(index: np.ndarray, N: int, d: int) -> list[tuple[int, ...]]:
-    """The points t of ``[[-2N, 2N]]^d`` at the row-major grid indices of :func:`_equal_pairs`."""
+    """The points t of ``[[-2N, 2N]]^d`` at the row-major grid indices of :func:`_signed_sums`."""
     t = np.stack(np.unravel_index(index, (4 * N + 1,) * d), axis=1) - 2 * N
     return list(map(tuple, t.tolist()))
 
 
 def lemma_c1_bins(N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pair counts of :func:`lemma_c1_counts` as arrays, in the same order.
+    """The pair counts of :func:`lemma_c1_counts` as arrays, in the same (sorted) order.
 
     Returns ``(s, t, count)``, one entry per nonempty bin: the sign-pair
     index ``s = e 2^d + e'``, where e and e' are the places of eps and eps'
     in ``itertools.product((1, -1), repeat=d)``; the row-major index of
     ``t + 2N`` on the grid ``[[0, 4N]]^d``; and the number of pairs.
     """
-    _, _, t = _equal_pairs(sine_basis(N, d))
-    grid = (4 * N + 1) ** d
-    key = (np.arange(4**d) * grid + t)[t != grid // 2]  # the grid's center is t = 0
-    key, first, count = np.unique(key, return_index=True, return_counts=True)
-    rank = np.argsort(first)
-    s, t = np.divmod(key[rank], grid)
-    return s, t, count[rank]
+    basis = sine_basis(N, d)
+    key = _signed_sums(N, d, *(basis.order[p] for p in _equal_pairs(basis.labels)))
+    key *= 4**d
+    key += np.arange(4**d - 1, -1, -1)  # sorted keys: t ascending, then s descending
+    key, count = np.unique(key, return_counts=True)
+    t, r = np.divmod(key, 4**d)
+    nonzero = t != (4 * N + 1) ** d // 2  # the grid's center is t = 0
+    return (4**d - 1 - r)[nonzero], t[nonzero], count[nonzero]
 
 
 def lemma_c1_counts(N: int, d: int) -> dict:
@@ -381,11 +384,11 @@ def lemma_c1_counts(N: int, d: int) -> dict:
     Takes all ordered frequency pairs (k, m) inside each degeneracy class
     of :func:`sine_basis` (the pairs with equal eigenvalues) from
     :func:`_equal_pairs`, the enumerator it shares with
-    ``time_average.theta_decompose``, and bins them by
-    ``t = k.eps + m.eps'`` for every sign choice, which covers every
-    admissible nonzero theta in one sweep. Returns a mapping
-    ``(t, eps, eps') -> count`` in order of first appearance in the sweep;
-    absent keys have count zero.
+    ``time_average.time_averaged_observable`` and ``theta_decompose``, and
+    bins them by ``t = k.eps + m.eps'`` for every sign choice, which covers
+    every admissible nonzero theta in one sweep. Returns a mapping
+    ``(t, eps, eps') -> count`` in sorted key order; absent keys have count
+    zero.
     """
     s, t, count = lemma_c1_bins(N, d)
     eps, epp = _sign_pairs(d)

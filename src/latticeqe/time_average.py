@@ -27,6 +27,7 @@ from .spectra import (
     _equal_pairs,
     _grid_points,
     _sign_pairs,
+    _signed_sums,
     sine_basis,
 )
 
@@ -93,37 +94,37 @@ def time_averaged_observable(basis: SpectralData, a: Observable) -> np.ndarray:
     Equals the sum over degeneracy classes of P a P with P the orthogonal
     projector onto the class. In the eigenbasis that is the center matrix
     C = V* a V with the entries between different classes set to zero, so
-    the average is V C V*. The classes are the basis's ``labels``.
+    the average is V C V*. C keeps the pairs ``spectra._equal_pairs`` finds
+    in the basis's ``labels``.
 
     On a sine or Bloch basis (a :class:`ProductBasis`) V is the d-fold
     tensor power of the 1-D factor F: C is formed axis by axis as in
-    :func:`center_matrix`, and V C V* as 2d products with F, one per axis,
-    each applied to C in place. Time is O(d N^(2d+1)); one V x V array is
-    alive, with scratch of about V^2/N entries, and the dense eigenvectors
-    are never built. Any other basis takes three dense products, O(V^3)
-    time, with at most four V x V arrays alive at once.
+    :func:`center_matrix`, rows and columns in frequency order, and V C V*
+    as 2d products with F, one per axis, each applied to C in place. Time
+    is O(d N^(2d+1)) and memory O(V^2 + pairs): one V x V array, scratch of
+    about V^2/N entries and the pairs, freed before the products. Any other
+    basis takes three dense products, O(V^3) time, with at most four V x V
+    arrays alive at once.
     """
     if a.box != basis.box:
         raise BoxMismatchError("observable and basis live on different boxes")
     diag = a.require_diagonal()
-    factored = isinstance(basis, ProductBasis)
-    n = basis.n
-    label = basis.labels
-    if factored:
-        label = np.empty_like(label)
-        label[basis.order] = basis.labels  # labels index sorted columns, the factored C is row-major
+    if isinstance(basis, ProductBasis):
         C = _product_center(basis, diag)
-    else:
-        V = basis.vectors
-        C = V.conj().T @ (diag[:, None] * V)
-    rows = max(1, _chunk_entries(C) // n)  # row blocks keep the boolean mask small
-    for r in range(0, n, rows):
-        own = label[r : r + rows, None]
-        C[r : r + rows][own != label] = 0
-    if factored:
+        _keep_only(C, *(basis.order[p] for p in _equal_pairs(basis.labels)))  # pairs in frequency order
         return _expand_product(basis, C)
+    V = basis.vectors
+    C = V.conj().T @ (diag[:, None] * V)
+    _keep_only(C, *_equal_pairs(basis.labels))
     C = V @ C  # rebinding frees the masked C before the last product
     return C @ V.conj().T
+
+
+def _keep_only(C: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """Zero every entry of C but those at ``(i[p], j[p])``, in place."""
+    kept = C[i, j]
+    C.fill(0)
+    C[i, j] = kept
 
 
 # Bytes of one block of in-place work on a V x V array: small enough to stay in cache
@@ -139,14 +140,19 @@ def _chunk_entries(C: np.ndarray) -> int:
 def _product_center(pb: ProductBasis, diag: np.ndarray) -> np.ndarray:
     """C = V* a V for V the tensor power of ``pb``, rows and columns in row-major frequency order.
 
-    Contracts one site axis at a time with ``P[x, k, m] = conj(F[x, k]) F[x, m]``,
-    F the 1-D factor, which leaves the axes in the order (k_1, m_1, ..., k_d, m_d).
-    They are permuted to (k_1, ..., k_d, m_1, ..., m_d) in place, a run of k_1
-    slabs at a time through scratch: each slab spans the same entries in
-    both orders.
+    At d = 1 this is the numeric basis's product F* (a F), F the 1-D factor.
+    For d >= 2 it contracts one site axis at a time with
+    ``P[x, k, m] = conj(F[x, k]) F[x, m]`` (at d = 1, P would hold N results),
+    which leaves the axes in the order (k_1, m_1, ..., k_d, m_d). They are
+    permuted to (k_1, ..., k_d, m_1, ..., m_d) in place, a run of k_1 slabs at
+    a time through scratch: each slab spans the same entries in both orders.
     """
     N, d = pb.N, pb.d
     F = pb.factor()
+    if d == 1:
+        aF = diag[:, None] * F
+        F = F.conj().T  # rebinding frees the factor before the product
+        return F @ aF
     P = F.conj()[:, :, None] * F[:, None, :]
     C = diag.reshape((N,) * d)
     for _ in range(d):
@@ -336,7 +342,7 @@ class ThetaDecomposition:
         return np.zeros((self.n, self.n), dtype=complex)
 
     def total_matrix(self) -> np.ndarray:
-        """The sum of the components, each position adding its entries in component order."""
+        """The sum of the components, each position adding its entries in component (grid) order."""
         out = np.zeros((self.n, self.n), dtype=complex)
         comps = self.components.values()
         if comps:
@@ -354,43 +360,36 @@ def theta_decompose(a: Observable) -> ThetaDecomposition:
     the terms by their frequency t = k.eps + m.eps' yields components that
     sum back to the masked center matrix. The zero component is exactly
     (N/(N+1))^d <a> Id. The pairs (inside the classes of
-    :func:`~latticeqe.spectra.sine_basis`) and their frequencies t come from
-    ``spectra._equal_pairs``, the enumerator shared with
-    :func:`~latticeqe.spectra.lemma_c1_counts`; each entry adds its terms in
-    sign-pair order, starting from zero.
+    :func:`~latticeqe.spectra.sine_basis`) come from ``spectra._equal_pairs``,
+    as for :func:`time_averaged_observable` and ``lemma_c1_counts``. The
+    components come in grid order of t, their entries in pair order; each
+    entry adds its terms in sign-pair order, starting from zero.
     """
     N, d = _require_cube(a)
     basis = sine_basis(N, d)
-    i, j, t = _equal_pairs(basis)
+    i, j = (basis.order[p] for p in _equal_pairs(basis.labels))
+    t = _signed_sums(N, d, i, j)
     eps, epp = _sign_pairs(d)
     coeffs = fourier_coefficients(a).reshape(-1)
     terms = coeffs[t] * (np.prod(-eps * epp, axis=1) / (2 * (N + 1)) ** d)
-    # Components in order of first appearance of t; inside one, one entry per pair.
-    t_grid, t_first, t_of = np.unique(t.reshape(-1), return_index=True, return_inverse=True)
-    by_first = np.argsort(t_first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    pair = np.repeat(np.arange(len(i)), len(eps))
-    entry, inverse = np.unique(rank[t_of] * len(i) + pair, return_inverse=True)
+    # one entry per (t, pair), t slowest
+    t *= len(i)
+    t += np.arange(len(i))[:, None]
+    entry, inverse = np.unique(t, return_inverse=True)
+    del t
     # bincount adds each entry's terms in sign-pair order, starting from zero
-    values = np.bincount(inverse, weights=terms.real.reshape(-1)).astype(complex)
-    values.imag = np.bincount(inverse, weights=terms.imag.reshape(-1))
+    values = np.bincount(inverse.reshape(-1), weights=terms.real.reshape(-1)).astype(complex)
+    values.imag = np.bincount(inverse.reshape(-1), weights=terms.imag.reshape(-1))
     component, pair = np.divmod(entry, len(i))
     bounds = [0, *(np.flatnonzero(np.diff(component)) + 1).tolist(), len(entry)]
     rows, cols = i[pair], j[pair]
     nnz = np.add.reduceat(values != 0, bounds[:-1]).tolist()
-    flat = t_grid[by_first]
-    components: dict[tuple[int, ...], ThetaComponent] = {}
-    ts = _grid_points(flat, N, d)
-    for tk, coeff, lo, hi, count in zip(ts, coeffs[flat].tolist(), bounds[:-1], bounds[1:], nnz):
-        components[tk] = ThetaComponent(
-            t=tk,
-            coefficient=coeff,
-            rows=rows[lo:hi],
-            cols=cols[lo:hi],
-            values=values[lo:hi],
-            nnz=count,
-        )
+    flat = component[bounds[:-1]]
+    components = {
+        tk: ThetaComponent(tk, coeff, rows[lo:hi], cols[lo:hi], values[lo:hi], count)
+        for tk, coeff, lo, hi, count in zip(_grid_points(flat, N, d), coeffs[flat].tolist(),
+                                            bounds[:-1], bounds[1:], nnz)
+    }
     return ThetaDecomposition(N, d, N**d, components)
 
 

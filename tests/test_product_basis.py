@@ -96,11 +96,14 @@ class TestFactoredTimeAverage:
         assert fast.dtype == dense.dtype
         assert np.max(np.abs(fast - dense)) <= 1e-12 * a.sup_norm
 
-    @pytest.mark.parametrize("d,N", [(2, 32), (3, 8)])
-    @pytest.mark.parametrize("complex_values", [False, True])
-    def test_one_volume_squared_buffer(self, d, N, complex_values):
-        # the average itself and scratch of a V^2/N share; a second V x V buffer would pass 2
-        basis = sine_basis(N, d)
+    @pytest.mark.parametrize("mode,d,N,complex_values",
+                             [("dirichlet", 2, 32, False), ("dirichlet", 2, 32, True),
+                              ("dirichlet", 3, 8, False), ("dirichlet", 3, 8, True),
+                              ("periodic", 3, 8, True)])  # Bloch classes are the largest
+    def test_one_volume_squared_buffer(self, mode, d, N, complex_values):
+        # the average itself, scratch of a V^2/N share and the pair arrays (1.15 V^2 for
+        # Bloch at d = 3, N = 8); a second V x V buffer would pass 2
+        basis = BASES[mode](N, d)
         a = random_diagonal(N, d, 4, complex_values)
         itemsize = np.dtype(complex if complex_values else float).itemsize
         assert peak_bytes(lambda: time_averaged_observable(basis, a)) <= 1.25 * N ** (2 * d) * itemsize

@@ -1,6 +1,7 @@
 """Class-masked time average, factored center matrix, shared pair enumerator and
 vectorized kernel matrices, each against the loop it replaced."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -14,10 +15,12 @@ from latticeqe.schrodinger import FloquetBasis, PeriodicPotential
 from latticeqe.spectra import (
     ProductBasis,
     SpectralData,
+    _equal_pairs,
     adjacency_matrix,
     bloch_basis,
     default_deg_tol,
     degeneracy_classes,
+    lemma_c1_bins,
     lemma_c1_counts,
     sine_basis,
     sine_matrix,
@@ -191,7 +194,7 @@ class TestCenterMatrix:
             assert freqs == dense_freqs and np.array_equal(eigs, dense_eigs)
             assert np.max(np.abs(C - S.T @ (a.diag()[:, None] * S))) <= 1e-12 * a.sup_norm
 
-    @pytest.mark.parametrize("d,Ns", [(1, [1, 2, 7, 40]), (2, [1, 2, 8, 11]), (3, [1, 2, 5])])
+    @pytest.mark.parametrize("d,Ns", [(2, [1, 2, 8, 11]), (3, [1, 2, 5])])
     @pytest.mark.parametrize("complex_values", [False, True])
     def test_bitwise_equal_to_axis_loop(self, d, Ns, complex_values):
         # the kernel shared with the factored time average, against the code it was lifted from
@@ -201,6 +204,29 @@ class TestCenterMatrix:
             C, oracle = center_matrix(a)[0], sine_axis_center_matrix(a)
             assert C.dtype == oracle.dtype and C.shape == oracle.shape
             assert C.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 40])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_one_axis_is_the_numeric_product(self, N, complex_values):
+        # at d = 1, V = F: the numeric basis's product bit for bit, the axis loop within rounding
+        a = random_diagonal(cube(N, 1), np.random.default_rng(N), complex_values)
+        F = sine_basis(N, 1).factor()
+        C = center_matrix(a)[0]
+        assert C.tobytes() == (F.T @ (a.diag()[:, None] * F)).tobytes()
+        assert np.max(np.abs(C - sine_axis_center_matrix(a))) <= 1e-12 * a.sup_norm
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_one_axis_peak_memory(self, complex_values):
+        # P[x, k, m] would hold N results; F, a F, the product and a complex cast of F fit in four
+        N = 300
+        a = random_diagonal(cube(N, 1), np.random.default_rng(7), complex_values)
+        basis = sine_basis(N, 1)
+        basis.labels  # cached outside the measured calls
+        result = N * N * np.dtype(complex if complex_values else float).itemsize
+        assert peak_bytes(lambda: center_matrix(a)) <= 4 * result
+        assert peak_bytes(lambda: time_averaged_observable(basis, a)) <= 4 * result
+        T = time_averaged_observable(basis, a)
+        assert np.max(np.abs(T - loop_time_average(basis, a))) <= 1e-12 * a.sup_norm
 
     @pytest.mark.parametrize("d,N", [(2, 24), (2, 32), (3, 8), (4, 5)])
     @pytest.mark.parametrize("complex_values", [False, True])
@@ -245,7 +271,7 @@ class TestPairEnumerator:
     def test_lemma_c1_counts_match_loop(self, d, N):
         new, old = lemma_c1_counts(N, d), loop_lemma_c1_counts(N, d)
         assert new == old
-        assert list(new) == list(old)
+        assert list(new) == sorted(old)
         for (t, eps, epp), count in new.items():
             assert all(type(c) is int for c in t + eps + epp) and type(count) is int
 
@@ -254,7 +280,7 @@ class TestPairEnumerator:
         rng = np.random.default_rng(N)
         a = Observable.diagonal(cube(N, d), rng.uniform(-1, 1, N**d))
         dec, old = theta_decompose(a), loop_theta_entries(a)
-        assert list(dec.components) == list(old)
+        assert list(dec.components) == sorted(old)
         for t, (coeff, entries) in old.items():
             comp = dec.components[t]
             assert comp.coefficient == coeff
@@ -285,6 +311,34 @@ class TestPairEnumerator:
             assert np.array_equal(bits(dec.component_matrix(comp.t)), bits(M))
         assert np.array_equal(bits(dec.total_matrix()), bits(total))
 
+    @pytest.mark.parametrize("d,N", PAIR_SIZES)
+    def test_lemma_c1_bins_strictly_increasing(self, d, N):
+        # the report reads the bins in this order and sorts nothing
+        s, t, count = lemma_c1_bins(N, d)
+        assert np.all(np.diff(t * 4**d - s) > 0)
+        assert np.all(count > 0) and not np.any(t == (4 * N + 1) ** d // 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["sine", "bloch", "numeric"]), dN=st.sampled_from(
+        [(1, n) for n in range(1, 30)] + [(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 6)]),
+        seed=st.integers(0, 2**32 - 1))
+    def test_equal_pairs_are_the_in_class_pairs(self, kind, dN, seed):
+        d, N = dN
+        if kind == "numeric":
+            basis = rotate_within_classes(numeric_basis(N, d), np.random.default_rng(seed))
+        else:
+            basis = (sine_basis if kind == "sine" else bloch_basis)(N, d)
+        u, v = _equal_pairs(basis.labels)
+        assert np.array_equal(basis.labels[u], basis.labels[v])
+        expected = [(x, y) for cls in basis.classes for x in cls for y in cls]
+        assert list(zip(u.tolist(), v.tolist())) == expected
+        sum_sq = sum(len(cls) ** 2 for cls in basis.classes)
+        if kind != "numeric":
+            mode = "dirichlet" if kind == "sine" else "periodic"
+            report = RUNS["degeneracy"][0](ExperimentConfig("degeneracy", d=d, n_values=(N,), mode=mode))
+            assert report["sum_sq_sizes"] == [sum_sq]
+        assert u.size == sum_sq
+
     @pytest.mark.parametrize("d,N", [(1, 2), (1, 9), (2, 4), (2, 7), (3, 2), (3, 3)])
     def test_lemma_c1_report_in_sorted_count_order(self, d, N):
         cfg = ExperimentConfig("lemma-c1", d=d, n_values=(N,))
@@ -298,6 +352,41 @@ class TestPairEnumerator:
         assert table["count"] == [count for _, count in expected]
         assert all(type(c) is int for c in table["count"])
         assert table["pass"] == [count <= 2 * N ** (d - 1) for _, count in expected]
+
+
+# -- library bits -------------------------------------------------------------
+
+def sha256(*arrays):
+    digest = hashlib.sha256()
+    for x in arrays:
+        digest.update(np.ascontiguousarray(x).tobytes())
+    return digest.hexdigest()
+
+
+# SHA-256 of outputs no report reads: the time average (sine with accidental classes,
+# Bloch with a complex diagonal, a dense eigh basis) and every theta component's
+# (t, rows, cols, values), in t order. Any change to their bits must be deliberate.
+LIBRARY_DIGESTS = {
+    ("sine", 11, 2, 0): "e30e072cb14a55567c555d9c232b44bdee0093f3aaa49f19ea914c8055ee0310",
+    ("bloch", 4, 3, 1): "949efdc209d74ad3d342ab594865bcf709dde57a29a79bf6331c88ca3651d8ed",
+    ("numeric", 6, 2, 2): "f5c1bafcfcb5b2aa66b46b7636806346adf3d474f5f3c4ebb18252247ca009ad",
+    ("theta", 9, 1, 3): "c1fd2f5b3bd6136e206f2933dbbe60d77461222103c98260bde5b4ce797e1e8f",
+    ("theta", 8, 2, 4): "309110a7d906c9c93a05cbd0dffd5422dbd77925e1a1cadf357a499415ffa03e",
+    ("theta", 4, 3, 5): "9a01c02072b7a00840fde65253f12bc92e243c0f0a5e01eb5a4b64ad4c295753",
+}
+
+
+@pytest.mark.parametrize("kind,N,d,seed", list(LIBRARY_DIGESTS))
+def test_library_digests(kind, N, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "theta":
+        dec = theta_decompose(random_diagonal(cube(N, d), rng, False))
+        comps = sorted(dec.components.items())
+        digest = sha256(*(x for t, c in comps for x in (np.array(t, dtype=np.int64), c.rows, c.cols, c.values)))
+    else:
+        basis = {"sine": sine_basis, "bloch": bloch_basis, "numeric": numeric_basis}[kind](N, d)
+        digest = sha256(time_averaged_observable(basis, random_diagonal(basis.box, rng, kind == "bloch")))
+    assert digest == LIBRARY_DIGESTS[kind, N, d, seed]
 
 
 # -- kernel matrices ----------------------------------------------------------
