@@ -10,9 +10,11 @@ well-behaved, which the partial equidistribution experiment measures.
 
 With zero boundaries and every period in {1, 2} the operator splits into
 ``N^d`` Floquet blocks of size ``prod(q)`` (:class:`FloquetBasis`); the
-experiments solve those, blocks of one or two sites in closed form and larger
-ones with a batched ``eigh``. The dense operator and ``eigh`` serve periods
-of three or more, wraparound boundaries, and the tests as the oracle.
+experiments solve those, in closed form as ``2 x 2`` Walsh pairs when the
+potential depends only on the parity of the residue (every potential with at
+most one period 2, and the staggered one in any dimension) and with a
+batched ``eigh`` otherwise. The dense operator and ``eigh`` serve periods of
+three or more, wraparound boundaries, and the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -189,6 +191,31 @@ def eigenbasis(potential: PeriodicPotential, N: int) -> EigenSolveResult:
     return eigensolve_symmetric(build_operator(potential, N), lattice_block(potential.q, N))
 
 
+@cache
+def _walsh_pairs(q: tuple[int, ...]) -> tuple[np.ndarray, list, np.ndarray]:
+    """The residue parities and Walsh signs of the pair solve for periods ``q`` in {1, 2}.
+
+    With ``Q = prod(q)`` residues and ``P = max(Q/2, 1)`` pairs: ``odd[r]``,
+    the parity of the number of bits set in residue ``r``; ``signs[l]``,
+    ``(-1)^(s_l)`` for each pair representative ``s < P`` on a period-2 axis
+    ``l``, shaped to broadcast over the pairs and the k grid, and ``None`` on
+    a period-1 axis; ``chi[r, j] = sqrt(2/Q) (-1)^(s.r)``
+    for the column ``j`` of pair ``s = j mod P``.
+    """
+    Q = math.prod(q)
+    P = max(Q // 2, 1)
+    signs, stride = [], Q
+    for c in q:
+        stride //= c
+        sign = np.array([-1.0 if s & stride else 1.0 for s in range(P)]).reshape((P,) + (1,) * len(q))
+        signs.append(sign if c == 2 else None)
+    odd = np.array([bin(r).count("1") % 2 for r in range(Q)])
+    chi = np.array([[math.sqrt(2.0 / Q) * (-1.0) ** bin(j % P & r).count("1") for j in range(2 * P)] for r in range(Q)])
+    for table in (odd, chi, *(x for x in signs if x is not None)):
+        table.flags.writeable = False  # every caller shares the cached tables
+    return odd, signs, chi
+
+
 @dataclass(eq=False)
 class FloquetBasis(SpectralData):
     """Eigenbasis of the zero-boundary operator ``A + V``, periods in {1, 2}, by blocks.
@@ -208,10 +235,12 @@ class FloquetBasis(SpectralData):
     class, and factors of different ``j`` are orthogonal on each class, so
     orthonormal ``c`` give an orthonormal eigenbasis.
 
-    Blocks of one or two sites (``Q <= 2``, the staggered potential among
-    them) are solved in closed form, all ``k`` at once
-    (:meth:`_two_site_solve`); larger blocks by one batched ``eigh``. The
-    block size picks the solve. Kept are the amplitudes
+    A parity potential, one whose values depend only on the parity of the
+    number of bits set in the residue (every potential with ``Q <= 2``, and
+    the staggered potential in any dimension), is solved in closed form, all
+    ``k`` and all ``Q/2`` Walsh pairs of each block at once
+    (:meth:`_pair_solve`); any other by one batched ``eigh``. Exact equality
+    of the values picks the solve. Kept are the amplitudes
     ``amplitudes[k, r, s]`` (k row-major over j, s the block eigenvector),
     the eigenvalues ``eigs`` (row-major in (k, s)), their stable ascending
     sort ``order`` and ``eigenvalues = eigs[order]``. The certificates
@@ -224,9 +253,9 @@ class FloquetBasis(SpectralData):
     first read.
 
     Inside a degenerate eigenspace this is one choice of basis, the Floquet
-    modes; a quantity that depends on that choice, such as the quantum
-    variance, is taken over this basis. A basis-invariant replacement is
-    still open.
+    modes, and for a parity potential the Walsh pairs inside each block; a
+    quantity that depends on that choice, such as the quantum variance, is
+    taken over this basis. A basis-invariant replacement is still open.
     """
 
     potential: PeriodicPotential
@@ -237,8 +266,9 @@ class FloquetBasis(SpectralData):
         if any(c not in (1, 2) for c in q):
             raise UnsupportedPeriodError(f"Floquet blocks need periods in {{1, 2}}, got {q}")
         self.box = lattice_block(q, self.N)
-        if self.potential.values.size <= 2:
-            w, self.amplitudes = self._two_site_solve()
+        values = self.potential.values.reshape(-1)
+        if (values == values[_walsh_pairs(q)[0]]).all():  # a parity potential
+            w, self.amplitudes = self._pair_solve()
         else:
             w, self.amplitudes = np.linalg.eigh(self._blocks())
         self.eigs = w.reshape(-1)
@@ -263,53 +293,98 @@ class FloquetBasis(SpectralData):
             B[..., r, r ^ (stride if c == 2 else 0)] += hop[..., None]
         return B.reshape(-1, Q, Q)
 
-    def _two_site_solve(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of the ``1 x 1`` or ``2 x 2`` blocks in closed form, laid out as ``eigh`` lays them out.
+    def _pair_solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of the blocks of a parity potential in closed form, laid out as ``eigh`` lays them out.
 
-        The block ``[[a, b], [b, c]]`` is read off the potential and the
-        cosines, with the diagonal summed in the order :meth:`_blocks` sums it.
+        With ``d'`` periods 2 the Walsh characters ``chi_s(r) = (-1)^(s.r)``
+        diagonalise the hops between residues: ``F_l chi_s = (-1)^(s_l) chi_s``,
+        so ``e_s = sum_l (-1)^(s_l) 2 cos(k_l)`` over the period-2 axes. A
+        potential that takes ``v_even`` on residues of even popcount and
+        ``v_odd`` on the others couples ``chi_s`` only with ``chi_(s XOR 1...1)``,
+        whose hop eigenvalue is ``-e_s``. In the frame of the even and odd
+        parts of ``chi_s`` each of the ``Q/2`` pairs, ``s`` with its first
+        period-2 bit clear, is the ``2 x 2`` block ``[[a, b], [b, c]]`` with
+        ``a = v_even + h``, ``c = v_odd + h``, ``b = e_s`` and ``h`` the hops
+        of the period-1 axes, summed in the order :meth:`_blocks` sums them.
+
         Its eigenvalues are ``m -+ r``, ``m = (a + c)/2``, ``r = hypot((a - c)/2, b)``:
         the one of larger magnitude is ``m + sign(m) r``, the other comes from
         LAPACK ``dlaev2``'s quotient ``(acmx/rt1) acmn - (b/rt1) b``, so neither
         cancels and no product of two entries can overflow. The eigenvector of
         ``m + r`` is ``(|a - c|/2 + r, b)``, reversed if ``a < c``; the other
-        is its rotation by a right angle. A ``1 x 1`` block is its entry, with
-        amplitude 1.
+        is its rotation by a right angle. Where ``a = c`` and ``b = 0`` the
+        block is ``m`` times the identity, and so is its pair. Each pair
+        vector ``(x, y)`` becomes ``c[r] = sqrt(2/Q) chi_s(r) (x or y by the
+        parity of r)``; with one period 2 that is ``(x, y)`` itself. With more,
+        the ``Q`` eigenvalues of each block are sorted ascending and the
+        columns with them. A ``1 x 1`` block is its entry, with amplitude 1.
+        The blocks are solved a slab of the k grid's first axis at a time
+        (:meth:`_solve_slab`), about ``2^12`` blocks or one index of that
+        axis, so that no temporary grows with the grid.
         """
-        grid = (self.N,) * self.potential.d
-        diag, b = list(self.potential.values.reshape(-1)), None
-        for c, hop in zip(self.potential.q, self._hops()):
-            if c == 1:
+        N, d, hops = self.N, self.potential.d, self._hops()
+        Q = self.potential.values.size
+        if Q == 1:  # every axis has period 1, so the entry is the value plus each hop, spanning the grid
+            entry = self.potential.values.reshape(-1)[0]
+            for hop in hops:
+                entry = entry + hop
+            return entry.reshape(-1, 1), np.ones((entry.size, 1, 1))
+        w, amplitudes = np.empty((N**d, Q)), np.empty((N**d, Q, Q))
+        per = N ** (d - 1)  # blocks per index along the first axis
+        step = max(1, (1 << 12) // per)
+        for i in range(0, N, step):
+            rows = slice(i * per, min(i + step, N) * per)
+            self._solve_slab([hops[0][i : i + step], *hops[1:]], w[rows], amplitudes[rows])
+        return w, amplitudes
+
+    def _solve_slab(self, hops: list[np.ndarray], w: np.ndarray, amplitudes: np.ndarray) -> None:
+        """Solve the blocks of one slab into ``w`` and ``amplitudes``, as :meth:`_pair_solve` says.
+
+        ``hops`` are the slab's ``2 cos(k_l)`` per axis, each shaped to
+        broadcast over the slab's k grid.
+        """
+        odd, signs, chi = _walsh_pairs(self.potential.q)
+        P = len(odd) // 2
+        diag, b = list(self.potential.values.reshape(-1)[:2]), None
+        for sign, hop in zip(signs, hops):
+            if sign is None:
                 diag = [x + hop for x in diag]
-            else:
-                b = hop
-        if b is None:  # every axis has period 1, so the entry spans the grid
-            return diag[0].reshape(-1, 1), np.ones((diag[0].size, 1, 1))
-        # a and c vary along the period-1 axes only and b along the period-2 axis;
-        # the arithmetic broadcasts them over the grid.
+            else:  # every pair's first period-2 bit is clear, so the first such axis hops with +
+                b = hop if b is None else b + sign * hop  # (P, grid...) after the first
+        # a and c vary along the period-1 axes only and b along the pairs and the
+        # period-2 axes; the arithmetic broadcasts them over the pairs and the grid.
         a, c = diag
         # Halves first: a + c and a - c may overflow where the eigenvalues do not.
         half_a, half_c = 0.5 * a, 0.5 * c
         h, m = half_a - half_c, half_a + half_c
-        r = np.hypot(h, b)  # > 0: b = 2 cos(k) with 0 < k < pi/2
+        r = np.hypot(h, b)  # > 0 with one period 2: b = 2 cos(k) with 0 < k < pi/2
         big = m + np.copysign(r, m)
         swap = np.abs(a) > np.abs(c)
-        small = (np.where(swap, a, c) / big) * np.where(swap, c, a) - (b / big) * b
-        w = np.empty(grid + (2,))
-        w[..., 0], w[..., 1] = np.minimum(small, big), np.maximum(small, big)
-        del small, big  # each grid-sized temporary goes after its last use
-        t = b / (np.abs(h) + r)  # |t| <= 1, and 0 where |h| + r overflows
-        del r
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # 0/0 only where h = b = 0
+            small = (np.where(swap, a, c) / big) * np.where(swap, c, a) - (b / big) * b
+            t = b / (np.abs(h) + r)  # |t| <= 1, and 0 where |h| + r overflows
+        if P > 1 and not r.all():  # blocks m I: their pair is m, m with the identity
+            flat = r == 0
+            small[flat], t[flat] = big[flat], 0.0
+        pairs_w = w.T.reshape((2, P) + r.shape[-len(hops):])  # [m - r or m + r, pair, k...]
+        np.minimum(small, big, out=pairs_w[0])
+        np.maximum(small, big, out=pairs_w[1])
         cs = 1.0 / np.sqrt(1.0 + t * t)
         sn = t * cs
-        del t
         up = h >= 0
-        u, v = np.where(up, cs, sn), np.where(up, sn, cs)  # (u, v): eigenvector of m + r
-        del cs, sn
-        amplitudes = np.empty(grid + (2, 2))
-        amplitudes[..., 0, 0], amplitudes[..., 1, 0] = -v, u
-        amplitudes[..., 0, 1], amplitudes[..., 1, 1] = u, v
-        return w.reshape(-1, 2), amplitudes.reshape(-1, 2, 2)
+        u, v = np.where(up, cs, sn).reshape(P, -1).T, np.where(up, sn, cs).reshape(P, -1).T  # eigenvector of m + r
+        # [k, parity of the residue, column]: column j < P holds pair j's vector of
+        # m - r, (-v, u), and column P + j its vector of m + r
+        columns = amplitudes if P == 1 else np.empty((len(u), 2, 2 * P))
+        np.negative(v, out=columns[:, 0, :P])
+        columns[:, 0, P:] = columns[:, 1, :P] = u
+        columns[:, 1, P:] = v
+        if P == 1:  # the residue is its parity, chi = 1, and the pair's eigenvalues are ascending already
+            return
+        order = np.argsort(w, axis=1, kind="stable")
+        w.sort(axis=1, kind="stable")  # in place, the values take_along_axis(w, order) would give
+        columns = np.take_along_axis(columns, order[:, None, :], axis=2)
+        np.multiply(columns[:, odd, :], np.take(chi, order, axis=1).transpose(1, 0, 2), out=amplitudes)
 
     @cached_property
     def _certificates(self) -> tuple[float, float]:
@@ -474,13 +549,15 @@ def partial_qe_experiment(
     about the outcome.
 
     Periods in {1, 2} use the Floquet block basis (:class:`FloquetBasis`),
-    solved in closed form when at most one period is 2 and by a batched
+    solved in closed form when the values depend only on the residue's parity
+    (at most one period 2, or a staggered potential) and by a batched
     ``eigh`` of the blocks otherwise; longer periods use the dense solve
     (:func:`eigenbasis`). The result keeps that basis as ``basis``, and with
     it the certificates ``basis.residual`` and ``basis.gram_error``, on the
     Floquet path computed on first read. Inside degenerate eigenspaces the
     variance depends on the basis chosen there: it is taken over the Floquet
-    modes, or over LAPACK's choice on the dense path. A basis-invariant
+    modes (inside a block, the Walsh pairs of a parity potential or LAPACK's
+    choice), or over LAPACK's choice on the dense path. A basis-invariant
     replacement is still open.
     """
     q = potential.q

@@ -475,8 +475,8 @@ class TestCertificatesUnread:
          "85d9e75e33c5cd656c93816fd27717446805035911dfcfc172bcf94112b0b0cd",
          "ea357cbc2356d6c91b726db1549939aa782d964c7ecb1b746b7fd7edb455ca43"),
         ("schrodinger --task partial-qe --N 2,4,8 --obs block-constant --potential staggered_2d.json",
-         "81936a27b9dabb4a79979e87f85111e361861f7285c24ed7b509455375d09e28",
-         "21ca09bad5169fb984ab435d11388efcd8011420182b8ee49daecae904744f69"),
+         "0cd17c3261259d2b05462b60f43451392a4d795ad2eb53565772ecbca2c1e101",
+         "d248227aa01ccbebf9cd4f09945459d11cea45e446db6ea053fa66a01c33082a"),
     ], ids=["counterexample", "partial-qe", "partial-qe-staggered-2d"])
     def test_reports_keep_their_bytes(self, job, csv_digest, json_digest, tmp_path, monkeypatch):
         def refuse(self):
