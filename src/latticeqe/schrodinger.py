@@ -13,8 +13,9 @@ With zero boundaries and every period in {1, 2} the operator splits into
 experiments solve those, in closed form as ``2 x 2`` Walsh pairs when the
 potential depends only on the parity of the residue (every potential with at
 most one period 2, and the staggered one in any dimension) and with a
-batched ``eigh`` otherwise. The dense operator and ``eigh`` serve periods of
-three or more, wraparound boundaries, and the tests as the oracle.
+batched ``eigh`` otherwise, one slab of about ``2^12`` blocks at a time, and
+certify them over the same slabs. The dense operator and ``eigh`` serve
+periods of three or more, wraparound boundaries, and the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -123,27 +124,42 @@ def build_operator(potential: PeriodicPotential, N: int, mode: str = "dirichlet"
 
 
 def _block_certificates(B: np.ndarray, c: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """The worst ``||B c - c w||`` and ``|c^T c - I|`` over a stack of eigensolves, ``2^14`` blocks at a time.
+    """The worst ``||B c - c w||`` and ``|c^T c - I|`` over a stack of eigensolves.
 
     ``B`` is an ``(n, Q, Q)`` stack, ``c`` its eigenvectors in columns and
-    ``w`` the ``(n, Q)`` eigenvalues; a dense solve is a stack of one. Each
-    residual array is scaled in place by ``2^-e``, ``max|R| < 2^e``, before
-    the norm squares it: a power of two scales exactly, so wherever no square
-    over- or underflows the norm has the unscaled norm's bits, and it stays
-    finite where entries of ``B`` pass ``sqrt(DBL_MAX)``.
+    ``w`` the ``(n, Q)`` eigenvalues; a dense solve is a stack of one, and
+    :class:`FloquetBasis` passes one slab of blocks at a time. The residual
+    array is scaled in place by ``2^-e``, ``max|R| < 2^e``, before the norm
+    squares it: a power of two scales exactly, so wherever no square over- or
+    underflows the norm has the unscaled norm's bits, and it stays finite
+    where entries of ``B`` pass ``sqrt(DBL_MAX)``.
     """
-    Q = c.shape[1]
-    res, gram = [], []
-    for s in range(0, len(B), 1 << 14):
-        b, v, ws = B[s : s + (1 << 14)], c[s : s + (1 << 14)], w[s : s + (1 << 14)]
-        R = b @ v
-        R -= v * ws[:, None, :]
-        e = int(np.frexp(max(R.max(), -R.min()))[1])
-        np.ldexp(R, -e, out=R)
-        res.append(np.ldexp(np.max(np.linalg.norm(R, axis=1)), e))
-        del R  # before the Gram product: a dense solve would hold one more V x V array
-        gram.append(np.max(np.abs(np.swapaxes(v, 1, 2) @ v - np.eye(Q))))
-    return float(max(res)), float(max(gram))
+    # The Gram error first, so that a dense solve never holds its temporaries beside R.
+    gram = float(np.max(np.abs(np.swapaxes(c, 1, 2) @ c - np.eye(c.shape[1]))))
+    R = B @ c
+    R -= c * w[:, None, :]
+    e = int(np.frexp(max(R.max(), -R.min()))[1])
+    np.ldexp(R, -e, out=R)
+    return float(np.ldexp(np.max(np.linalg.norm(R, axis=1)), e)), gram
+
+
+def _eigh(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a symmetric matrix or stack, retried once on ``B`` scaled by a power of two.
+
+    LAPACK fails to converge on some blocks with entries near ``1e300`` that
+    it solves once scaled. The retry runs on ``2^-e B``, ``max|B| < 2^e``, and
+    scales the eigenvalues back exactly; wherever the first call converges,
+    its bits are returned. A stack that fails twice raises ``RuntimeError``.
+    """
+    try:
+        return np.linalg.eigh(B)
+    except np.linalg.LinAlgError:
+        e = int(np.frexp(max(B.max(), -B.min()))[1])
+    try:
+        w, v = np.linalg.eigh(np.ldexp(B, -e))
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+    return np.ldexp(w, e), v
 
 
 class EigenSolveResult(SpectralData):
@@ -174,10 +190,7 @@ def eigensolve_symmetric(H: np.ndarray, box: LatticeBox) -> EigenSolveResult:
     scale = max(1.0, float(np.max(np.abs(H))))
     if np.max(np.abs(H - H.T)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
-    try:
-        eigs, vecs = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+    eigs, vecs = _eigh(H)
     mag = np.abs(vecs)
     lead = np.argmax(mag > 1e-12 * np.max(mag, axis=0), axis=0)
     del mag  # one V x V array fewer while the certificates are taken
@@ -238,19 +251,20 @@ class FloquetBasis(SpectralData):
     A parity potential, one whose values depend only on the parity of the
     number of bits set in the residue (every potential with ``Q <= 2``, and
     the staggered potential in any dimension), is solved in closed form, all
-    ``k`` and all ``Q/2`` Walsh pairs of each block at once
-    (:meth:`_pair_solve`); any other by one batched ``eigh``. Exact equality
-    of the values picks the solve. Kept are the amplitudes
-    ``amplitudes[k, r, s]`` (k row-major over j, s the block eigenvector),
-    the eigenvalues ``eigs`` (row-major in (k, s)), their stable ascending
-    sort ``order`` and ``eigenvalues = eigs[order]``. The certificates
-    ``residual`` and ``gram_error``, the worst ``||B c - c w||`` and
-    ``|c^T c - I|`` over the block solves, are computed on first read from a
-    rebuilt block stack by the routine that certifies the dense solve
+    ``Q/2`` Walsh pairs of each block at once (:meth:`_solve_slab`); any
+    other by a batched ``eigh`` of the blocks. Exact equality of the values
+    picks the solve. Both run one slab of the k grid at a time
+    (:meth:`_slabs`), and no stack of all ``N^d`` blocks is ever built. Kept
+    are the amplitudes ``amplitudes[k, r, s]`` (k row-major over j, s the
+    block eigenvector), the eigenvalues ``eigs`` (row-major in (k, s)),
+    their stable ascending sort ``order`` and ``eigenvalues = eigs[order]``.
+    The certificates ``residual`` and ``gram_error``, the worst
+    ``||B c - c w||`` and ``|c^T c - I|`` over the block solves, are
+    computed on first read, over the same slabs with each slab's blocks
+    rebuilt, by the routine that certifies the dense solve
     (:func:`eigensolve_symmetric`), so a run that reports neither never pays
-    for them and the basis never holds the stack; they check the closed form
-    as they check ``eigh``. ``vectors`` assembles the dense eigenvectors on
-    first read.
+    for them; they check the closed form as they check ``eigh``. ``vectors``
+    assembles the dense eigenvectors on first read.
 
     Inside a degenerate eigenspace this is one choice of basis, the Floquet
     modes, and for a parity potential the Walsh pairs inside each block; a
@@ -267,35 +281,49 @@ class FloquetBasis(SpectralData):
             raise UnsupportedPeriodError(f"Floquet blocks need periods in {{1, 2}}, got {q}")
         self.box = lattice_block(q, self.N)
         values = self.potential.values.reshape(-1)
-        if (values == values[_walsh_pairs(q)[0]]).all():  # a parity potential
-            w, self.amplitudes = self._pair_solve()
-        else:
-            w, self.amplitudes = np.linalg.eigh(self._blocks())
+        parity = (values == values[_walsh_pairs(q)[0]]).all()
+        n, Q = self.N ** len(q), values.size
+        w, self.amplitudes = np.empty((n, Q)), np.empty((n, Q, Q))
+        for rows, hops in self._slabs():
+            if parity:
+                self._solve_slab(hops, w[rows], self.amplitudes[rows])
+            else:
+                w[rows], self.amplitudes[rows] = _eigh(self._blocks(hops))
         self.eigs = w.reshape(-1)
         self.order = np.argsort(self.eigs, kind="stable")
         self.eigenvalues = self.eigs[self.order]
 
-    def _hops(self) -> list[np.ndarray]:
-        """``2 cos(k_l)`` for each axis l, shaped to broadcast over the row-major k grid."""
-        d = self.potential.d
-        return [2.0 * np.cos(self._k(l)).reshape([self.N if m == l else 1 for m in range(d)]) for l in range(d)]
+    def _slabs(self):
+        """``(rows, hops)`` for each slab of the k grid: about ``2^12`` blocks, or one index of its first axis.
 
-    def _blocks(self) -> np.ndarray:
-        """The ``N^d`` blocks ``B(k)``, k row-major, as one ``(N^d, Q, Q)`` stack."""
-        q, N = self.potential.q, self.N
-        d, Q = len(q), self.potential.values.size
-        B = np.zeros((N,) * d + (Q, Q))
+        ``rows`` slices the row-major blocks of the slab and ``hops`` are its
+        ``2 cos(k_l)`` per axis l, each shaped to broadcast over the slab's k
+        grid, so that no temporary of a solve or a certificate grows with the
+        grid.
+        """
+        N, d = self.N, self.potential.d
+        hops = [2.0 * np.cos(self._k(l)).reshape([N if m == l else 1 for m in range(d)]) for l in range(d)]
+        per = N ** (d - 1)  # blocks per index along the first axis
+        step = max(1, (1 << 12) // per)
+        for i in range(0, N, step):
+            yield slice(i * per, min(i + step, N) * per), [hops[0][i : i + step], *hops[1:]]
+
+    def _blocks(self, hops: list[np.ndarray]) -> np.ndarray:
+        """The blocks ``B(k)`` of one slab (:meth:`_slabs`), k row-major, as an ``(n, Q, Q)`` stack."""
+        q, Q = self.potential.q, self.potential.values.size
+        B = np.zeros(np.broadcast_shapes(*(hop.shape for hop in hops)) + (Q, Q))
         r = np.arange(Q)
         B[..., r, r] = self.potential.values.reshape(-1)
         stride = Q
-        for c, hop in zip(q, self._hops()):
+        for c, hop in zip(q, hops):
             stride //= c
             B[..., r, r ^ (stride if c == 2 else 0)] += hop[..., None]
         return B.reshape(-1, Q, Q)
 
-    def _pair_solve(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of the blocks of a parity potential in closed form, laid out as ``eigh`` lays them out.
+    def _solve_slab(self, hops: list[np.ndarray], w: np.ndarray, amplitudes: np.ndarray) -> None:
+        """The closed-form solve of one slab of a parity potential, into ``w`` and ``amplitudes`` as ``eigh`` lays them.
 
+        ``hops`` are the slab's ``2 cos(k_l)`` per axis (:meth:`_slabs`).
         With ``d'`` periods 2 the Walsh characters ``chi_s(r) = (-1)^(s.r)``
         diagonalise the hops between residues: ``F_l chi_s = (-1)^(s_l) chi_s``,
         so ``e_s = sum_l (-1)^(s_l) 2 cos(k_l)`` over the period-2 axes. A
@@ -318,33 +346,12 @@ class FloquetBasis(SpectralData):
         parity of r)``; with one period 2 that is ``(x, y)`` itself. With more,
         the ``Q`` eigenvalues of each block are sorted ascending and the
         columns with them. A ``1 x 1`` block is its entry, with amplitude 1.
-        The blocks are solved a slab of the k grid's first axis at a time
-        (:meth:`_solve_slab`), about ``2^12`` blocks or one index of that
-        axis, so that no temporary grows with the grid.
-        """
-        N, d, hops = self.N, self.potential.d, self._hops()
-        Q = self.potential.values.size
-        if Q == 1:  # every axis has period 1, so the entry is the value plus each hop, spanning the grid
-            entry = self.potential.values.reshape(-1)[0]
-            for hop in hops:
-                entry = entry + hop
-            return entry.reshape(-1, 1), np.ones((entry.size, 1, 1))
-        w, amplitudes = np.empty((N**d, Q)), np.empty((N**d, Q, Q))
-        per = N ** (d - 1)  # blocks per index along the first axis
-        step = max(1, (1 << 12) // per)
-        for i in range(0, N, step):
-            rows = slice(i * per, min(i + step, N) * per)
-            self._solve_slab([hops[0][i : i + step], *hops[1:]], w[rows], amplitudes[rows])
-        return w, amplitudes
-
-    def _solve_slab(self, hops: list[np.ndarray], w: np.ndarray, amplitudes: np.ndarray) -> None:
-        """Solve the blocks of one slab into ``w`` and ``amplitudes``, as :meth:`_pair_solve` says.
-
-        ``hops`` are the slab's ``2 cos(k_l)`` per axis, each shaped to
-        broadcast over the slab's k grid.
         """
         odd, signs, chi = _walsh_pairs(self.potential.q)
         P = len(odd) // 2
+        if P == 0:  # every axis has period 1, so the entry is the value plus each hop, in axis order
+            w[:, 0], amplitudes[:] = sum(hops, self.potential.values.reshape(-1)[0]).reshape(-1), 1.0
+            return
         diag, b = list(self.potential.values.reshape(-1)[:2]), None
         for sign, hop in zip(signs, hops):
             if sign is None:
@@ -388,8 +395,10 @@ class FloquetBasis(SpectralData):
 
     @cached_property
     def _certificates(self) -> tuple[float, float]:
-        """The block solves' certificates, from a rebuilt stack."""
-        return _block_certificates(self._blocks(), self.amplitudes, self.eigs.reshape(-1, self.amplitudes.shape[1]))
+        """The block solves' certificates, the worst over slabs of each slab's rebuilt blocks."""
+        w, c = self.eigs.reshape(-1, self.amplitudes.shape[1]), self.amplitudes
+        res, gram = zip(*(_block_certificates(self._blocks(hops), c[rows], w[rows]) for rows, hops in self._slabs()))
+        return max(res), max(gram)
 
     @property
     def residual(self) -> float:
@@ -551,10 +560,11 @@ def partial_qe_experiment(
     Periods in {1, 2} use the Floquet block basis (:class:`FloquetBasis`),
     solved in closed form when the values depend only on the residue's parity
     (at most one period 2, or a staggered potential) and by a batched
-    ``eigh`` of the blocks otherwise; longer periods use the dense solve
-    (:func:`eigenbasis`). The result keeps that basis as ``basis``, and with
-    it the certificates ``basis.residual`` and ``basis.gram_error``, on the
-    Floquet path computed on first read. Inside degenerate eigenspaces the
+    ``eigh`` of the blocks otherwise, either one slab of blocks at a time;
+    longer periods use the dense solve (:func:`eigenbasis`). The result keeps
+    that basis as ``basis``, and with it the certificates ``basis.residual``
+    and ``basis.gram_error``, on the Floquet path computed on first read, a
+    slab at a time. Inside degenerate eigenspaces the
     variance depends on the basis chosen there: it is taken over the Floquet
     modes (inside a block, the Walsh pairs of a parity potential or LAPACK's
     choice), or over LAPACK's choice on the dense path. A basis-invariant

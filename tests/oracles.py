@@ -228,13 +228,12 @@ def dense_certificates(H: np.ndarray, eigenvalues: np.ndarray, vectors: np.ndarr
     return residual, gram_error
 
 
-def eager_floquet_certificates(potential, N: int) -> tuple[float, float]:
-    """Residual and Gram error of the Floquet block solve, computed right after the solve.
+def floquet_blocks(potential, N: int) -> np.ndarray:
+    """All ``N^d`` Floquet blocks ``B(k)`` of a potential with periods in {1, 2}, k row-major, as one stack.
 
-    Builds the block stack, takes the eigenpairs ``(w, amp)`` from a fresh
-    ``FloquetBasis``'s own solve (closed form or batched ``eigh``) and takes the
-    worst ``||B c - c w||`` and ``|c^T c - I|`` in slices of ``2^14`` blocks,
-    all in one pass as ``FloquetBasis`` construction once did.
+    ``B(k) = diag(values) + sum_l 2 cos(k_l) F_l``, ``F_l`` flipping residue
+    bit l on a period-2 axis and the identity on a period-1 axis, the hops
+    added axis by axis.
     """
     q = potential.q
     d, Q = len(q), potential.values.size
@@ -247,7 +246,20 @@ def eager_floquet_certificates(potential, N: int) -> tuple[float, float]:
         k = np.pi * np.arange(1, N + 1) / (c * N + 1)
         hop = 2.0 * np.cos(k).reshape([N if m == l else 1 for m in range(d)])
         B[..., r, r ^ (stride if c == 2 else 0)] += hop[..., None]
-    B = B.reshape(-1, Q, Q)
+    return B.reshape(-1, Q, Q)
+
+
+def eager_floquet_certificates(potential, N: int) -> tuple[float, float]:
+    """Residual and Gram error of the Floquet block solve, computed right after the solve.
+
+    Builds the whole block stack (:func:`floquet_blocks`), takes the
+    eigenpairs ``(w, amp)`` from a fresh ``FloquetBasis``'s own solve (closed
+    form or batched ``eigh``) and takes the worst ``||B c - c w||`` and
+    ``|c^T c - I|`` in slices of ``2^14`` blocks, all in one pass as
+    ``FloquetBasis`` construction once did.
+    """
+    Q = potential.values.size
+    B = floquet_blocks(potential, N)
     solved = FloquetBasis(potential, N)
     w, amp = solved.eigs.reshape(-1, Q), solved.amplitudes
     res, gram = [], []

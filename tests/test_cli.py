@@ -347,6 +347,18 @@ class TestOutputs:
         payload = json.loads(read(tmp_path / "schrodinger.json"))
         assert payload["rows"][0]["q"] == "2"
 
+    def test_partial_qe_where_unscaled_eigh_fails(self, tmp_path):
+        # A valid potential whose blocks LAPACK solves only scaled: a report, not a usage error.
+        pot = {"q": [2, 2, 2], "values": [0.0, 1e300, 1e300, 1.0, 1e300, 0.0, 0.0, 1e300]}
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(pot))
+        code = main(
+            ["schrodinger", "--task", "partial-qe", "--potential", str(path),
+             "--N", "2", "--obs", "block-constant", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert json.loads(read(tmp_path / "schrodinger.json"))["rows"][0]["q"] == "2;2;2"
+
     def test_exploratory_flag_allows_long_periods(self, tmp_path):
         pot = {"d": 1, "q": [3], "values": [0.0, 1.0, 2.0]}
         path = tmp_path / "pot.json"

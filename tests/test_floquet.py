@@ -28,7 +28,7 @@ from latticeqe.schrodinger import (
 from latticeqe.spectra import SpectralData
 from latticeqe.time_average import centered, expectations, quantum_variance
 
-from oracles import dense_certificates, eager_floquet_certificates, indices_floquet_vectors
+from oracles import dense_certificates, eager_floquet_certificates, floquet_blocks, indices_floquet_vectors
 
 
 def scale_of(potential: PeriodicPotential) -> float:
@@ -39,6 +39,10 @@ def scale_of(potential: PeriodicPotential) -> float:
 def dense_copy(basis: SpectralData) -> SpectralData:
     """The same basis without its factored form, so every contraction is dense."""
     return SpectralData(basis.box, basis.eigenvalues, basis.vectors)
+
+
+# A q = (2, 2, 2) potential that is not a parity potential, so eigh solves it.
+NON_PARITY_2_2_2 = [0.0, 100.0, 50.0, 0.0, 100.0, 0.0, 0.0, 25.0]
 
 
 @st.composite
@@ -194,7 +198,7 @@ class TestTwoSiteSolve:
     def test_matches_per_block_eigh(self, case):
         potential, N = case
         fb = FloquetBasis(potential, N)
-        B = fb._blocks()
+        B = floquet_blocks(potential, N)
         Q = B.shape[1]
         if Q == 1:
             w, amp = np.linalg.eigh(B)
@@ -235,16 +239,17 @@ class TestTwoSiteSolve:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         assert FloquetBasis(PeriodicPotential(q, parity_values(q, 0.0, 100.0)), 4).n == 4 ** len(q) * 2 ** q.count(2)
 
-    @pytest.mark.parametrize("q,values", [
-        ((2, 2), None), ((2, 1, 2), None), ((2, 2, 2), None),
-        ((2, 2), [0.0, 100.0, 100.0, 5e-324]),  # one ulp off the staggered potential
-    ], ids=["q0", "q1", "q2", "off-parity"])
-    def test_larger_blocks_are_eighs_bits(self, q, values):
+    @pytest.mark.parametrize("q,values,N", [
+        ((2, 2), None, 5), ((2, 1, 2), None, 5), ((2, 2, 2), None, 5),
+        ((2, 2), [0.0, 100.0, 100.0, 5e-324], 5),  # one ulp off the staggered potential
+        ((2, 2), None, 65),  # two slabs, 63 and 2 indices of the first axis
+    ], ids=["q0", "q1", "q2", "off-parity", "two-slabs"])
+    def test_larger_blocks_are_eighs_bits(self, q, values, N):
         if values is None:
             values = np.random.default_rng(len(q)).uniform(-50.0, 50.0, int(np.prod(q)))
         potential = PeriodicPotential(q, values)
-        fb = FloquetBasis(potential, 5)
-        w, amp = np.linalg.eigh(fb._blocks())
+        fb = FloquetBasis(potential, N)
+        w, amp = np.linalg.eigh(floquet_blocks(potential, N))
         assert fb.eigs.tobytes() == w.reshape(-1).tobytes()
         assert fb.amplitudes.tobytes() == amp.tobytes()
 
@@ -253,13 +258,15 @@ class TestTwoSiteSolve:
         (lambda: counterexample_mass_profile(100.0, 100_000), 2.5 * 8 * 100_000),
         (lambda: FloquetBasis(PeriodicPotential((2, 2, 2), parity_values((2, 2, 2), 0.0, 100.0)), 32),
          32**3 * 8 * 8 * 8 / 2),
-    ], ids=["solve", "mass-profile", "staggered-2-2-2"])
+        (lambda: FloquetBasis(PeriodicPotential((2, 2, 2), NON_PARITY_2_2_2), 32), 32**3 * 8 * 8 * 8 / 2),
+    ], ids=["solve", "mass-profile", "staggered-2-2-2", "eigh-2-2-2"])
     def test_few_temporaries_beside_the_result(self, build, spare):
         # The peak beyond what the result keeps. For N = 100000 blocks of two sites, in
         # N-long float arrays: about 6 for the solve and 4 for the mass profile when every
         # step made a new array; two are allowed, and half of one for small objects. For
-        # 32^3 blocks of eight sites, half the amplitudes: a stack of (n, Q, Q/2) pair
-        # vectors beside them would pass it.
+        # 32^3 blocks of eight sites, in 8 slabs, half the amplitudes: a stack of
+        # (n, Q, Q/2) pair vectors beside them would pass it, and so would the whole
+        # block stack that eigh solved before the slabs.
         tracemalloc.start()
         try:
             result = build()
@@ -277,7 +284,8 @@ def same_bits(x: float, y: float) -> bool:
 class TestCertificatesOnRead:
     """``residual`` and ``gram_error`` are computed on first read, equal to the eager loop bit for bit."""
 
-    @pytest.mark.parametrize("q,N", [((1,), 9), ((2,), 9), ((2, 2), 7), ((2, 1, 2), 4), ((2,), 2**14 + 5)])
+    @pytest.mark.parametrize("q,N", [((1,), 9), ((2,), 9), ((2, 2), 7), ((2, 1, 2), 4), ((2,), 2**14 + 5),
+                                     ((2, 2), 70)])  # the last: 4900 blocks by eigh, two slabs
     def test_equal_eager_loop(self, q, N):
         rng = np.random.default_rng(sum(q) * 100 + N)
         potential = PeriodicPotential(q, rng.uniform(-50.0, 50.0, int(np.prod(q))))
@@ -312,8 +320,9 @@ class TestCertificatesOnRead:
     @pytest.mark.parametrize("values", [[1e300, -1e300, 5e299, 2e299], [1.7e308, -1.7e308, 1e-300, 0.0]])
     def test_finite_past_sqrt_dbl_max(self, values):
         # The norm's squares overflow here unless the residual is scaled first.
-        fb = FloquetBasis(PeriodicPotential((2, 2), values), 8)
-        scale = float(np.max(np.abs(fb._blocks())))
+        potential = PeriodicPotential((2, 2), values)
+        fb = FloquetBasis(potential, 8)
+        scale = float(np.max(np.abs(floquet_blocks(potential, 8))))
         assert fb.residual <= 1e-12 * scale and fb.gram_error <= 1e-12
 
     def test_fresh_basis_holds_no_block_stack(self):
@@ -334,6 +343,70 @@ class TestCertificatesOnRead:
             fb.residual
             assert {name for name, value in vars(fb).items() if isinstance(value, np.ndarray)} == arrays
             assert all(type(value) is float for value in vars(fb)["_certificates"])
+
+    def test_first_read_few_temporaries(self):
+        # 32^3 blocks of eight sites in 8 slabs: the read peaks under half the amplitudes'
+        # bytes above what the basis holds. The whole block stack would be as large as them.
+        fb = FloquetBasis(PeriodicPotential((2, 2, 2), NON_PARITY_2_2_2), 32)
+        tracemalloc.start()
+        try:
+            fb.residual
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < fb.amplitudes.nbytes // 2
+
+    @pytest.mark.parametrize("q,values,N,solver", [
+        ((2, 2, 2), NON_PARITY_2_2_2, 32, "eigh"),  # 8 slabs of 4 indices of the first axis
+        ((2, 2), [0.0, 100.0, 50.0, 0.0], 70, "eigh"),  # 58 and 12 indices
+        ((2, 2, 2), parity_values((2, 2, 2), 0.0, 100.0), 70, "pairs"),  # 70 slabs of one index, 4900 blocks each
+    ], ids=["eigh", "eigh-two-slabs", "pairs-one-index"])
+    def test_every_block_computation_sees_one_slab(self, q, values, N, solver, monkeypatch):
+        # Every eigh of the build and every certificate call takes at most one slab's blocks.
+        seen = {"eigh": [], "certificates": []}
+        eigh, certificates = np.linalg.eigh, schrodinger._block_certificates
+
+        def eigh_spy(B):
+            seen["eigh"].append(len(B))
+            return eigh(B)
+
+        def certificates_spy(B, c, w):
+            seen["certificates"].append(len(B))
+            return certificates(B, c, w)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(schrodinger, "_block_certificates", certificates_spy)
+        FloquetBasis(PeriodicPotential(q, values), N).residual
+        slab = max(1 << 12, N ** (len(q) - 1))
+        assert (seen["eigh"] != []) == (solver == "eigh")
+        for sizes in seen.values():
+            assert sizes == [] or (len(sizes) > 1 and max(sizes) <= slab and sum(sizes) == N ** len(q))
+
+
+class TestEighRetry:
+    """A batched ``eigh`` that does not converge is retried once on the blocks scaled by a power of two."""
+
+    hard = PeriodicPotential((2, 2, 2), [0.0, 1e300, 1e300, 1.0, 1e300, 0.0, 0.0, 1e300])
+
+    def test_valid_potential_that_eigh_fails_on(self):
+        B = floquet_blocks(self.hard, 2)
+        with pytest.raises(np.linalg.LinAlgError):  # one block of the eight does not converge unscaled
+            np.linalg.eigh(B)
+        fb = FloquetBasis(self.hard, 2)
+        eps, scale = np.finfo(float).eps, float(np.max(np.abs(B)))
+        assert fb.residual <= 8 * eps * scale and fb.gram_error <= 16 * eps
+        dense = eigenbasis(self.hard, 2)  # LAPACK converges on the whole operator
+        assert np.max(np.abs(fb.eigenvalues - dense.eigenvalues)) <= 4 * 8 * eps * scale  # 4 Q eps max|B|, Q = 8
+
+    def test_twice_failing_is_runtime_error(self, monkeypatch):
+        def fail(B):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        for solve in (lambda: FloquetBasis(PeriodicPotential((2, 2), [0.0, 1.0, 2.0, 3.0]), 3),
+                      lambda: eigenbasis(PeriodicPotential((3,), [0.0, 1.0, 2.0]), 3)):
+            with pytest.raises(RuntimeError, match="did not converge"):
+                solve()
 
 
 @pytest.fixture
