@@ -1,8 +1,10 @@
 """Command-line driver: ``latticeqe <experiment> [flags]``.
 
 Flags may also come from a JSON config file (--config); explicit flags win.
-Exit status: 0 when every assertion row passes, 2 when at least one fails,
-1 on usage, configuration or allocation errors, or when the report cannot be written.
+Exit status: 0 when every assertion row passes, 2 when at least one fails or
+a numerical computation fails (an eigensolver that does not converge; no
+report is written then), 1 on usage, configuration or allocation errors, or
+when the report cannot be written.
 """
 
 from __future__ import annotations
@@ -110,6 +112,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and LcViolationError included
         print(f"latticeqe: error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # a numerical failure, such as an unconverged solve; no report is written yet
+        print(f"latticeqe: error: {args.experiment} failed: {exc}", file=sys.stderr)
+        return 2
     except MemoryError as exc:  # no report is written yet
         reason = str(exc) or "allocation failed"
         print(f"latticeqe: error: {args.experiment} ran out of memory: {reason}", file=sys.stderr)

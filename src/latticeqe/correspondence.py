@@ -30,12 +30,12 @@ def _axis_maps(n: int):
 
 
 def _embedding_maps(sides):
-    """Per-axis source indices and the scaled sign tensor of the extension."""
+    """The source site (flat, row-major) of every target site, and the scaled sign tensor of the extension."""
     idxs, sgns = zip(*(_axis_maps(n) for n in sides))
     sign = sgns[0]
     for s in sgns[1:]:
         sign = np.multiply.outer(sign, s)
-    return np.ix_(*idxs), 2.0 ** (-len(sides) / 2.0) * sign
+    return np.ravel_multi_index(np.ix_(*idxs), sides), 2.0 ** (-len(sides) / 2.0) * sign
 
 
 def verify_correspondence(psi: Wavefunction, lam: float) -> float:
@@ -58,34 +58,41 @@ _CHUNK = 16
 def verify_correspondence_family(basis: SpectralData):
     """Batch certification of an embedded orthonormal eigenfamily.
 
-    Embeds every basis column at once: one gather of the ``sides + (n,)``
-    block, scaled in place by the sign tensor. The residual is then built
-    in column chunks: the wraparound adjacency of the chunk as the in-place
-    neighbour sum, minus its eigenvalues times the chunk. Each column gets
-    the same floating-point operations as the embedding and neighbour sum
-    of that column alone would give it, and the embedded block is the only
-    block-sized array. Returns ``(max_residual, gram_error)``:
-    the largest eigen-residual norm over the columns, and the max-norm
-    deviation of the embedded family's Gram matrix from the identity.
+    Embeds every basis column at once: one gather of the source sites from
+    the transposed vectors into a C-contiguous ``(n,) + doubled sides``
+    block, columns first, scaled in place by the sign tensor. The residual
+    is then built in chunks of whole columns: the wraparound adjacency of
+    the chunk as the in-place neighbour sum over the trailing axes, minus
+    its eigenvalues times the chunk. Each column gets the same
+    floating-point operations as the embedding and neighbour sum of that
+    column alone would give it, and the embedded block is the only
+    block-sized array. A real column's squared norm is ``np.dot`` of its
+    contiguous row with itself, the ``ddot`` that ``np.linalg.norm`` runs,
+    with one ``sqrt`` at the maximum; a complex column keeps
+    ``np.linalg.norm``. Returns
+    ``(max_residual, gram_error)``: the largest eigen-residual norm over the
+    columns, and the max-norm deviation of the embedded family's Gram matrix
+    from the identity.
     """
     box, n = basis.box, basis.n
     vectors = basis.vectors
     if not np.all(np.isfinite(vectors)):
         raise ValueError("basis vectors must be finite")
-    index, sign = _embedding_maps(box.sides)
-    images = vectors.reshape(box.sides + (n,))[index]
-    images *= sign[..., None]
-    max_residual = 0.0
+    source, sign = _embedding_maps(box.sides)
+    images = np.take(np.ascontiguousarray(vectors.T), source.ravel(), axis=1).reshape((n,) + sign.shape)
+    images *= sign
+    max_residual = max_square = 0.0
     for c in range(0, n, _CHUNK):
-        cols = slice(c, c + _CHUNK)
-        chunk = images[..., cols]
+        chunk = images[c:c + _CHUNK]
         residual = np.zeros_like(chunk)
-        _add_neighbours(residual, chunk, box.d, "periodic")
-        residual -= basis.eigenvalues[cols] * chunk
-        # np.linalg.norm copies each strided column to a contiguous vector first,
-        # so every norm sums in the order of the one-column computation.
-        max_residual = max(max_residual, *map(np.linalg.norm, residual.reshape(-1, residual.shape[-1]).T))
-    E = images.reshape(-1, n)
-    gram = E.conj().T @ E
+        _add_neighbours(np.moveaxis(residual, 0, -1), np.moveaxis(chunk, 0, -1), box.d, "periodic")
+        residual -= basis.eigenvalues[c:c + _CHUNK].reshape((-1,) + (1,) * box.d) * chunk
+        rows = residual.reshape(len(chunk), -1)
+        if np.iscomplexobj(rows):
+            max_residual = max(max_residual, *map(np.linalg.norm, rows))
+        else:  # np.linalg.norm's ddot without its sqrt, which is monotone: one sqrt at the largest square
+            max_square = max(max_square, *map(np.dot, rows, rows))
+    E = images.reshape(n, -1)
+    gram = E.conj() @ E.T
     gram[np.diag_indices(n)] -= 1  # in place, the same subtraction as gram - eye(n)
-    return float(max_residual), float(np.max(np.abs(gram)))
+    return float(max(max_residual, np.sqrt(max_square))), float(np.max(np.abs(gram)))

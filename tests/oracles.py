@@ -147,8 +147,8 @@ def loop_axis_maps(n: int):
 
 def embed(psi: Wavefunction) -> Wavefunction:
     """The antisymmetric extension of one function, by the gather of the correspondence check."""
-    index, sign = _embedding_maps(psi.box.sides)
-    return Wavefunction.from_grid(doubled(psi.box), sign * psi.grid()[index])
+    source, sign = _embedding_maps(psi.box.sides)
+    return Wavefunction.from_grid(doubled(psi.box), sign * psi.values[source])
 
 
 def embed_by_reflections(psi: Wavefunction) -> Wavefunction:
@@ -194,6 +194,22 @@ def dense_shift_overlaps(S1: np.ndarray, z: int) -> np.ndarray:
     """<s_j, rho_z s_j> from the dense 1-D sine factor, summed along x in order."""
     N = len(S1)
     return np.sum(S1[: N - z] * S1[z:], axis=0)
+
+
+def slab_shift_overlaps(N: int, z: int, width: int = 512) -> np.ndarray:
+    """:func:`dense_shift_overlaps` of the sine factor, built a slab of columns at a time.
+
+    Each slab's entries come from the arithmetic of ``ProductBasis.factor``
+    and each column is summed along x in order, so the result has the dense
+    factor's bits without an ``N x N`` array. Slabs are near-equal and at
+    least two columns wide, as a one-column sum would be pairwise.
+    """
+    x = np.arange(1, N + 1)
+    slabs = np.array_split(np.arange(1, N + 1), -(-N // width))
+    return np.concatenate([
+        dense_shift_overlaps(np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(x, k) * np.pi / (N + 1)), z)
+        for k in slabs
+    ])
 
 
 def matmul_chebyshev_operator(n: int, N: int) -> np.ndarray:

@@ -359,6 +359,27 @@ class TestOutputs:
         assert code == 0
         assert json.loads(read(tmp_path / "schrodinger.json"))["rows"][0]["q"] == "2;2;2"
 
+    @pytest.mark.parametrize("pot, extra", [
+        ({"q": [2, 2, 2], "values": [0.0, 100.0, 50.0, 0.0, 100.0, 0.0, 0.0, 25.0]}, []),
+        ({"d": 1, "q": [3], "values": [0.0, 1.0, 2.0]}, ["--exploratory"]),
+    ], ids=["floquet", "dense-exploratory"])
+    def test_unconverged_solve_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch, pot, extra):
+        # eigh failing on the block stack and on its scaled retry: one error line, exit 2, no report
+        def refuse(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(pot))
+        out = tmp_path / "out"
+        code = main(["schrodinger", "--task", "partial-qe", "--potential", str(path),
+                     "--N", "4", "--obs", "block-constant", "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("latticeqe: error: schrodinger failed: eigensolver did not converge")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_exploratory_flag_allows_long_periods(self, tmp_path):
         pot = {"d": 1, "q": [3], "values": [0.0, 1.0, 2.0]}
         path = tmp_path / "pot.json"

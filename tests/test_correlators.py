@@ -1,10 +1,17 @@
+import csv
+import importlib.util
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from latticeqe import spectra
+from latticeqe.cli import main
 from latticeqe.correlators import (
     _BLOCK,
-    _shift_overlaps,
+    _closed_form_overlaps,
+    _offset_one_overlaps,
     _spherical_orders,
     chebyshev_operator,
     sine_shift_overlaps,
@@ -14,7 +21,34 @@ from latticeqe.correlators import (
 from latticeqe.lattice import cube
 from latticeqe.spectra import adjacency_matrix, sine_matrix
 
-from oracles import dense_shift_overlaps, infinite_chebyshev, matmul_chebyshev_operator, peak_bytes
+from oracles import dense_shift_overlaps, infinite_chebyshev, matmul_chebyshev_operator, peak_bytes, slab_shift_overlaps
+
+EPS = np.finfo(float).eps
+
+
+def closed_form_rounding_bound(N: int) -> float:
+    """Bound on |closed form - dense sum| at an offset z in [[2, N-1]] of [[1, N]].
+
+    Derived to first order in u = eps / 2, with K = N + 1, sigma^2 = 2 / K,
+    |fl(pi) - pi| <= 0.36 u pi, and sin and cos taken to be within 4 ulp, that
+    is 8 u of a value of at most 1:
+    - Dense sum. The angle fl(fl(x j pi) / K) is below N pi and carries a
+      relative 2.36 u, so it is off by under 7.42 N u. A factor entry
+      (sigma rounded 1.5 u, the product u) is then off by
+      sigma (7.42 N + 10.5) u, and a product of two by sigma^2 (14.84 N + 22) u.
+      There are M = N - z of them, M sigma^2 < 2, and the in-order sum adds
+      (M - 1) u M sigma^2 < 2 N u: in all under (31.68 N + 44) u.
+    - Closed form. Each angle is an integer below 2K times fl(pi / K), so it
+      is below 2 pi with a relative 2.36 u: cos(za) and sin((z+1)a) are off by
+      14.83 u + 8 u = 22.83 u. sin a is taken at an angle of at most pi/2, where
+      angle / sin <= pi/2, so it carries a relative 3.71 u + 8 u = 11.71 u, and
+      it is at least sin(pi/K) >= 2/K. Then (N - z) cos(za) is off by
+      23.83 (N - z) u, the quotient by 22.83 u K/2 + 12.71 (z + 1) u (it is at
+      most z + 1), the sum adds K u and the division by K adds u: with N - z
+      and z + 1 at most K, under 49.96 u after the division.
+    Together: (15.84 N + 22) eps + 24.98 eps <= (16 N + 47) eps.
+    """
+    return (16 * N + 47) * EPS
 
 
 class TestSpherical:
@@ -55,7 +89,13 @@ class TestSpherical:
         for N in n_values:
             S1, _, lam = sine_matrix(N, 1)
             for z in range(R + 1):
-                overlaps = dense_shift_overlaps(S1, z) if z else np.ones(N)
+                # dense for z = 1, bit for bit; the closed form for every larger offset
+                if z == 0:
+                    overlaps = np.ones(N)
+                elif z == 1:
+                    overlaps = dense_shift_overlaps(S1, 1)
+                else:
+                    overlaps = _closed_form_overlaps(N, z)
                 sph = np.array([spherical(l, z) for l in lam])
                 err = float(np.max(np.abs(overlaps - sph)))
                 expected.append({"N": N, "z": z, "max_err": err, "err_times_N": err * N})
@@ -118,11 +158,12 @@ class TestShiftOverlaps:
                 sine_shift_overlaps(N, 1), np.cos(j * np.pi / (N + 1)), atol=1e-12
             )
 
-    @pytest.mark.parametrize("N", sorted({2, 7, 50, 129, 257, 301, 385, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 1}))
+    @pytest.mark.parametrize("N", sorted({2, 3, 7, 50, 129, 257, 301, 385, _BLOCK + 1, 2 * _BLOCK + 1,
+                                          3 * _BLOCK + 1, 800, 1600, 3200}))
     def test_matches_dense_oracle_and_closed_form(self, N):
         # summing sin(ax) sin(a(x+z)) over [[1, N-z]], a = j pi/(N+1), gives
-        # ((N-z) cos(az) - sin((N-z)a) cos(a(N+1)) / sin a) / (N+1)
-        S = sine_matrix(N, 1)[0]
+        # ((N-z) cos(az) - sin((N-z)a) cos(a(N+1)) / sin a) / (N+1); z = 1 keeps
+        # the dense sum's bits, larger offsets are within its rounding bound
         a = np.arange(1, N + 1) * np.pi / (N + 1)
         for z in sorted({0, 1, 2, 3, N // 2, N - 1, N, N + 1}):
             overlaps = sine_shift_overlaps(N, z)
@@ -131,10 +172,15 @@ class TestShiftOverlaps:
             elif z >= N:
                 assert np.array_equal(overlaps, np.zeros(N))
             else:
-                assert np.array_equal(overlaps, np.sum(S[: N - z] * S[z:], axis=0))
-                closed = ((N - z) * np.cos(a * z)
-                          - np.sin((N - z) * a) * np.cos(a * (N + 1)) / np.sin(a)) / (N + 1)
-                assert np.max(np.abs(overlaps - closed)) <= 1e-13
+                dense = slab_shift_overlaps(N, z)
+                if z == 1:
+                    assert np.array_equal(overlaps, dense)
+                else:
+                    assert np.max(np.abs(overlaps - dense)) <= closed_form_rounding_bound(N), z
+                if N <= 385:
+                    closed = ((N - z) * np.cos(a * z)
+                              - np.sin((N - z) * a) * np.cos(a * (N + 1)) / np.sin(a)) / (N + 1)
+                    assert np.max(np.abs(overlaps - closed)) <= 1e-13
             assert np.array_equal(sine_shift_overlaps(N, -z), overlaps)
 
     def test_scan_rows_use_the_same_overlaps(self):
@@ -156,40 +202,26 @@ class TestShiftOverlaps:
                 assert overlaps[j] == pytest.approx(S[:, j] @ rho @ S[:, j], abs=1e-12)
 
 
-def kernel_offsets(N):
-    return sorted({z for z in (1, 2, 3, N // 2, N - 1) if 1 <= z < N})
-
-
-def offset_sets(N):
-    """Offset lists for the kernel at box size N: z = N - 1 has a single pair
-    per column, and the last list runs offsets past a block height, so the
-    halo spans several blocks."""
-    return [kernel_offsets(N), [1], [min(5, N - 1)], [N - 1], list(range(1, min(N - 1, 139) + 1))]
-
-
 class TestStreamedKernel:
     def test_matches_dense_oracle_bitwise_small_boxes(self):
         # every block height from 2 to _BLOCK, and N = _BLOCK + 1 and
         # 2 * _BLOCK + 1, where fixed-height blocks would leave a one-row tail
         for N in range(2, 301):
             S = sine_matrix(N, 1)[0]
-            for offsets in offset_sets(N):
-                for z, row in zip(offsets, _shift_overlaps(N, offsets)):
-                    assert np.array_equal(row, dense_shift_overlaps(S, z)), (N, z)
+            assert np.array_equal(_offset_one_overlaps(N), dense_shift_overlaps(S, 1)), N
 
     @pytest.mark.parametrize("N", [385, 400, 513, 800, 1025, 1600, 2000])
     def test_matches_dense_oracle_bitwise_scan_sizes(self, N):
         S = sine_matrix(N, 1)[0]
-        for offsets in offset_sets(N):
-            for z, row in zip(offsets, _shift_overlaps(N, offsets)):
-                assert np.array_equal(row, dense_shift_overlaps(S, z)), (z, len(offsets))
+        assert np.array_equal(_offset_one_overlaps(N), dense_shift_overlaps(S, 1))
 
     def test_no_offsets_evaluates_no_sine(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sine evaluated")
 
         monkeypatch.setattr(np, "sin", refuse)
-        assert _shift_overlaps(50, []).shape == (0, 50)
+        assert np.array_equal(sine_shift_overlaps(50, 0), np.ones(50))
+        assert np.array_equal(sine_shift_overlaps(50, 50), np.zeros(50))
         assert wucha_error_scan([10, 20], 0)[1]["max_err"] == 0.0
 
     def test_staircase_evaluates_half_the_factor(self, monkeypatch):
@@ -202,8 +234,13 @@ class TestStreamedKernel:
 
         monkeypatch.setattr(np, "sin", counting)
         N = 1600
-        _shift_overlaps(N, [1, 2, 3])
-        assert N * N / 2 < sum(evaluated) <= N * (N + _BLOCK) / 2
+        _offset_one_overlaps(N)
+        staircase = sum(evaluated)
+        assert N * N / 2 < staircase <= N * (N + _BLOCK) / 2
+        # R = 4 adds only the closed forms of z = 2, 3, 4: two sines of length N each
+        evaluated.clear()
+        wucha_error_scan([N], 4)
+        assert sum(evaluated) - staircase <= 2 * 3 * N
 
     def test_scan_peak_memory_without_dense_factor(self):
         # the dense 1600 x 1600 factor alone is 20 MB
@@ -267,3 +304,35 @@ class TestUniversalityScan:
             wucha_error_scan([5, 10], R=5)
         with pytest.raises(ValueError):
             wucha_error_scan([5, 10], R=-1)
+
+
+def bench_worker():
+    """The benchmark's worker module, loaded from its file (it is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("bench_worker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkReference:
+    @pytest.mark.parametrize("size", ["full", "smoke"])
+    def test_correlator_job_keeps_the_recorded_cells(self, tmp_path, size):
+        # the qe-dense correlator job as the benchmark runs it, against the report it
+        # records: the z = 0, 1 rows byte for byte (their rounding noise is compared at
+        # the absolute tolerance), every other cell within the benchmark's tolerance
+        worker = bench_worker()
+        jobs = [job for job in worker.make_jobs("qe-dense", size, 0, tmp_path / "inputs")
+                if job[0].startswith("correlator ")]
+        assert len(jobs) == 1
+        key, argv = jobs[0]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        text = (tmp_path / "correlator.csv").read_text(encoding="utf-8")
+        recorded = worker.load_reference()[size]["qe-dense"][key]["correlator.csv"]
+        header, *rows = list(csv.reader(io.StringIO(text)))
+        recorded_header, *recorded_rows = list(csv.reader(io.StringIO(recorded)))
+        assert header == recorded_header and len(rows) == len(recorded_rows)
+        for row, recorded_row in zip(rows, recorded_rows):
+            if row[header.index("z")] in ("0", "1"):
+                assert row == recorded_row
+        assert worker.check_reports({"correlator.csv": text.encode()}, {"correlator.csv": recorded})[0] == []
