@@ -272,15 +272,14 @@ def fourier_phases(N: int) -> np.ndarray:
     return np.exp(-1j * np.pi * np.outer(x, t) / (N + 1))
 
 
-def fourier_coefficients(a: Observable, phases: np.ndarray | None = None) -> np.ndarray:
+def fourier_coefficients(a: Observable) -> np.ndarray:
     """All coefficients e_theta . a on the grid t in [[-2N, 2N]]^d.
 
     Returns an array of shape (4N+1,)*d; entry at index (t_1+2N, ...) holds
-    the coefficient for theta = t/(N+1). Observables on one box may share
-    ``phases``, the matrix :func:`fourier_phases` gives for their side N.
+    the coefficient for theta = t/(N+1).
     """
     N, d = _require_cube(a)
-    P = fourier_phases(N) if phases is None else phases
+    P = fourier_phases(N)
     g = a.require_diagonal().reshape(a.box.sides).astype(complex)
     for _ in range(d):
         g = np.tensordot(g, P, axes=([0], [0]))
@@ -393,17 +392,41 @@ def theta_decompose(a: Observable) -> ThetaDecomposition:
     return ThetaDecomposition(N, d, N**d, components)
 
 
-def bessel_bound_check(a: Observable, phases: np.ndarray | None = None):
+def _bessel_kernel(N: int) -> np.ndarray:
+    """``M[x, y] = sum_t exp(-i pi (x - y) t/(N+1))`` over ``t`` in ``[[-2N, 2N]]``, for ``x, y`` in ``[[1, N]]``.
+
+    ``[[-2N, 2N]]`` is two periods ``2(N+1)`` of ``t`` less the three ``t``
+    congruent to ``-1, 0, 1``, and ``|x - y| <= N``, so
+    ``M = 4(N+1) I - (1 + 2 cos(pi (x - y)/(N+1)))``.
+    """
+    x = np.arange(1, N + 1)
+    M = -(1 + 2 * np.cos(np.pi * np.subtract.outer(x, x) / (N + 1)))
+    M[np.diag_indices(N)] += 4 * (N + 1)
+    return M
+
+
+def bessel_bound_check(a: Observable):
     """Summed squared Fourier overlaps against the 4^d class Bessel bound.
 
     Returns ``(lhs, rhs)`` where lhs sums |<e~_theta, a~>|^2 over the full
     frequency grid (with a~ the zero-padded normalized diagonal on
     [[0, N]]^d) and rhs = 4^d sup|a|^2. The bound holds when lhs <= rhs;
     the caller gives the verdict, so a violation is reported, not raised.
-    ``phases`` is passed on to :func:`fourier_coefficients`.
+
+    The sum is a quadratic form, taken without the grid: with g the
+    diagonal on the N^d sites, ``sum_t |e_t . a|^2 = <g, (M x ... x M) g>``
+    for the kernel ``M = 4(N+1) I - (1 + 2 cos(pi (x - y)/(N+1)))``, and
+    each overlap is the coefficient over (N+1)^d. ``M`` is applied one axis
+    at a time: time O(d N^(d+1)), memory a few N^d arrays and ``M``, where
+    :func:`fourier_coefficients` builds the (4N+1)^d complex grid. The two
+    agree to a few eps, relative.
     """
     N, d = _require_cube(a)
-    coeffs = fourier_coefficients(a, phases)
-    lhs = float(np.sum(np.abs(coeffs) ** 2) / (N + 1) ** (2 * d))
+    g = a.require_diagonal().reshape(a.box.sides)
+    M = _bessel_kernel(N)
+    h = g
+    for _ in range(d):
+        h = np.tensordot(h, M, axes=([0], [0]))  # site axis x_l -> (M g) axis, moved last
+    lhs = float(np.vdot(g, h).real / (N + 1) ** (2 * d))
     rhs = float(4**d * a.sup_norm**2)
     return lhs, rhs

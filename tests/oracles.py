@@ -11,12 +11,14 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from latticeqe.correspondence import _embedding_maps
+from latticeqe.correspondence import _embed, _embedding_maps, _residual_chunks
 from latticeqe.lattice import LatticeBox, Wavefunction
 from latticeqe.schrodinger import FloquetBasis
 from latticeqe.spectra import ProductBasis, _add_neighbours
@@ -186,6 +188,74 @@ def loop_correspondence_family(basis):
     gram = E.conj().T @ E
     gram_error = float(np.max(np.abs(gram - np.eye(basis.n))))
     return float(max(residuals)), gram_error
+
+
+def _exact(z) -> tuple[Fraction, Fraction]:
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _times(u, v) -> tuple[Fraction, Fraction]:
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def exact_product_certificates(pb: ProductBasis):
+    """The factored correspondence certificate's two squares, in exact rational arithmetic.
+
+    Takes the computed 1-D data of the factored check: the embedded factor
+    columns ``w_k`` (in the 1-D eigenvalue order), their computed ring
+    residuals ``r_k`` and their computed Gram matrix ``g1``. For every
+    frequency ``k`` it builds, entry by entry on the doubled box, the
+    embedded column ``W_k = w_(k_1) x ... x w_(k_d)`` and its residual
+    ``delta_k W_k + sum_l w x .. x r_(k_l) x .. x w``, ``delta_k`` the exact
+    defect ``sum_l lam1[k_l] - eigs[k]``. Returns ``(max_k ||R_k||^2, max
+    |(g1 x ... x g1) - I|^2, scale)`` as exact fractions, with ``scale``
+    (a float) the largest ``(|delta_k| prod ||w|| + sum_l ||r_(k_l)||
+    prod_(m != l) ||w||)^2``, the size of the terms that the composition
+    rounds against. Small boxes only: ``V (2N+2)^d`` entries and ``V^2``
+    Gram entries.
+    """
+    N, d = pb.N, pb.d
+    order = np.argsort(pb.lam1, kind="stable")
+    lam = pb.lam1[order]
+    W = _embed(pb.factor()[:, order], (N,))
+    r = np.concatenate([rows for _, rows in _residual_chunks(W, lam)])
+    g = W.conj() @ W.T
+    w_norm, r_norm = np.linalg.norm(W, axis=1), np.linalg.norm(r, axis=1)
+    w_exact, r_exact = [[_exact(x) for x in row] for row in W], [[_exact(x) for x in row] for row in r]
+    eigs = pb.eigs.reshape((N,) * d)
+    worst_residual, scale = Fraction(0), 0.0
+    for k in itertools.product(range(N), repeat=d):
+        delta = sum(Fraction(lam[kl]) for kl in k) - Fraction(eigs[tuple(order[list(k)])])
+        square = Fraction(0)
+        for site in itertools.product(range(2 * N + 2), repeat=d):
+            factors = [w_exact[kl][x] for kl, x in zip(k, site)]
+            entry = (delta, Fraction(0))
+            for f in factors:
+                entry = _times(entry, f)
+            for l in range(d):
+                term = r_exact[k[l]][site[l]]
+                for m in range(d):
+                    if m != l:
+                        term = _times(term, factors[m])
+                entry = (entry[0] + term[0], entry[1] + term[1])
+            square += entry[0] ** 2 + entry[1] ** 2
+        worst_residual = max(worst_residual, square)
+        norms = [w_norm[kl] for kl in k]
+        size = abs(float(delta)) * math.prod(norms) + sum(
+            r_norm[kl] * math.prod(norms[:l] + norms[l + 1:]) for l, kl in enumerate(k))
+        scale = max(scale, size * size)
+    g_exact = [[_exact(x) for x in row] for row in g]
+    worst_gram = Fraction(0)
+    for k in itertools.product(range(N), repeat=d):
+        for m in itertools.product(range(N), repeat=d):
+            entry = (Fraction(1), Fraction(0))
+            for kl, ml in zip(k, m):
+                entry = _times(entry, g_exact[kl][ml])
+            if k == m:
+                entry = (entry[0] - 1, entry[1])
+            worst_gram = max(worst_gram, entry[0] ** 2 + entry[1] ** 2)
+    return worst_residual, worst_gram, scale
 
 
 # -- correlators --------------------------------------------------------------

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from latticeqe.lattice import Observable, cube
 from latticeqe.reporting import ExperimentReport, config_hash, emit_report
 from latticeqe.schrodinger import FloquetBasis, counterexample_potential, lattice_block, partial_qe_experiment
 from latticeqe.spectra import sine_basis
-from latticeqe.time_average import bessel_bound_check, centered, fourier_phases, quantum_variance
+from latticeqe.time_average import bessel_bound_check, centered, quantum_variance
 
 
 def read(path: Path) -> str:
@@ -232,18 +233,17 @@ class TestExitCodes:
         assert not (tmp_path / "schrodinger.csv").exists()
 
     def test_violated_bessel_bound_is_a_fail_row(self, tmp_path):
-        # An inflated Fourier coefficient breaks lhs <= rhs: the row says so
-        # and the run exits 2, with no traceback.
+        # An inflated Fourier sum breaks lhs <= rhs: the row says so and the
+        # run exits 2, with no traceback.
         script = (
             "import sys\n"
-            "import latticeqe.time_average as ta\n"
+            "import latticeqe.experiments as ex\n"
             "from latticeqe.cli import main\n"
-            "real = ta.fourier_coefficients\n"
-            "def inflated(a, *args):\n"
-            "    c = real(a, *args).copy()\n"
-            "    c.flat[0] += 100.0\n"
-            "    return c\n"
-            "ta.fourier_coefficients = inflated\n"
+            "real = ex.bessel_bound_check\n"
+            "def inflated(a):\n"
+            "    lhs, rhs = real(a)\n"
+            "    return lhs + 100.0, rhs\n"
+            "ex.bessel_bound_check = inflated\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -319,15 +319,17 @@ class TestOutputs:
         assert row["high_band_count"] == 0 and row["pass"] is False
         assert np.isnan(row["max_high_odd_mass"]) and row["max_low_even_mass"] <= row["mass_bound"]
 
-    def test_bessel_builds_one_phase_matrix_per_side(self, tmp_path, monkeypatch):
-        from latticeqe import experiments
+    def test_bessel_never_builds_the_coefficient_grid(self, tmp_path, monkeypatch):
+        from latticeqe import time_average
 
-        sides = []
-        real = experiments.fourier_phases
-        monkeypatch.setattr(experiments, "fourier_phases", lambda N: sides.append(N) or real(N))
+        def refused(*args):
+            raise AssertionError("bessel built a Fourier grid or phase matrix")
+
+        monkeypatch.setattr(time_average, "fourier_coefficients", refused)
+        monkeypatch.setattr(time_average, "fourier_phases", refused)
         argv = ["bessel", "--d", "2", "--N", "2,4,5", "--obs", "half-indicator,parity", "--random", "3"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
-        assert sides == [2, 4, 5]
+        assert len(_rows(tmp_path / "bessel.json")) == 15
 
     def test_correlator_scan(self, tmp_path):
         code = main(["correlator", "--N", "20,40", "--R", "2", "--out", str(tmp_path)])
@@ -566,8 +568,8 @@ def _rows(path: Path) -> list[dict]:
 
 
 class TestRandomObservables:
-    """``--seed`` draws each random-diagonal from ``default_rng([seed, N])`` (var-scan, schrodinger) or
-    ``default_rng([seed, N, i])`` (bessel, ``i`` its place in ``--obs`` then the ``--random`` draws)."""
+    """``--seed`` draws each random-diagonal from ``default_rng([seed, tag, N])`` (var-scan tag 1, schrodinger
+    tag 2) or ``default_rng([seed, 3, N, i])`` (bessel, ``i`` its place in ``--obs`` then the ``--random`` draws)."""
 
     @pytest.mark.parametrize("argv,repeated", [
         (["schrodinger", "--task", "partial-qe", "--M", "100", "--N", "4,8",
@@ -585,7 +587,7 @@ class TestRandomObservables:
                      "--seed", "11", "--out", str(tmp_path)]) == 0
         for row in _rows(tmp_path / "var-scan.json"):
             N = row["N"]
-            assert row["var"] == quantum_variance(sine_basis(N, 2), centered(_draw(cube(N, 2), 11, N)))
+            assert row["var"] == quantum_variance(sine_basis(N, 2), centered(_draw(cube(N, 2), 11, 1, N)))
 
     def test_schrodinger_draws_from_seed_and_N(self, tmp_path):
         assert main(["schrodinger", "--task", "partial-qe", "--M", "100", "--N", "4,8", "--obs",
@@ -594,7 +596,7 @@ class TestRandomObservables:
         rows = [row for row in _rows(tmp_path / "schrodinger.json") if row["obs"] == "random-diagonal"]
         assert [row["N"] for row in rows] == [4, 8]
         for row in rows:
-            a = _draw(lattice_block(potential.q, row["N"]), 5, row["N"])
+            a = _draw(lattice_block(potential.q, row["N"]), 5, 2, row["N"])
             assert row["variance"] == partial_qe_experiment(potential, row["N"], a, enforce_lc=False).variance
 
     def test_bessel_draws_from_seed_N_and_place(self, tmp_path):
@@ -605,8 +607,32 @@ class TestRandomObservables:
             (N, f"random-diagonal-{i}") for N in (2, 4) for i in (1, 2)]
         for row in rows:
             N, i = row["N"], int(row["obs"].rsplit("-", 1)[1])
-            lhs, rhs = bessel_bound_check(_draw(cube(N, 2), 9, N, i), fourier_phases(N))
+            lhs, rhs = bessel_bound_check(_draw(cube(N, 2), 9, 3, N, i))
             assert (row["lhs"], row["rhs"]) == (lhs, rhs)
+
+    def test_experiments_draw_apart_at_equal_seed_and_N(self, tmp_path, monkeypatch):
+        # without the tags bessel's random-diagonal-0, keyed [seed, N, 0], drew
+        # var-scan's [seed, N]: numpy pads a key with zeros
+        from latticeqe import experiments
+
+        draws = []
+        real = experiments.build_observable
+
+        def recording(spec, box, **kwargs):
+            a = real(spec, box, **kwargs)
+            if spec == "random-diagonal":
+                draws.append(a.diag())
+            return a
+
+        monkeypatch.setattr(experiments, "build_observable", recording)
+        for argv in (["var-scan", "--d", "1", "--N", "8", "--obs", "random-diagonal", "--bound", "100"],
+                     ["schrodinger", "--task", "partial-qe", "--M", "100", "--N", "8", "--obs", "random-diagonal",
+                      "--unchecked"],
+                     ["bessel", "--d", "1", "--N", "8", "--random", "1"]):
+            assert main(argv + ["--seed", "4", "--out", str(tmp_path / argv[0])]) in (0, 2)
+        assert len(draws) == 3
+        for one, other in itertools.combinations(draws, 2):  # the first 8 values, the length of the shortest
+            assert not np.any(one[:8] == other[:8])
 
     def test_numpy_random_loads_only_for_a_draw(self, tmp_path):
         script = (

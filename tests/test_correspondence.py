@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,45 @@ from latticeqe.schrodinger import PeriodicPotential, eigenbasis, lattice_block
 from latticeqe.spectra import SpectralData, bloch_basis, dirichlet_eigenvalues, periodic_eigenvalues, sine_basis
 from latticeqe.time_average import expectations
 
-from oracles import doubled, embed, embed_by_reflections, loop_axis_maps, loop_correspondence_family, peak_bytes
+from oracles import (
+    doubled,
+    embed,
+    embed_by_reflections,
+    exact_product_certificates,
+    loop_axis_maps,
+    loop_correspondence_family,
+    peak_bytes,
+)
+
+EPS = np.finfo(float).eps
+
+
+def residual_rounding_bound(d: int, N: int, residual: float) -> float:
+    """How far a product basis's composed residual may sit from the dense check's.
+
+    Both round the residual of the same embedded columns at most this much.
+    The dense check rounds each basis entry, a product of ``d`` factor
+    entries, ``d - 1`` times and the embedding once (``d eps ||W||``), then
+    adds ``2d`` neighbours and subtracts ``lam W``, ``|lam| <= 2d``: with
+    ``||A - lam|| <= 4d`` that is at most ``(4d d + (2d + 1) 4d) eps`` times
+    ``||W|| ~ 1``, and ``eps ||R||``. The composition reads each 1-D
+    residual within ``12 eps`` (two neighbours, one product, one
+    subtraction, ``||A - lam|| <= 4``), so ``12 d eps`` together, and its dots
+    of length ``2N + 2`` and about ``d^2`` terms round within ``(2N + 2 + d^2
+    + 3d) eps`` of ``(1 + ||R||)``.
+    """
+    return (4 * d * d + (2 * d + 1) * 4 * d + 12 * d + 2 * N + 2 + d * d + 3 * d) * EPS * (1 + residual)
+
+
+def gram_rounding_bound(d: int, N: int) -> float:
+    """How far a product basis's composed Gram error may sit from the dense check's.
+
+    The dense Gram entries are dots of length ``(2N+2)^d`` of unit columns
+    whose entries are rounded ``d`` times; the composed ones are products of
+    ``d`` dots of length ``2N + 2``, each rounded, and the identity's
+    subtraction.
+    """
+    return ((2 * N + 2) ** d + d * (2 * N + 2) + 4 * d) * EPS
 
 
 def mirror(v: int, side: int) -> int:
@@ -172,14 +212,19 @@ class TestCorrespondence:
                                           (bloch_basis, 1, 5), (bloch_basis, 2, 3)])
     def test_single_residual_is_the_family_residual(self, make, d, N):
         # each column against the per-column embed/apply_adjacency oracle, and
-        # the worst column against the batched family
+        # the worst column against the family: its bits at d = 1, where the
+        # factored check is the dense one, its rounding beyond
         basis = make(N, d)
         single = []
         for j in range(basis.n):
             column = SpectralData(basis.box, basis.eigenvalues[j:j + 1], basis.vectors[:, j:j + 1])
             single.append(verify_correspondence(Wavefunction(basis.box, basis.vectors[:, j]), basis.eigenvalues[j]))
             assert single[-1] == loop_correspondence_family(column)[0]
-        assert max(single) == verify_correspondence_family(basis)[0]
+        family = verify_correspondence_family(basis)[0]
+        if d == 1:
+            assert max(single) == family
+        else:
+            assert abs(max(single) - family) <= residual_rounding_bound(d, N, max(single))
 
 
 def random_sides(data, max_side=5):
@@ -216,27 +261,82 @@ class TestEmbeddedFamily:
         basis = SpectralData(box, eigs, Q)
         assert verify_correspondence_family(basis) == loop_correspondence_family(basis)
 
-    @pytest.mark.parametrize("d,N", [(1, 64), (2, 8), (2, 12), (2, 16), (3, 5)])
-    def test_sine_basis_matches_column_loop_bitwise(self, d, N):
-        basis = sine_basis(N, d)
-        assert verify_correspondence_family(basis) == loop_correspondence_family(basis)
+    @pytest.mark.parametrize("make", [sine_basis, bloch_basis])
+    @pytest.mark.parametrize("d,N", [(d, N) for d in (1, 2, 3) for N in range(1, 7)] + [(1, 64), (2, 16)])
+    def test_product_basis_matches_column_loop(self, make, d, N):
+        # the factored certificate against one embedding per dense column:
+        # bit for bit at d = 1, within the rounding of both sides beyond
+        basis = make(N, d)
+        (residual, gram_error), (loop_residual, loop_gram_error) = (
+            verify_correspondence_family(basis), loop_correspondence_family(basis))
+        if d == 1:
+            assert (residual, gram_error) == (loop_residual, loop_gram_error)
+        assert abs(residual - loop_residual) <= residual_rounding_bound(d, N, loop_residual)
+        assert abs(gram_error - loop_gram_error) <= gram_rounding_bound(d, N)
 
-    def test_bloch_basis_matches_column_loop_bitwise(self):
-        basis = bloch_basis(6, 2)
-        assert verify_correspondence_family(basis) == loop_correspondence_family(basis)
+    @pytest.mark.parametrize("make", [sine_basis, bloch_basis])
+    @pytest.mark.parametrize("d,N", [(1, 1), (1, 5), (2, 1), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+    def test_product_certificates_are_the_exact_compositions(self, make, d, N):
+        # against the same 1-D data composed in exact rational arithmetic: the
+        # residual's square within the dots' and the composition's rounding of
+        # its terms, the Gram error within a few eps of itself
+        basis = make(N, d)
+        residual, gram_error = verify_correspondence_family(basis)
+        exact_residual, exact_gram, scale = exact_product_certificates(basis)
+        assert abs(Fraction(residual) ** 2 - exact_residual) <= (2 * N + d * d + d + 8) * EPS * scale
+        assert abs(Fraction(gram_error) ** 2 - exact_gram) <= (4 * d + 4) * EPS * exact_gram
+
+    @pytest.mark.parametrize("scale", [0.999, 1.001])
+    @pytest.mark.parametrize("make,d,N", [(sine_basis, 2, 3), (bloch_basis, 3, 2)])
+    def test_product_certificates_of_a_scaled_factor(self, make, d, N, scale):
+        # a factor whose columns are not unit vectors: the Gram error is set by
+        # the smallest (scale < 1) or the largest (scale > 1) diagonal entry
+        basis = make(N, d)
+        factor = basis.factor()
+        basis.factor = lambda: scale * factor
+        residual, gram_error = verify_correspondence_family(basis)
+        exact_residual, exact_gram, scale_of_terms = exact_product_certificates(basis)
+        assert abs(Fraction(residual) ** 2 - exact_residual) <= (2 * N + d * d + d + 8) * EPS * scale_of_terms
+        assert abs(Fraction(gram_error) ** 2 - exact_gram) <= (4 * d + 4) * EPS * exact_gram
+        assert gram_error == pytest.approx(abs(scale ** (2 * d) - 1), rel=1e-9)
+
+    @pytest.mark.parametrize("make,d,N", [(sine_basis, 2, 4), (sine_basis, 3, 3), (bloch_basis, 2, 3)])
+    def test_product_residual_reads_the_basis_eigenvalues(self, make, d, N):
+        # one eigenvalue moved by 1e-3: the embedded column is no longer an
+        # eigenvector for it, and the factored check sees the dense check's residual
+        basis = make(N, d)
+        basis.eigs[N**d // 2] += 1e-3
+        basis.eigenvalues = basis.eigs[basis.order]
+        numeric = SpectralData(basis.box, basis.eigenvalues, basis.vectors)
+        residual, dense = verify_correspondence_family(basis)[0], verify_correspondence_family(numeric)[0]
+        assert dense >= 5e-4
+        assert abs(residual - dense) <= residual_rounding_bound(d, N, dense)
+
+    @pytest.mark.parametrize("make,d,N", [(sine_basis, 2, 256), (bloch_basis, 2, 256), (sine_basis, 3, 32),
+                                          (bloch_basis, 3, 32)])
+    def test_product_path_builds_nothing_on_the_doubled_box(self, make, d, N):
+        # the 1-D data (about 3 N^2 entries) and a few N^d arrays on the
+        # frequency grid; one array of (2N+2)^d entries more would pass 6 N^d
+        # at d = 2 (the sine path peaks near 4.4), and at d = 3 on its own
+        basis = make(N, d)
+        itemsize = np.dtype(basis.factor().dtype).itemsize
+        assert peak_bytes(lambda: verify_correspondence_family(basis)) < 6 * N**d * itemsize
 
     @pytest.mark.parametrize("make,d,N", [(sine_basis, 3, 6), (bloch_basis, 2, 12)])
     def test_holds_two_blocks(self, make, d, N):
-        # the embedded block and its residual; a third block-sized temporary
-        # (a rolled copy or eigenvalues * images) would pass 3 blocks
-        basis = make(N, d)
+        # the dense path on a numeric basis of a product basis's shape: the
+        # embedded block and its residual; a third block-sized temporary (a
+        # rolled copy or eigenvalues * images) would pass 3 blocks
+        product = make(N, d)
+        basis = SpectralData(product.box, product.eigenvalues, product.vectors)
         block = (2 * N + 2) ** d * basis.n * basis.vectors.itemsize
         assert peak_bytes(lambda: verify_correspondence_family(basis)) < 2.5 * block
 
     def test_builds_the_residual_one_chunk_at_a_time(self):
-        # the embedded block, and of the residual only a chunk of columns; a
-        # whole-block residual would pass 2 blocks
-        basis = sine_basis(8, 3)
+        # the dense path: the embedded block, and of the residual only a chunk
+        # of columns; a whole-block residual would pass 2 blocks
+        product = sine_basis(8, 3)
+        basis = SpectralData(product.box, product.eigenvalues, product.vectors)
         block = 18**3 * basis.n * basis.vectors.itemsize
         assert peak_bytes(lambda: verify_correspondence_family(basis)) < 1.5 * block
 

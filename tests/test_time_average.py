@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from latticeqe.lattice import BoxMismatchError, Observable, cube
 from latticeqe.spectra import bloch_basis, sine_basis
 from latticeqe.time_average import (
+    _bessel_kernel,
     bessel_bound_check,
     centered,
     center_matrix,
@@ -22,7 +23,9 @@ from latticeqe.time_average import (
     time_averaged_observable,
 )
 
-from oracles import theta_classes, tilde_exponential
+from oracles import peak_bytes, theta_classes, tilde_exponential
+
+EPS = np.finfo(float).eps
 
 
 class TestHsNorm:
@@ -320,15 +323,37 @@ class TestThetaDecomposition:
 
 
 class TestBessel:
-    @pytest.mark.parametrize("d,N", [(1, 7), (2, 4), (3, 3)])
-    def test_shared_phases_bitwise(self, d, N):
-        rng = np.random.default_rng(d)
-        phases = fourier_phases(N)
-        assert phases.shape == (N, 4 * N + 1)
-        for _ in range(3):
-            a = Observable.diagonal(cube(N, d), rng.uniform(-1, 1, N**d))
-            assert np.array_equal(fourier_coefficients(a, phases), fourier_coefficients(a))
-            assert bessel_bound_check(a, phases) == bessel_bound_check(a)
+    @pytest.mark.parametrize("complex_values", [False, True])
+    @pytest.mark.parametrize("d,N", [(1, 1), (1, 2), (1, 7), (1, 12), (1, 40), (2, 1), (2, 4), (2, 9), (3, 2),
+                                     (3, 5)])
+    def test_lhs_is_the_sum_over_the_coefficient_grid(self, d, N, complex_values):
+        # the quadratic form against |e_t . a|^2 summed over the (4N+1)^d grid of
+        # fourier_coefficients. The form rounds within a few eps per axis (M is
+        # well conditioned, its spectrum in [3N, 4(N+1)]); the grid's phases
+        # exp(-i pi x t/(N+1)) carry angle errors up to about N eps
+        rng = np.random.default_rng(100 * d + N)
+        for _ in range(4):
+            values = rng.uniform(-1, 1, N**d)
+            if complex_values:
+                values = values + 1j * rng.uniform(-1, 1, N**d)
+            a = Observable.diagonal(cube(N, d), values)
+            grid = float(np.sum(np.abs(fourier_coefficients(a)) ** 2) / (N + 1) ** (2 * d))
+            lhs, rhs = bessel_bound_check(a)
+            assert abs(lhs - grid) <= (8 * d + N) * EPS * grid
+            assert rhs == 4**d * a.sup_norm**2
+
+    def test_kernel_sums_the_phases(self):
+        # M[x, y] is the sum of exp(-i pi (x - y) t/(N+1)) over t in [[-2N, 2N]]
+        for N in (1, 2, 5, 9):
+            P = fourier_phases(N)
+            assert np.allclose(_bessel_kernel(N), (P @ P.conj().T).real, rtol=0, atol=1e-12 * N)
+
+    @pytest.mark.parametrize("d,N", [(2, 64), (3, 16)])
+    def test_holds_no_coefficient_grid(self, d, N):
+        # g, (M x ... x M) g and a tensordot copy, and M: a few N^d arrays where
+        # one complex (4N+1)^d grid is more than 30 of them
+        a = Observable.diagonal(cube(N, d), np.random.default_rng(d).uniform(-1, 1, N**d))
+        assert peak_bytes(lambda: bessel_bound_check(a)) < 6 * N**d * 8
 
     def test_zero_observable(self):
         a = Observable.diagonal(cube(4, 1), np.zeros(4))
